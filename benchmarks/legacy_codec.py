@@ -1,21 +1,29 @@
-"""The pre-block-index v2 decoder, preserved as a benchmark baseline.
+"""Frozen copies of the retired v2 binary trace codec.
 
-This is the reader `repro.workloads.binary` shipped before the codec
-raw-speed pass (bounded-buffer ``_RecordStream``, per-field method calls),
-kept verbatim minus telemetry.  ``bench_trace_io`` decodes the same v2 file
-through this module and through the live codec and asserts the live one is
-at least 25% faster — a machine-independent throughput guard, since both
-sides run on the same interpreter and hardware.
+``src/`` no longer writes v2 (v3 is the only binary format it produces) and
+reads v2 through the v3 block decoder.  Two frozen pieces of the old codec
+live here instead:
 
-Not a public API; nothing outside the benchmarks should import this.
+* the pre-block-index v2 *decoder* (the reader ``repro.workloads.binary``
+  shipped before the codec raw-speed pass: bounded-buffer
+  ``_RecordStream``, per-field method calls), kept verbatim minus
+  telemetry.  ``bench_trace_io`` decodes the same v2 file through it and
+  through the live codec and asserts the live one is at least 25% faster —
+  a machine-independent throughput guard, since both sides run on the same
+  interpreter and hardware;
+* the last v2 *encoder* (:func:`save_legacy_trace`, plain or whole-body
+  zlib), byte-for-byte what ``save_trace(version=2[, compress=True])``
+  wrote, so tests and benchmarks can still produce legacy v2 inputs.
+
+Not a public API; only the benchmarks and tests import this.
 """
 
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator
+from typing import Any, Dict, Iterator, List
 
-from repro.workloads.base import Request
+from repro.workloads.base import INSERT, Request
 
 MAGIC = b"\x93RPTRACE"
 LEGACY_VERSION = 2
@@ -254,3 +262,99 @@ def iter_legacy_trace(path) -> Iterator[Request]:
     with open(path, "rb") as handle:
         header = read_legacy_header(handle, path)
         yield from iter_legacy_records(handle, header, path)
+
+
+# ------------------------------------------------------------------- encoder
+def _varint(value: int) -> bytes:
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+def save_legacy_trace(trace, path, metadata=None, compress: bool = False) -> None:
+    """``save_trace(trace, path, metadata, version=2, compress=compress)``
+    exactly as the retired v2 writer did it.
+
+    Same merged label/metadata header, live-scoped LIFO name ids,
+    front-coded names, 64 KiB body flushes and (when ``compress``) one
+    level-6 zlib stream over the whole body.
+    """
+    merged = dict(trace.metadata)
+    if metadata:
+        merged.update(metadata)
+    header: Dict[str, Any] = {"label": str(trace.label)}
+    if merged:
+        header["meta"] = merged
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    compressor = zlib.compressobj(6) if compress else None
+    bound: Dict[str, int] = {}
+    free_ids: List[int] = []
+    next_id = 0
+    previous = b""
+    count = 0
+    buffer = bytearray()
+
+    def append_name(raw: bytes) -> None:
+        nonlocal previous
+        prefix = 0
+        limit = min(len(raw), len(previous))
+        while prefix < limit and raw[prefix] == previous[prefix]:
+            prefix += 1
+        previous = raw
+        buffer.extend(_varint(prefix) + _varint(len(raw) - prefix) + raw[prefix:])
+
+    with open(path, "wb") as handle:
+        handle.write(
+            MAGIC
+            + _varint(LEGACY_VERSION)
+            + bytes([_FLAG_ZLIB if compress else 0])
+            + _varint(len(header_bytes))
+            + header_bytes
+        )
+
+        def flush() -> None:
+            data = bytes(buffer)
+            buffer.clear()
+            if compressor is not None:
+                data = compressor.compress(data)
+            if data:
+                handle.write(data)
+
+        for request in trace:
+            name = str(request.name)
+            name_id = bound.get(name)
+            if request.op == INSERT:
+                if name_id is None:
+                    if free_ids:
+                        bound[name] = free_ids.pop()
+                    else:
+                        bound[name] = next_id
+                        next_id += 1
+                    buffer.append(_TAG_INSERT_NEW)
+                    append_name(name.encode("utf-8"))
+                else:
+                    buffer.append(_TAG_INSERT_REF)
+                    buffer.extend(_varint(name_id))
+                buffer.extend(_varint(request.size))
+            elif name_id is None:
+                buffer.append(_TAG_DELETE_NEW)
+                append_name(name.encode("utf-8"))
+            else:
+                del bound[name]
+                free_ids.append(name_id)
+                buffer.append(_TAG_DELETE_REF)
+                buffer.extend(_varint(name_id))
+            count += 1
+            if len(buffer) >= _CHUNK:
+                flush()
+        buffer.append(_TAG_END)
+        buffer.extend(_varint(count))
+        flush()
+        if compressor is not None:
+            handle.write(compressor.flush())

@@ -16,7 +16,7 @@ Sweep a campaign matrix over four worker processes::
     python -m repro sweep campaign.json --jobs 4 --out results/demo
 
 Characterise a recorded trace before sweeping it (streams — a 10M-request
-v2 file is analyzed without materialising it)::
+v3 file is analyzed without materialising it)::
 
     python -m repro trace analyze traces/prod.trace
 
@@ -30,17 +30,20 @@ Sweep with telemetry on and inspect the recorded spans and counters::
     python -m repro obs report results/demo/telemetry.jsonl
     python -m repro sweep report results/demo --telemetry
 
-Re-encode a text trace into the compressed binary v2 format and inspect it
-(both stream, so multi-million-request files are fine)::
+Re-encode a text trace into the compressed, block-indexed binary v3 format
+and inspect it (both stream, so multi-million-request files are fine)::
 
-    python -m repro trace convert traces/prod.trace traces/prod.v2 --format v2 --compress
-    python -m repro trace info traces/prod.v2
+    python -m repro trace convert traces/prod.trace traces/prod.v3z --compress
+    python -m repro trace info traces/prod.v3z
 
-Convert to the block-indexed v3 format and analyze it sharded over four
-worker processes (byte-identical output, a fraction of the wall time)::
+Analyze a v3 trace sharded over four worker processes (byte-identical
+output, a fraction of the wall time)::
 
-    python -m repro trace convert traces/prod.trace traces/prod.v3 --format v3
     python -m repro trace analyze traces/prod.v3 --jobs 4
+
+Legacy v2 binary files are read-only; upgrade one to v3 with::
+
+    python -m repro trace convert traces/old.v2 traces/old.v3 --format v3
 """
 
 from __future__ import annotations
@@ -232,15 +235,15 @@ def _build_parser() -> argparse.ArgumentParser:
     convert_parser.add_argument("output", help="destination trace file")
     convert_parser.add_argument(
         "--format",
-        choices=["v0", "v1", "v2", "v3"],
-        default="v2",
-        help="output format version (default: v2, the binary format; "
-        "v3 adds a seekable block index)",
+        choices=["v0", "v1", "v3"],
+        default="v3",
+        help="output format version (default: v3, the block-indexed binary "
+        "format; legacy v2 inputs are read but never written)",
     )
     convert_parser.add_argument(
         "--compress",
         action="store_true",
-        help="zlib-compress the record body (v2: one stream, v3: per block)",
+        help="zlib-compress each v3 block body",
     )
     convert_parser.add_argument(
         "--block-size",
@@ -988,10 +991,10 @@ def _cmd_trace_convert(args: argparse.Namespace) -> int:
     from repro.workloads import TraceFileSource, open_trace_writer
 
     version = int(args.format[1:])
-    if args.compress and version < 2:
+    if args.compress and version != 3:
         print(
             f"repro trace convert: --compress is only supported by the binary "
-            f"formats (v2, v3), not {args.format}",
+            f"format (v3), not {args.format}",
             file=sys.stderr,
         )
         return 2
@@ -1313,7 +1316,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if handler is None:
         print(
             "repro trace: choose a subcommand (try: repro trace analyze <path>, "
-            "repro trace convert <in> <out> --format v2, or repro trace info <path>)",
+            "repro trace convert <in> <out> --format v3, or repro trace info <path>)",
             file=sys.stderr,
         )
         return 2

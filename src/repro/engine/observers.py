@@ -595,12 +595,12 @@ class TraceRecorderObserver(Observer):
     """Stream the replayed requests straight to an on-disk trace file.
 
     Attaching this observer to a live engine run records the workload it
-    served — synthetic, adversarial, or generated on the fly — as a v2 (or
-    v0/v1) trace file via the same streaming
+    served — synthetic, adversarial, or generated on the fly — as a v3 (or
+    v0/v1; v2 is read-only) trace file via the same streaming
     :func:`~repro.workloads.replay.open_trace_writer` path ``repro trace
     convert`` uses, so a multi-million-request run is captured without ever
     materialising it.  If the replay raises, the partial file is aborted and
-    left truncation-detectable (a v2 reader refuses it loudly).
+    left truncation-detectable (no END trailer: readers refuse it loudly).
 
     In a campaign spec, ``"{cell}"`` in ``path`` is replaced by the cell
     index, so parallel cells never clobber one another's recording.
@@ -614,7 +614,7 @@ class TraceRecorderObserver(Observer):
     def __init__(
         self,
         path: str,
-        version: int = 2,
+        version: int = 3,
         compress: Union[bool, str] = False,
         label: str = "recorded",
         metadata: Optional[Dict[str, Any]] = None,

@@ -30,7 +30,6 @@ SITES: Dict[str, str] = {
     "artifact.write.body": "while the .tmp sibling of an artifact is being written",
     "artifact.write.fsync": "between the .tmp body and its fsync",
     "artifact.write.replace": "between the fsync'd .tmp and the atomic os.replace",
-    "trace.write.body": "a v2 binary-trace buffer flush (mid-body)",
     "trace.write.block": "a v3 binary-trace block write (mid-block)",
     "trace.write.trailer": "the END trailer / v3 footer write at trace close",
     "checkpoint.persist": "the checkpoint that persists the translation map",

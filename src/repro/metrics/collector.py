@@ -94,7 +94,7 @@ def run_trace(
 
     ``trace`` may be a materialised :class:`~repro.workloads.base.Trace`, a
     streaming :class:`~repro.workloads.base.RequestSource` (e.g. a
-    :class:`~repro.workloads.replay.TraceFileSource` over an on-disk v2
+    :class:`~repro.workloads.replay.TraceFileSource` over an on-disk v3
     file), or any iterable of requests; the metrics are identical either
     way since every number is derived from what the allocator observed.
 

@@ -16,7 +16,7 @@ class RequestSource(Protocol):
     :class:`~repro.engine.SimulationEngine`, and ``repro.metrics.run_trace``
     accept any object satisfying this protocol, so a multi-million-request
     replay (e.g. a :class:`~repro.workloads.replay.TraceFileSource` over an
-    on-disk v2 file) never has to materialise its trace.  Iteration must be
+    on-disk v3 file) never has to materialise its trace.  Iteration must be
     repeatable: each ``iter()`` yields the same requests from the start.
     A :class:`Trace` satisfies the protocol trivially.
     """

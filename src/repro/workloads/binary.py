@@ -1,47 +1,15 @@
-"""The binary trace container: compact, streamable, optionally compressed.
+"""The binary trace container: compact, seekable, optionally compressed.
 
-Layout of a v2 file::
+Layout of a v3 file (the only binary version written)::
 
     magic        8 bytes   b"\\x93RPTRACE" (first byte non-ASCII so text
                            parsers bail out immediately)
-    version      varint    2
-    flags        1 byte    bit 0: record body is one zlib stream
+    version      varint    3
+    flags        1 byte    bit 0: each block body is zlib-compressed
     header len   varint    byte length of the JSON header block
     header       bytes     UTF-8 JSON: {"label": str, "meta": {...}}
-    body         records   (zlib-compressed as a whole when flagged)
 
-The body is a sequence of varint-encoded records over a *live-scoped
-interned name table*: an insert binds its name to an integer id (the most
-recently freed id, else the next fresh one — writer and reader mirror the
-same LIFO rule), a delete references the id and frees it again.  Ids are
-therefore bounded by the peak number of simultaneously *live* objects, so
-they stay one or two bytes even in traces with millions of distinct names —
-and so does the table itself, which is what keeps both ends of the pipe
-streaming.  Name bytes are *front-coded*: each name-carrying record stores
-the byte length it shares with the previously written name plus the new
-suffix, which collapses the ``obj-000123``-style names synthetic workloads
-generate to a couple of bytes.
-
-    0x01  INSERT, new name:   varint shared-prefix-len, varint suffix-len,
-                              suffix bytes, varint size   (binds an id)
-    0x02  INSERT, live name:  varint name-id, varint size (id stays bound;
-                              only produced for degenerate double-inserts)
-    0x03  DELETE, live name:  varint name-id              (frees the id)
-    0x04  DELETE, other name: varint shared-prefix-len, varint suffix-len,
-                              suffix bytes                (binds nothing)
-    0x00  END trailer:        varint total record count
-
-The END trailer makes truncation detectable: a reader that hits EOF before
-the trailer (or whose record count disagrees with it) reports a truncated
-file instead of silently yielding a prefix.  All varints are unsigned
-LEB128.
-
-v3: seekable blocks
--------------------
-
-A v3 file shares the magic/flags/header layout (version varint 3; flag
-bit 0 now means *per-block* zlib) but groups records into self-contained
-**blocks** that each restart the interned-name table::
+then self-contained **blocks** of records and an END record::
 
     0x05  BLOCK:  varint record-count      records encoded in this block
                   varint entry-count       objects live at block entry
@@ -61,6 +29,25 @@ bit 0 now means *per-block* zlib) but groups records into self-contained
                   8 bytes   little-endian absolute offset of the END tag
                   8 bytes   footer magic b"\\x93RPT3IDX"
 
+A block body is a sequence of varint-encoded records over a *live-scoped
+interned name table*: an insert binds its name to an integer id (the most
+recently freed id, else the next fresh one — writer and reader mirror the
+same LIFO rule), a delete references the id and frees it again.  Ids are
+therefore bounded by the peak number of simultaneously *live* objects, so
+they stay one or two bytes even in traces with millions of distinct names.
+Name bytes are *front-coded*: each name-carrying record stores the byte
+length it shares with the previously written name plus the new suffix,
+which collapses the ``obj-000123``-style names synthetic workloads
+generate to a couple of bytes.
+
+    0x01  INSERT, new name:   varint shared-prefix-len, varint suffix-len,
+                              suffix bytes, varint size   (binds an id)
+    0x02  INSERT, live name:  varint name-id, varint size (id stays bound;
+                              only produced for degenerate double-inserts)
+    0x03  DELETE, live name:  varint name-id              (frees the id)
+    0x04  DELETE, other name: varint shared-prefix-len, varint suffix-len,
+                              suffix bytes                (binds nothing)
+
 Each block re-binds the snapshot names to ids ``0..entry_count-1`` in
 snapshot order (next fresh id = entry_count, free-id pool empty) and
 front-codes record names starting from the *last* snapshot name, so a
@@ -69,34 +56,44 @@ trailer lets a reader seek straight to the footer, then to any block —
 that is what :func:`read_block_index` and sharded parallel replay build
 on.  Truncation stays loud: every byte before the trailer is needed to
 reach the END record, the footer must agree with the blocks actually
-read, and the trailer offset must point back at the END tag.
+read, and the trailer offset must point back at the END tag.  All varints
+are unsigned LEB128.
 
-Everything here is streaming: :class:`BinaryTraceWriter` and
-:func:`iter_binary_records` hold an I/O buffer plus per-*live*-object state
-(the id table and free-id stack, and for v3 one block's worth of bytes),
-never anything proportional to the trace length or the number of distinct
-names.
+**Legacy v2 (read-only).** v2 files share the magic/flags/header layout
+(version varint 2; flag bit 0 means *one* zlib stream over the whole body)
+and have no blocks: the body is exactly a v3 block body with an empty entry
+snapshot, followed by ``0x00 END`` and a varint total record count.  The v3
+block decoder reads it, holding the whole (decompressed) body in memory —
+``repro trace convert IN OUT --format v3`` upgrades a large v2 file to
+streaming reads and the block index.
+
+:class:`BinaryTraceWriter` and the v3 reader hold an I/O buffer plus
+per-*live*-object state (the id table and free-id stack, and one block's
+worth of bytes), never anything proportional to the trace length or the
+number of distinct names.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import queue
+import sys
 import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.faults.injector import fault_point, fault_write
+from repro.faults.injector import fault_write
 from repro.obs.telemetry import get_telemetry
 from repro.workloads.base import DELETE, INSERT, Request
 
 #: First bytes of every binary trace file.
 MAGIC = b"\x93RPTRACE"
-#: The container version written when none is requested.
-BINARY_FORMAT_VERSION = 2
-#: Every binary container version this module reads.
+#: The binary container version :class:`BinaryTraceWriter` writes.
+BINARY_FORMAT_VERSION = 3
+#: Every binary container version this module reads (v2 is read-only).
 KNOWN_BINARY_VERSIONS = (2, 3)
 #: Records per v3 block when the writer is not told otherwise.
 DEFAULT_BLOCK_RECORDS = 65536
@@ -113,7 +110,9 @@ _TAG_BLOCK = 0x05
 _FOOTER_MAGIC = b"\x93RPT3IDX"
 _TRAILER_LEN = 8 + len(_FOOTER_MAGIC)
 
-_CHUNK = 64 * 1024
+#: ``expected`` for :func:`_decode_block_records` on a v2 body: decode until
+#: the END tag instead of a declared record count.
+_UNTIL_END = sys.maxsize
 
 # Hot-loop aliases: one LOAD_GLOBAL each instead of attribute lookups per
 # record.  Requests are built via object.__new__ so the decode loop pays no
@@ -143,65 +142,6 @@ def encode_varint(value: int) -> bytes:
 
 
 # --------------------------------------------------------------------- reader
-class _BodySource:
-    """Chunked supplier of decompressed v2 body bytes for the decode loop."""
-
-    __slots__ = ("_handle", "_path", "_decompressor", "_input_done", "raw_bytes")
-
-    def __init__(self, handle, compressed: bool, path) -> None:
-        self._handle = handle
-        self._path = path
-        self._decompressor = zlib.decompressobj() if compressed else None
-        self._input_done = False
-        self.raw_bytes = 0  # compressed/on-disk body bytes consumed
-
-    def next_chunk(self) -> bytes:
-        """The next chunk of (decompressed) body bytes; ``b""`` at the end."""
-        decompressor = self._decompressor
-        while not self._input_done:
-            chunk = self._handle.read(_CHUNK)
-            self.raw_bytes += len(chunk)
-            if not chunk:
-                self._input_done = True
-                if decompressor is not None:
-                    try:
-                        tail = decompressor.flush()
-                    except zlib.error as error:
-                        raise TraceFormatError(
-                            f"{self._path}: truncated or corrupt zlib record body ({error})"
-                        ) from error
-                    # flush() does not verify stream completeness; a clipped
-                    # final block or checksum only shows up as eof == False.
-                    if not decompressor.eof:
-                        raise TraceFormatError(
-                            f"{self._path}: truncated zlib record body "
-                            "(compressed stream ends mid-block)"
-                        )
-                    if tail:
-                        return tail
-                return b""
-            if decompressor is not None:
-                try:
-                    chunk = decompressor.decompress(chunk)
-                except zlib.error as error:
-                    raise TraceFormatError(
-                        f"{self._path}: corrupt zlib record body ({error})"
-                    ) from error
-                if not chunk:
-                    continue  # compressed input consumed, no output yet
-            return chunk
-        return b""
-
-    def check_no_trailing(self) -> None:
-        """After the END trailer: any further body or container bytes are an error."""
-        if self.next_chunk():
-            raise TraceFormatError(f"{self._path}: trailing data after the END trailer")
-        if self._decompressor is not None and self._decompressor.unused_data:
-            raise TraceFormatError(
-                f"{self._path}: trailing data after the compressed record body"
-            )
-
-
 @dataclass
 class BinaryHeader:
     """The decoded fixed header of a binary (v2/v3) trace file."""
@@ -212,10 +152,10 @@ class BinaryHeader:
     metadata: Dict[str, Any] = field(default_factory=dict)
 
 
-# These two header helpers intentionally mirror the body decode loop's
+# These two header helpers intentionally mirror the block decode loop's
 # bounds checks: the header and the v3 block structure must be read
 # byte-exactly from the raw handle (no buffered overshoot), while the
-# record decode is specialised for bulk buffered input on the hot path.
+# record decode is specialised for in-memory block bodies on the hot path.
 # Keep their guards and error wording in sync.
 def _read_exact_from(handle, count: int, what: str, path) -> bytes:
     data = handle.read(count)
@@ -291,10 +231,11 @@ def read_binary_header(handle, path) -> BinaryHeader:
     )
 
 
-def _decode_varint_slow(buf, pos: int, first: int, path, count: int):
+def _decode_varint_slow(buf, pos: int, first: int, path, where: str, record=None):
     """Continuation of an inline varint decode whose first byte had the
     high bit set.  Raises IndexError past the end of ``buf`` (the caller's
-    refill/truncation logic handles it)."""
+    truncation logic handles it).  ``where`` (and ``record``, when the
+    varint belongs to one) only name the spot in the error message."""
     value = first & 0x7F
     shift = 7
     while True:
@@ -305,201 +246,22 @@ def _decode_varint_slow(buf, pos: int, first: int, path, count: int):
             return value, pos
         shift += 7
         if shift > 63:
-            raise TraceFormatError(
-                f"{path}: record {count}: corrupt varint (over 9 bytes)"
-            )
+            spot = where if record is None else f"{where}, record {record}"
+            raise TraceFormatError(f"{path}: {spot}: corrupt varint (over 9 bytes)")
 
 
 def iter_binary_records(handle, header: BinaryHeader, path) -> Iterator[Request]:
-    """Yield the requests of a v2/v3 body one at a time (bounded memory).
+    """Yield the requests of a v2/v3 body one at a time.
 
     ``handle`` must be positioned at the first body byte (where
     :func:`read_binary_header` leaves it).  Verifies the END trailer and the
     record count, so truncated and over-long files raise
-    :class:`TraceFormatError` instead of yielding a silent prefix.
+    :class:`TraceFormatError` instead of yielding a silent prefix.  v3
+    streams block by block; a legacy v2 body is read whole.
     """
     if header.version == 3:
-        yield from _iter_v3_records(handle, header, path)
-        return
-
-    source = _BodySource(handle, compressed=header.compressed, path=path)
-    bound: Dict[int, str] = {}  # live name-id bindings
-    free_ids: List[int] = []  # LIFO pool mirroring the writer's id assignment
-    next_id = 0
-    previous_name = b""  # front-coding state
-    count = 0
-    buf = b""
-    pos = 0
-
-    # One iteration decodes one record from the local buffer with inline
-    # varint fast paths; running off the buffer raises IndexError, the
-    # record is rewound, the buffer refilled, and the record retried.
-    # State (count, bindings, front-coding) is only touched after a record
-    # decodes completely, so a retry never replays a half-applied record.
-    while True:
-        record_start = pos
-        try:
-            tag = buf[pos]
-            pos += 1
-            if tag == _TAG_INSERT_NEW or tag == _TAG_DELETE_NEW:
-                prefix = buf[pos]
-                pos += 1
-                if prefix >= 0x80:
-                    prefix, pos = _decode_varint_slow(buf, pos, prefix, path, count)
-                suffix_len = buf[pos]
-                pos += 1
-                if suffix_len >= 0x80:
-                    suffix_len, pos = _decode_varint_slow(buf, pos, suffix_len, path, count)
-                end = pos + suffix_len
-                if end > len(buf):
-                    raise IndexError
-                suffix = buf[pos:end]
-                pos = end
-                if tag == _TAG_INSERT_NEW:
-                    size = buf[pos]
-                    pos += 1
-                    if size >= 0x80:
-                        size, pos = _decode_varint_slow(buf, pos, size, path, count)
-                else:
-                    size = 0
-            elif tag == _TAG_DELETE_REF or tag == _TAG_INSERT_REF:
-                name_id = buf[pos]
-                pos += 1
-                if name_id >= 0x80:
-                    name_id, pos = _decode_varint_slow(buf, pos, name_id, path, count)
-                if tag == _TAG_INSERT_REF:
-                    size = buf[pos]
-                    pos += 1
-                    if size >= 0x80:
-                        size, pos = _decode_varint_slow(buf, pos, size, path, count)
-            elif tag == _TAG_END:
-                declared = buf[pos]
-                pos += 1
-                if declared >= 0x80:
-                    declared, pos = _decode_varint_slow(buf, pos, declared, path, count)
-            else:
-                raise TraceFormatError(
-                    f"{path}: record {count + 1}: unknown record tag 0x{tag:02x}"
-                )
-        except IndexError:
-            chunk = source.next_chunk()
-            if not chunk:
-                raise TraceFormatError(
-                    f"{path}: truncated trace file (end of data before the END "
-                    f"trailer; {count} record(s) read)"
-                ) from None
-            buf = buf[record_start:] + chunk
-            pos = 0
-            continue
-
-        # The record decoded completely; apply it.
-        if tag == _TAG_INSERT_NEW:
-            count += 1
-            if prefix:
-                if prefix > len(previous_name):
-                    raise TraceFormatError(
-                        f"{path}: record {count}: name prefix length {prefix} exceeds "
-                        f"the previous name's {len(previous_name)} bytes"
-                    )
-                raw = previous_name[:prefix] + suffix
-            else:
-                raw = suffix
-            previous_name = raw
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise TraceFormatError(
-                    f"{path}: record {count}: undecodable name: {error}"
-                ) from error
-            if free_ids:
-                bound[free_ids.pop()] = name
-            else:
-                bound[next_id] = name
-                next_id += 1
-            if size < 1:
-                raise TraceFormatError(
-                    f"{path}: record {count}: insert with non-positive size {size}"
-                )
-            request = _new_request(Request)
-            _set_attr(request, "op", INSERT)
-            _set_attr(request, "name", name)
-            _set_attr(request, "size", size)
-            yield request
-        elif tag == _TAG_DELETE_REF:
-            count += 1
-            try:
-                name = bound.pop(name_id)
-            except KeyError:
-                raise TraceFormatError(
-                    f"{path}: record {count}: name id {name_id} references an unbound "
-                    "name (never inserted, or already deleted)"
-                ) from None
-            free_ids.append(name_id)
-            request = _new_request(Request)
-            _set_attr(request, "op", DELETE)
-            _set_attr(request, "name", name)
-            _set_attr(request, "size", 0)
-            yield request
-        elif tag == _TAG_INSERT_REF:
-            count += 1
-            try:
-                name = bound[name_id]
-            except KeyError:
-                raise TraceFormatError(
-                    f"{path}: record {count}: name id {name_id} references an unbound "
-                    "name (never inserted, or already deleted)"
-                ) from None
-            if size < 1:
-                raise TraceFormatError(
-                    f"{path}: record {count}: insert with non-positive size {size}"
-                )
-            request = _new_request(Request)
-            _set_attr(request, "op", INSERT)
-            _set_attr(request, "name", name)
-            _set_attr(request, "size", size)
-            yield request
-        elif tag == _TAG_DELETE_NEW:
-            count += 1
-            if prefix:
-                if prefix > len(previous_name):
-                    raise TraceFormatError(
-                        f"{path}: record {count}: name prefix length {prefix} exceeds "
-                        f"the previous name's {len(previous_name)} bytes"
-                    )
-                raw = previous_name[:prefix] + suffix
-            else:
-                raw = suffix
-            previous_name = raw
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise TraceFormatError(
-                    f"{path}: record {count}: undecodable name: {error}"
-                ) from error
-            request = _new_request(Request)
-            _set_attr(request, "op", DELETE)
-            _set_attr(request, "name", name)
-            _set_attr(request, "size", 0)
-            yield request
-        else:  # _TAG_END
-            if declared != count:
-                raise TraceFormatError(
-                    f"{path}: record count mismatch: END trailer declares {declared}, "
-                    f"read {count}"
-                )
-            if pos != len(buf):
-                raise TraceFormatError(
-                    f"{path}: trailing data after the END trailer"
-                )
-            source.check_no_trailing()
-            # Cold path: counters are pushed once per completed file, so the
-            # per-record decode loop never touches telemetry.
-            telemetry = get_telemetry()
-            if telemetry.enabled:
-                telemetry.add("trace_io.decode_records", count)
-                telemetry.add("trace_io.decode_bytes", source.raw_bytes)
-                telemetry.add("trace_io.decode_files")
-            return
+        return _iter_v3_records(handle, header, path)
+    return _iter_v2_records(handle, header, path)
 
 
 # ------------------------------------------------------------------ v3 reader
@@ -523,11 +285,11 @@ def _decode_snapshot(
             prefix = data[pos]
             pos += 1
             if prefix >= 0x80:
-                prefix, pos = _decode_varint_slow(data, pos, prefix, path, block)
+                prefix, pos = _decode_varint_slow(data, pos, prefix, path, where)
             suffix_len = data[pos]
             pos += 1
             if suffix_len >= 0x80:
-                suffix_len, pos = _decode_varint_slow(data, pos, suffix_len, path, block)
+                suffix_len, pos = _decode_varint_slow(data, pos, suffix_len, path, where)
             end = pos + suffix_len
             if end > len(data):
                 raise IndexError
@@ -541,7 +303,7 @@ def _decode_snapshot(
             size = data[pos]
             pos += 1
             if size >= 0x80:
-                size, pos = _decode_varint_slow(data, pos, size, path, block)
+                size, pos = _decode_varint_slow(data, pos, size, path, where)
             if prev is not None and raw <= prev:
                 raise TraceFormatError(
                     f"{path}: {where}: entries not in sorted name order"
@@ -569,35 +331,42 @@ def _decode_snapshot(
 
 
 def _decode_block_records(
-    body: bytes, names: List[str], previous_name: bytes, expected: int, path, block: int
-) -> Iterator[Request]:
+    body: bytes, names: List[str], previous_name: bytes, expected: int, path, where: str
+):
     """Yield exactly ``expected`` requests from one in-memory block body.
 
     The interned-name table starts as the snapshot ``names`` bound to ids
     ``0..len(names)-1``; front-coding starts from ``previous_name`` (the
     last snapshot name).  The body must contain exactly the declared
-    records with no bytes left over.
+    records with no bytes left over.  ``where`` (``"block 5"``) prefixes
+    error messages.
+
+    With ``expected=_UNTIL_END`` (a legacy v2 body) decoding instead stops
+    at the first END tag and the generator returns ``(records, pos)``,
+    ``pos`` being the offset just past that tag; the caller checks what
+    follows it.
     """
     bound: Dict[int, str] = dict(enumerate(names))
     free_ids: List[int] = []
     next_id = len(names)
     count = 0
     pos = 0
-    where = f"block {block}"
     try:
         while count < expected:
+            count += 1  # before the tag read: on IndexError, count - 1 are whole
             tag = body[pos]
             pos += 1
-            count += 1
             if tag == _TAG_INSERT_NEW or tag == _TAG_DELETE_NEW:
                 prefix = body[pos]
                 pos += 1
                 if prefix >= 0x80:
-                    prefix, pos = _decode_varint_slow(body, pos, prefix, path, count)
+                    prefix, pos = _decode_varint_slow(body, pos, prefix, path, where, count)
                 suffix_len = body[pos]
                 pos += 1
                 if suffix_len >= 0x80:
-                    suffix_len, pos = _decode_varint_slow(body, pos, suffix_len, path, count)
+                    suffix_len, pos = _decode_varint_slow(
+                        body, pos, suffix_len, path, where, count
+                    )
                 end = pos + suffix_len
                 if end > len(body):
                     raise IndexError
@@ -623,7 +392,7 @@ def _decode_block_records(
                     size = body[pos]
                     pos += 1
                     if size >= 0x80:
-                        size, pos = _decode_varint_slow(body, pos, size, path, count)
+                        size, pos = _decode_varint_slow(body, pos, size, path, where, count)
                     if size < 1:
                         raise TraceFormatError(
                             f"{path}: {where}, record {count}: insert with "
@@ -648,7 +417,7 @@ def _decode_block_records(
                 name_id = body[pos]
                 pos += 1
                 if name_id >= 0x80:
-                    name_id, pos = _decode_varint_slow(body, pos, name_id, path, count)
+                    name_id, pos = _decode_varint_slow(body, pos, name_id, path, where, count)
                 if tag == _TAG_DELETE_REF:
                     try:
                         name = bound.pop(name_id)
@@ -675,7 +444,7 @@ def _decode_block_records(
                     size = body[pos]
                     pos += 1
                     if size >= 0x80:
-                        size, pos = _decode_varint_slow(body, pos, size, path, count)
+                        size, pos = _decode_varint_slow(body, pos, size, path, where, count)
                     if size < 1:
                         raise TraceFormatError(
                             f"{path}: {where}, record {count}: insert with "
@@ -686,11 +455,18 @@ def _decode_block_records(
                     _set_attr(request, "name", name)
                     _set_attr(request, "size", size)
                 yield request
+            elif tag == _TAG_END and expected == _UNTIL_END:
+                return count - 1, pos
             else:
                 raise TraceFormatError(
                     f"{path}: {where}, record {count}: unknown record tag 0x{tag:02x}"
                 )
     except IndexError:
+        if expected == _UNTIL_END:
+            raise TraceFormatError(
+                f"{path}: truncated trace file (end of data before the END "
+                f"trailer; {count - 1} record(s) read)"
+            ) from None
         raise TraceFormatError(
             f"{path}: {where}: truncated record data (body ends mid-record; "
             f"{count - 1} of {expected} record(s) decoded)"
@@ -744,7 +520,7 @@ def _iter_v3_records(handle, header: BinaryHeader, path) -> Iterator[Request]:
                 handle, header.compressed, path, block
             )
             yield from _decode_block_records(
-                body, names, last_raw, record_count, path, block
+                body, names, last_raw, record_count, path, f"block {block}"
             )
             blocks_seen.append((offset, record_count))
             count += record_count
@@ -797,6 +573,43 @@ def _iter_v3_records(handle, header: BinaryHeader, path) -> Iterator[Request]:
             raise TraceFormatError(
                 f"{path}: block {len(blocks_seen)}: unknown record tag 0x{tag:02x}"
             )
+
+
+def _iter_v2_records(handle, header: BinaryHeader, path) -> Iterator[Request]:
+    """Read a legacy v2 body: one snapshot-less block body, END, count."""
+    raw = handle.read()
+    body = raw
+    if header.compressed:
+        inflater = zlib.decompressobj()
+        try:
+            body = inflater.decompress(raw)
+        except zlib.error as error:
+            raise TraceFormatError(f"{path}: corrupt zlib record body ({error})") from error
+        if not inflater.eof:
+            raise TraceFormatError(
+                f"{path}: truncated zlib record body (compressed stream ends mid-block)"
+            )
+        if inflater.unused_data:
+            raise TraceFormatError(
+                f"{path}: trailing data after the compressed record body"
+            )
+    count, pos = yield from _decode_block_records(
+        body, [], b"", _UNTIL_END, path, "v2 body"
+    )
+    trailer = io.BytesIO(body[pos:])
+    declared = _read_varint_from(trailer, "END trailer record count", path)
+    if declared != count:
+        raise TraceFormatError(
+            f"{path}: record count mismatch: END trailer declares {declared}, "
+            f"read {count}"
+        )
+    if trailer.read(1):
+        raise TraceFormatError(f"{path}: trailing data after the END trailer")
+    telemetry = get_telemetry()
+    if telemetry.enabled:
+        telemetry.add("trace_io.decode_records", count)
+        telemetry.add("trace_io.decode_bytes", len(raw))
+        telemetry.add("trace_io.decode_files")
 
 
 # --------------------------------------------------------------- block index
@@ -872,7 +685,7 @@ class BlockIndex:
                         f"record(s), footer index says {block.records}"
                     )
                 yield from _decode_block_records(
-                    body, names, last_raw, record_count, self.path, block.index
+                    body, names, last_raw, record_count, self.path, f"block {block.index}"
                 )
         self._count_seeks(len(blocks))
 
@@ -1002,7 +815,7 @@ def read_trace_tail(path: Union[str, os.PathLike]) -> TraceTail:
                 )
                 decoded = list(
                     _decode_block_records(
-                        body, names, last_raw, record_count, path, blocks
+                        body, names, last_raw, record_count, path, f"block {blocks}"
                     )
                 )
             except TraceFormatError:
@@ -1014,13 +827,14 @@ def read_trace_tail(path: Union[str, os.PathLike]) -> TraceTail:
 
 # --------------------------------------------------------------------- writer
 class BinaryTraceWriter:
-    """Streaming writer for the binary trace formats (v2 and v3).
+    """Streaming writer for the binary trace format (v3).
 
-    Usable as a context manager; requests are encoded and flushed through a
-    bounded buffer, so writing a 10M-request trace never holds it in memory:
-    the only growing state is the live-name table plus the free-id pool
-    (both bounded by the peak number of simultaneously live objects) and,
-    for v3, one block's worth of encoded records.
+    Usable as a context manager; requests are encoded into the current
+    block and each full block is written out, so writing a 10M-request
+    trace never holds it in memory: the only growing state is the
+    live-name table plus the free-id pool (both bounded by the peak number
+    of simultaneously live objects) and one block's worth of encoded
+    records.
     """
 
     def __init__(
@@ -1030,15 +844,9 @@ class BinaryTraceWriter:
         metadata: Optional[Dict[str, Any]] = None,
         compress: Union[bool, str] = False,
         compresslevel: int = 6,
-        version: int = BINARY_FORMAT_VERSION,
         block_records: int = DEFAULT_BLOCK_RECORDS,
     ) -> None:
-        if version not in KNOWN_BINARY_VERSIONS:
-            raise ValueError(
-                f"unknown binary trace version {version!r}; known: "
-                + ", ".join(str(v) for v in KNOWN_BINARY_VERSIONS)
-            )
-        if version == 3 and block_records < 1:
+        if block_records < 1:
             raise ValueError(f"v3 block size must be >= 1 record, got {block_records}")
         if isinstance(compress, str) and compress != "background":
             raise ValueError(
@@ -1046,7 +854,6 @@ class BinaryTraceWriter:
                 "use False, True (inline), or 'background'"
             )
         self.path = path
-        self.version = version
         self.count = 0
         self.block_records = block_records
         header = {"label": str(label)}
@@ -1062,7 +869,7 @@ class BinaryTraceWriter:
         self._handle = open(path, "wb")
         self._handle.write(
             MAGIC
-            + encode_varint(version)
+            + encode_varint(BINARY_FORMAT_VERSION)
             + bytes([flags])
             + encode_varint(len(header_bytes))
             + header_bytes
@@ -1070,36 +877,28 @@ class BinaryTraceWriter:
         self._compressed = bool(compress)
         self._compresslevel = compresslevel
         self._background = compress == "background"
-        self._compressor = (
-            zlib.compressobj(compresslevel)
-            if compress and version == 2 and not self._background
-            else None
-        )
         self._buffer = bytearray()
         self._bound: Dict[str, int] = {}  # live name -> id
         self._free_ids: List[int] = []  # LIFO pool, mirrored by the reader
         self._next_id = 0
         self._previous_name = b""  # front-coding state
         self._closed = False
-        # v3 state: live sizes for block-entry snapshots, the footer index,
-        # and the current block's record count.
+        # Live sizes for block-entry snapshots, the footer index, and the
+        # current block's record count.
         self._live_sizes: Dict[str, int] = {}
         self._blocks: List[Tuple[int, int]] = []  # (offset, record_count)
         self._block_count = 0
         self._pending_snapshot = b""
         self._pending_entries = 0
         # Background compression: a single writer thread owns the file
-        # handle between header and trailer — it compresses each chunk or
-        # block and writes it in submission order, so the on-disk bytes are
-        # identical to inline compression while the encode loop stays free
-        # to run.  Errors surface on the next write()/sync()/close().
+        # handle between header and trailer — it compresses each block and
+        # writes it in submission order, so the on-disk bytes are identical
+        # to inline compression while the encode loop stays free to run.
+        # Errors surface on the next write()/sync()/close().
         self._tasks: Optional[queue.Queue] = None
         self._worker: Optional[threading.Thread] = None
         self._worker_error: Optional[BaseException] = None
         if self._background:
-            self._background_compressor = (
-                zlib.compressobj(compresslevel) if version == 2 else None
-            )
             self._tasks = queue.Queue(maxsize=8)
             self._worker = threading.Thread(
                 target=self._background_loop,
@@ -1107,8 +906,7 @@ class BinaryTraceWriter:
                 daemon=True,
             )
             self._worker.start()
-        if version == 3:
-            self._start_block()
+        self._start_block()
 
     def __enter__(self) -> "BinaryTraceWriter":
         return self
@@ -1119,7 +917,7 @@ class BinaryTraceWriter:
         else:
             self.abort()
 
-    # ------------------------------------------------------------- v3 blocks
+    # ---------------------------------------------------------------- blocks
     def _start_block(self) -> None:
         """Capture the block-entry snapshot and restart the interning table.
 
@@ -1155,87 +953,64 @@ class BinaryTraceWriter:
         self._block_count = 0
 
     def _flush_block(self) -> None:
-        """Write the buffered block (header + snapshot + body) to disk."""
-        body = bytes(self._buffer)
+        """Hand the buffered block to :meth:`_write_block` (inline or on the
+        writer thread)."""
+        block = (
+            bytes(self._buffer),
+            self._block_count,
+            self._pending_entries,
+            self._pending_snapshot,
+        )
         self._buffer.clear()
         if self._background:
-            self._submit(
-                (
-                    "block",
-                    (
-                        body,
-                        self._block_count,
-                        self._pending_entries,
-                        self._pending_snapshot,
-                    ),
-                )
-            )
-            return
+            self._submit(block)
+        else:
+            self._write_block(*block)
+
+    def _write_block(self, body: bytes, records: int, entries: int, snapshot: bytes) -> None:
+        """Write one block (header + snapshot + body) and index it."""
         if self._compressed:
             body = zlib.compress(body, self._compresslevel)
         offset = self._handle.tell()
         block = (
             bytes([_TAG_BLOCK])
-            + encode_varint(self._block_count)
-            + encode_varint(self._pending_entries)
-            + encode_varint(len(self._pending_snapshot))
-            + self._pending_snapshot
+            + encode_varint(records)
+            + encode_varint(entries)
+            + encode_varint(len(snapshot))
+            + snapshot
             + encode_varint(len(body))
             + body
         )
         # Fault site: a crash mid-block must leave a truncation the reader
         # detects (the missing END trailer / footer), never a silent gap.
         fault_write("trace.write.block", self._handle, block)
-        self._blocks.append((offset, self._block_count))
+        self._blocks.append((offset, records))
 
     # ---------------------------------------------------- background worker
-    def _submit(self, task) -> None:
-        """Hand one task to the writer thread (surfaces its last error)."""
+    def _submit(self, block) -> None:
+        """Hand one block to the writer thread (surfaces its last error)."""
         if self._worker_error is not None:
             raise self._worker_error
-        self._tasks.put(task)
+        self._tasks.put(block)
 
     def _background_loop(self) -> None:
-        """The writer thread: compress and write tasks in submission order.
+        """The writer thread: compress and write blocks in submission order.
 
         The thread is the only writer between header and trailer, so file
-        offsets recorded here (for the v3 footer) are consistent.  zlib
+        offsets recorded here (for the footer) are consistent.  zlib
         releases the GIL, which is what lets compression overlap the
         CPU-bound encode/replay loop.  After an error the loop keeps
         draining (writing nothing) so submitters never block on a dead
         consumer; the error re-raises on the next write()/sync()/close().
         """
         while True:
-            task = self._tasks.get()
-            if task is None:
+            block = self._tasks.get()
+            if block is None:
                 self._tasks.task_done()
                 return
-            kind, payload = task
             try:
                 if self._worker_error is None:
-                    if kind == "chunk":
-                        data = self._background_compressor.compress(payload)
-                        if data:
-                            fault_write("trace.write.body", self._handle, data)
-                    elif kind == "flush":
-                        tail = self._background_compressor.flush()
-                        if tail:
-                            self._handle.write(tail)
-                    else:  # "block"
-                        body, block_count, entries, snapshot = payload
-                        body = zlib.compress(body, self._compresslevel)
-                        offset = self._handle.tell()
-                        block = (
-                            bytes([_TAG_BLOCK])
-                            + encode_varint(block_count)
-                            + encode_varint(entries)
-                            + encode_varint(len(snapshot))
-                            + snapshot
-                            + encode_varint(len(body))
-                            + body
-                        )
-                        fault_write("trace.write.block", self._handle, block)
-                        self._blocks.append((offset, block_count))
+                    self._write_block(*block)
             except BaseException as error:
                 self._worker_error = error
             finally:
@@ -1299,6 +1074,7 @@ class BinaryTraceWriter:
                 buffer.append(size)
             else:
                 buffer += encode_varint(size)
+            self._live_sizes[name] = size
         else:
             if name_id is None:
                 buffer.append(_TAG_DELETE_NEW)
@@ -1311,52 +1087,29 @@ class BinaryTraceWriter:
                     buffer.append(name_id)
                 else:
                     buffer += encode_varint(name_id)
+            self._live_sizes.pop(name, None)
         self.count += 1
-        if self.version == 3:
-            if request.op == INSERT:
-                self._live_sizes[name] = size
-            else:
-                self._live_sizes.pop(name, None)
-            self._block_count += 1
-            if self._block_count >= self.block_records:
-                self._flush_block()
-                self._start_block()
-        elif len(buffer) >= _CHUNK:
-            self._flush_buffer()
-
-    def _flush_buffer(self) -> None:
-        data = bytes(self._buffer)
-        self._buffer.clear()
-        if self._background:
-            if data:
-                self._submit(("chunk", data))
-            return
-        if self._compressor is not None:
-            data = self._compressor.compress(data)
-        if data:
-            fault_write("trace.write.body", self._handle, data)
+        self._block_count += 1
+        if self._block_count >= self.block_records:
+            self._flush_block()
+            self._start_block()
 
     def sync(self) -> None:
         """Flush everything written so far to the OS in decodable form.
 
-        For v3 the current partial block is written out as its own
-        (shorter) block and a fresh block begins — legal because the footer
-        records per-block counts — so after ``sync()`` every request
-        written so far sits in a complete, self-delimiting block that
+        The current partial block is written out as its own (shorter) block
+        and a fresh block begins — legal because the footer records
+        per-block counts — so after ``sync()`` every request written so far
+        sits in a complete, self-delimiting block that
         :func:`read_trace_tail` can recover even if the process dies before
-        :meth:`close`.  For v2 the record buffer is flushed (a compressed
-        v2 stream still only terminates at close, so sync merely bounds the
-        buffered bytes).  Background-compression tasks are drained first,
-        so on return the bytes have left the process.
+        :meth:`close`.  Background-compression tasks are drained first, so
+        on return the bytes have left the process.
         """
         if self._closed:
             raise ValueError(f"trace writer for {self.path} is already closed")
-        if self.version == 3:
-            if self._block_count:
-                self._flush_block()
-                self._start_block()
-        else:
-            self._flush_buffer()
+        if self._block_count:
+            self._flush_block()
+            self._start_block()
         if self._background:
             self._tasks.join()
             if self._worker_error is not None:
@@ -1364,41 +1117,30 @@ class BinaryTraceWriter:
         self._handle.flush()
 
     def close(self) -> None:
-        """Write the END trailer (and v3 footer index) and close the file
+        """Write the END trailer and footer index and close the file
         (idempotent)."""
         if self._closed:
             return
-        if self.version == 3:
-            if self._block_count:
-                self._flush_block()
-            # The footer needs the final offsets, so the writer thread (the
-            # only other writer) must be done before the trailer lands.
-            self._finish_background()
-            end_offset = self._handle.tell()
-            footer = bytearray([_TAG_END])
-            footer += encode_varint(self.count)
-            footer += encode_varint(len(self._blocks))
-            previous = 0
-            for index, (offset, records) in enumerate(self._blocks):
-                footer += encode_varint(offset if index == 0 else offset - previous)
-                footer += encode_varint(records)
-                previous = offset
-            footer += end_offset.to_bytes(8, "little")
-            footer += _FOOTER_MAGIC
-            # Fault site: a crash before the footer lands must be detected
-            # as truncation by the reader (missing END/magic), never read
-            # back as a shorter-but-valid trace.
-            fault_write("trace.write.trailer", self._handle, bytes(footer))
-        else:
-            fault_point("trace.write.trailer")
-            self._buffer.append(_TAG_END)
-            self._buffer += encode_varint(self.count)
-            self._flush_buffer()
-            if self._background:
-                self._submit(("flush", None))
-                self._finish_background()
-            elif self._compressor is not None:
-                self._handle.write(self._compressor.flush())
+        if self._block_count:
+            self._flush_block()
+        # The footer needs the final offsets, so the writer thread (the only
+        # other writer) must be done before the trailer lands.
+        self._finish_background()
+        end_offset = self._handle.tell()
+        footer = bytearray([_TAG_END])
+        footer += encode_varint(self.count)
+        footer += encode_varint(len(self._blocks))
+        previous = 0
+        for index, (offset, records) in enumerate(self._blocks):
+            footer += encode_varint(offset if index == 0 else offset - previous)
+            footer += encode_varint(records)
+            previous = offset
+        footer += end_offset.to_bytes(8, "little")
+        footer += _FOOTER_MAGIC
+        # Fault site: a crash before the footer lands must be detected as
+        # truncation by the reader (missing END/magic), never read back as
+        # a shorter-but-valid trace.
+        fault_write("trace.write.trailer", self._handle, bytes(footer))
         self._handle.close()
         self._closed = True
         # Cold path: one telemetry push per completed file, so the

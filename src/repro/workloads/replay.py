@@ -3,18 +3,20 @@
 Four coexisting formats are readable, with transparent detection (plus a
 transparent gzip container around any of them):
 
-* **v3** (binary, seekable): like v2 but the records are grouped into
-  self-contained blocks with live-object snapshots and a footer index of
-  block offsets, so the trace can be seeked to any block and sharded
-  across worker processes (see :mod:`repro.workloads.binary` and
+* **v3** (binary, seekable; see :mod:`repro.workloads.binary`): magic +
+  version header, a JSON label/metadata block, then varint-encoded records
+  over an interned name table, grouped into self-contained blocks with
+  live-object snapshots (optionally zlib-compressed per block) and a
+  footer index of block offsets, so the trace can be seeked to any block
+  and sharded across worker processes (see
   :func:`repro.workloads.binary.read_block_index`).  Written by
-  ``save_trace(..., version=3[, compress=True])``.
+  ``save_trace(..., version=3[, compress=True])``; the binary format for
+  large (multi-million-request) traces.
 
-* **v2** (binary, see :mod:`repro.workloads.binary`): magic + version
-  header, varint-encoded records with an interned name table, optional zlib
-  compression of the record body, and a JSON label/metadata block.  Written
-  by ``save_trace(..., version=2[, compress=True])``; the default binary
-  format for large (multi-million-request) traces.
+* **v2** (legacy binary, read-only): the pre-block v3 layout — the same
+  records in one body with no index, optionally one zlib stream.  Still
+  read everywhere; no longer written.  Upgrade a v2 file with
+  ``repro trace convert IN OUT --format v3``.
 
 * **v1** (text, written by default) starts with a ``# repro-trace v1``
   header line followed by optional ``# label <quoted>`` and ``# meta
@@ -80,7 +82,7 @@ from repro.workloads.binary import (
     iter_binary_records,
     read_binary_header,
     read_block_index,
-    MAGIC as _V2_MAGIC,
+    MAGIC as _BINARY_MAGIC,
 )
 
 #: Version written by :func:`save_trace` when none is requested.
@@ -193,34 +195,36 @@ def open_trace_writer(
 
     This is the single write path for every format: :func:`save_trace` and
     ``repro trace convert`` both go through it.  ``compress`` is only
-    meaningful for the binary formats (v2: one zlib stream over the body,
-    v3: zlib per block so the file stays seekable); pass
-    ``compress="background"`` to run the zlib work on a writer thread that
-    overlaps a CPU-bound producer (byte-identical output — see
-    :class:`~repro.workloads.binary.BinaryTraceWriter`).  ``block_records``
-    sets the v3 block size.
+    meaningful for the binary format (v3: zlib per block, so the file stays
+    seekable); pass ``compress="background"`` to run the zlib work on a
+    writer thread that overlaps a CPU-bound producer (byte-identical output
+    — see :class:`~repro.workloads.binary.BinaryTraceWriter`).
+    ``block_records`` sets the v3 block size.  v2 is read-only.
     """
-    if compress and version not in (2, 3):
+    if version == 2:
         raise ValueError(
-            f"compression is only supported by the binary formats, not v{version}; "
-            "pass version=2 or 3 (or convert with --format v2/v3 --compress)"
+            "the v2 binary trace format is read-only; write version=3 instead "
+            "(repro trace convert IN OUT --format v3 upgrades v2 files)"
+        )
+    if compress and version != 3:
+        raise ValueError(
+            f"compression is only supported by the binary format, not v{version}; "
+            "pass version=3 (or convert with --format v3 --compress)"
         )
     if version == 0:
         return _TextTraceWriterV0(path, label=label, metadata=metadata)
     if version == 1:
         return _TextTraceWriterV1(path, label=label, metadata=metadata)
-    if version in (2, 3):
+    if version == 3:
         return BinaryTraceWriter(
             path,
             label=label,
             metadata=metadata,
             compress=compress,
-            version=version,
             block_records=block_records,
         )
     raise ValueError(
-        f"unknown trace format version {version!r}; known: "
-        + ", ".join(str(v) for v in KNOWN_TRACE_VERSIONS)
+        f"unknown trace format version {version!r}; writable versions: 0, 1, 3"
     )
 
 
@@ -235,10 +239,9 @@ def save_trace(
     """Write ``trace`` to ``path`` in the requested format version.
 
     ``metadata`` (JSON-serialisable dict) is merged over ``trace.metadata``
-    and stored in the v1/v2/v3 header; requesting ``version=0`` with
-    metadata is an error since v0 has nowhere to put it.  ``compress=True``
-    (binary formats only) zlib-compresses the record body — one stream for
-    v2, per block for v3 so the file stays seekable.
+    and stored in the v1/v3 header; requesting ``version=0`` with metadata
+    is an error since v0 has nowhere to put it.  ``compress=True`` (v3
+    only) zlib-compresses each block body, so the file stays seekable.
     """
     merged = dict(trace.metadata)
     if metadata:
@@ -259,8 +262,8 @@ def save_trace(
     try:
         for request in trace:
             writer.write(request)
-        # close() is inside the guard: the v2 compressor buffers most bytes
-        # until close, so that is where a full disk actually surfaces.
+        # close() is inside the guard: it writes the last block and the
+        # footer, so a full disk can surface there.
         writer.close()
     except BaseException:
         writer.abort()
@@ -360,8 +363,8 @@ class _TraceShape:
     """Where a trace file's records live and what its header said."""
 
     container: str  # "plain" or "gzip"
-    version: int  # 0, 1, or 2
-    compressed: bool  # v2 zlib body flag
+    version: int  # 0, 1, 3, or the read-only legacy 2
+    compressed: bool  # binary zlib flag (v3: per block, v2: whole body)
     label: str
     metadata: Dict[str, Any] = field(default_factory=dict)
     header_lines: int = 0  # leading text lines consumed by the header scan
@@ -379,7 +382,7 @@ def _scan_text_header(text_handle, path) -> _TraceShape:
     if stripped.startswith("# repro-trace ") and stripped != _V1_HEADER:
         raise TraceFormatError(
             f"{path}:1: unsupported trace format {stripped!r}; this reader knows "
-            "v0, v1, and the binary v2 container"
+            "v0, v1, and the binary v2/v3 container"
         )
     shape = _TraceShape(
         container="plain",
@@ -433,13 +436,13 @@ def _probe(path) -> "_TraceShape":
     """Detect the container, format version, and header of ``path``."""
     handle, container = _open_container(path)
     try:
-        magic = handle.read(len(_V2_MAGIC))
+        magic = handle.read(len(_BINARY_MAGIC))
         if magic == b"" and container == "plain":
             raise TraceFormatError(
                 f"{path}: empty file; a valid trace always carries at least a header "
-                "(v0 '# trace' line, v1 '# repro-trace v1' line, or the v2 magic)"
+                "(v0 '# trace' line, v1 '# repro-trace v1' line, or the binary magic)"
             )
-        if magic == _V2_MAGIC:
+        if magic == _BINARY_MAGIC:
             handle.seek(0)
             header = read_binary_header(handle, path)
             return _TraceShape(
@@ -449,10 +452,10 @@ def _probe(path) -> "_TraceShape":
                 label=header.label,
                 metadata=header.metadata,
             )
-        if magic[:1] == _V2_MAGIC[:1]:
+        if magic[:1] == _BINARY_MAGIC[:1]:
             raise TraceFormatError(
                 f"{path}: bad magic {magic!r}; looks like a binary trace but is not "
-                "a v2 file this reader understands"
+                "a v2/v3 file this reader understands"
             )
         handle.seek(0)
         try:
@@ -461,13 +464,13 @@ def _probe(path) -> "_TraceShape":
                 raise TraceFormatError(
                     f"{path}: empty file; a valid trace always carries at least a "
                     "header (v0 '# trace' line, v1 '# repro-trace v1' line, or the "
-                    "v2 magic)"
+                    "binary magic)"
                 )
             text.seek(0)
             shape = _scan_text_header(text, path)
         except UnicodeDecodeError as error:
             raise TraceFormatError(
-                f"{path}: not a valid trace: neither the v2 binary magic nor "
+                f"{path}: not a valid trace: neither the binary trace magic nor "
                 f"decodable text ({error})"
             ) from error
         shape.container = container
@@ -523,8 +526,8 @@ def _iter_text_records(text_handle, shape: _TraceShape, path) -> Iterator[Reques
 
 class TraceFileSource:
     """A re-iterable, streaming :class:`~repro.workloads.base.RequestSource`
-    over a trace file in any known format (v0 / v1 / v2, optionally inside a
-    gzip container).
+    over a trace file in any known format (v0 / v1 / v2 / v3, optionally
+    inside a gzip container).
 
     The header (format version, label, metadata) is read eagerly at
     construction time; each ``iter()`` re-opens the file and yields
@@ -568,14 +571,15 @@ def iter_trace(path: Union[str, os.PathLike]) -> Iterator[Request]:
     """Yield the requests of a trace file one at a time (any known format).
 
     Streaming counterpart of :func:`load_trace`: peak memory is bounded by
-    the read buffer (plus, for v2, the live-scoped name table — one entry
-    per simultaneously live object), never by the trace length.
+    the read buffer (plus, for v3, one block and the live-scoped name
+    table — one entry per simultaneously live object), never by the trace
+    length.  Legacy v2 files are the exception: their body is read whole.
     """
     return iter(TraceFileSource(path))
 
 
 def load_trace(path: Union[str, os.PathLike], label: str = "") -> Trace:
-    """Read a trace previously written by :func:`save_trace` (v0, v1, or v2).
+    """Read a trace file in any known format (v0, v1, v2, or v3).
 
     The format is detected from the file's first bytes (a gzip container
     around any format is unwrapped transparently); object names come back

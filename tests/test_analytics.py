@@ -15,6 +15,7 @@ import gzip
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from benchmarks.legacy_codec import save_legacy_trace
 from repro.campaign import TraceAnalyticsObserver, analytics_result, analyze_trace
 from repro.cli import main
 from repro.engine import SimulationEngine, size_histogram
@@ -125,12 +126,12 @@ def _save(trace, tmp_path, tag):
     elif tag == "v1":
         path = tmp_path / "t.v1"
         save_trace(trace, path, version=1)
-    elif tag == "v2":
-        path = tmp_path / "t.v2"
-        save_trace(trace, path, version=2)
-    elif tag == "v2z":
-        path = tmp_path / "t.v2z"
-        save_trace(trace, path, version=2, compress=True)
+    elif tag in ("v2", "v2z"):  # legacy, via the frozen encoder
+        path = tmp_path / f"t.{tag}"
+        save_legacy_trace(trace, path, compress=tag == "v2z")
+    elif tag in ("v3", "v3z"):
+        path = tmp_path / f"t.{tag}"
+        save_trace(trace, path, version=3, compress=tag == "v3z", block_records=400)
     else:  # v1 inside a gzip container
         plain = tmp_path / "plain.v1"
         save_trace(trace, plain, version=1)
@@ -139,7 +140,7 @@ def _save(trace, tmp_path, tag):
     return path
 
 
-@pytest.mark.parametrize("tag", ["v0", "v1", "v2", "v2z", "v1gz"])
+@pytest.mark.parametrize("tag", ["v0", "v1", "v2", "v2z", "v3", "v3z", "v1gz"])
 def test_streaming_equals_materialized_oracle_across_formats(tmp_path, tag):
     trace = churn_trace(1500, UniformSizes(1, 80), target_live=60, seed=21, label="battery")
     path = _save(trace, tmp_path, tag)
@@ -161,8 +162,8 @@ def test_streaming_handles_reinserted_names(tmp_path):
         requests.append(Request.insert(f"one-off-{round_index}", 2))
         requests.append(Request.delete("phoenix"))
     trace = Trace(requests, label="phoenix")
-    path = tmp_path / "p.v2"
-    save_trace(trace, path, version=2)
+    path = tmp_path / "p.v3"
+    save_trace(trace, path, version=3)
     expected = _materialized_analyze(load_trace(path))
     assert expected.distinct_objects == 4
     assert analyze_trace(TraceFileSource(path)) == expected
@@ -200,7 +201,7 @@ def _script_to_trace(script):
     for action in script:
         if action > 0 or not live:
             next_id += 1
-            name = f"obj {next_id}·"  # whitespace + unicode: v1/v2 encode it
+            name = f"obj {next_id}·"  # whitespace + unicode: v1/v2/v3 encode it
             requests.append(Request.insert(name, abs(action)))
             live.append(name)
         else:
@@ -208,13 +209,18 @@ def _script_to_trace(script):
     return Trace(requests, label="hypothesis")
 
 
-@pytest.mark.parametrize("version,compress", [(1, False), (2, False), (2, True)])
+@pytest.mark.parametrize(
+    "version,compress", [(1, False), (2, False), (2, True), (3, False), (3, True)]
+)
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(script=churn_scripts)
 def test_hypothesis_streaming_equals_materialized(tmp_path_factory, version, compress, script):
     trace = _script_to_trace(script)
     path = tmp_path_factory.mktemp("analytics") / "t.trace"
-    save_trace(trace, path, version=version, compress=compress)
+    if version == 2:  # legacy, via the frozen encoder
+        save_legacy_trace(trace, path, compress=compress)
+    else:
+        save_trace(trace, path, version=version, compress=compress)
     materialized = load_trace(path)
     expected = _materialized_analyze(materialized)
     assert analyze_trace(materialized) == expected
@@ -268,7 +274,7 @@ def test_compact_name_set_membership_and_growth():
 def test_cli_trace_analyze_streams_and_charts(tmp_path, capsys):
     trace = churn_trace(500, target_live=40, seed=6, label="cli stream")
     path = tmp_path / "t.v2z"
-    save_trace(trace, path, version=2, compress=True, metadata={"seed": 6})
+    save_legacy_trace(trace, path, compress=True, metadata={"seed": 6})
     assert main(["trace", "analyze", str(path)]) == 0
     out = capsys.readouterr().out
     # The analytics block is byte-identical to the materialised rendering.
@@ -308,7 +314,7 @@ def test_cli_trace_analyze_garbage_exits_2(tmp_path, capsys):
 
 def test_cli_trace_analyze_truncated_v2_exits_2(tmp_path, capsys):
     whole = tmp_path / "whole.v2"
-    save_trace(churn_trace(300, target_live=30, seed=2), whole, version=2)
+    save_legacy_trace(churn_trace(300, target_live=30, seed=2), whole)
     clipped = tmp_path / "clipped.v2"
     clipped.write_bytes(whole.read_bytes()[:150])
     assert main(["trace", "analyze", str(clipped)]) == 2

@@ -22,6 +22,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from benchmarks.legacy_codec import save_legacy_trace
 from repro.workloads import (
     Request,
     Trace,
@@ -33,7 +34,12 @@ from repro.workloads import (
     save_trace,
     trace_info,
 )
-from repro.workloads.binary import MAGIC, encode_varint
+from repro.workloads.binary import (
+    MAGIC,
+    _decode_block_records,
+    _decode_snapshot,
+    encode_varint,
+)
 
 
 def churny_trace(seed, requests, label="v3t"):
@@ -187,7 +193,7 @@ def test_v3_info_reports_blocks_and_seekability(tmp_path):
     assert info.requests == 23
 
     v2 = tmp_path / "t.v2"
-    save_trace(trace, v2, version=2)
+    save_legacy_trace(trace, v2)
     info = trace_info(v2)
     assert not info.seekable
     assert info.blocks == 0
@@ -196,7 +202,7 @@ def test_v3_info_reports_blocks_and_seekability(tmp_path):
 def test_read_block_index_returns_none_for_unseekable_files(tmp_path):
     trace = churny_trace(6, 10)
     v2 = tmp_path / "t.v2"
-    save_trace(trace, v2, version=2)
+    save_legacy_trace(trace, v2)
     assert read_block_index(v2) is None
 
     v1 = tmp_path / "t.v1"
@@ -292,7 +298,7 @@ def test_v2z_gzip_container_truncation_detected_at_every_cut(tmp_path):
     loud truncation error naming the file, never yield a silent prefix."""
     trace = churny_trace(12, 40)
     plain = tmp_path / "t.v2"
-    save_trace(trace, plain, version=2)
+    save_legacy_trace(trace, plain)
     whole = gzip.compress(plain.read_bytes())
     for cut in sorted({1, 10, len(whole) // 3, len(whole) // 2, len(whole) - 1}):
         clipped = tmp_path / f"cut-{cut}.v2.gz"
@@ -301,3 +307,69 @@ def test_v2z_gzip_container_truncation_detected_at_every_cut(tmp_path):
             list(iter_trace(clipped))
         with pytest.raises(ValueError):
             load_trace(clipped)
+
+
+OVERLONG_VARINT = bytes([0xFF] * 10)
+
+
+@pytest.mark.parametrize(
+    "decode, where",
+    [
+        # a snapshot entry whose name-prefix varint never terminates
+        (lambda: _decode_snapshot(OVERLONG_VARINT, 1, "f", 7), "f: block 7 snapshot: "),
+        # a snapshot entry whose size varint never terminates
+        (
+            lambda: _decode_snapshot(bytes([0, 1]) + b"a" + OVERLONG_VARINT, 1, "f", 7),
+            "f: block 7 snapshot: ",
+        ),
+        # the first record's size, in block 5
+        (
+            lambda: list(
+                _decode_block_records(
+                    bytes([0x01, 0, 1]) + b"a" + OVERLONG_VARINT, [], b"", 1, "f", "block 5"
+                )
+            ),
+            "f: block 5, record 1: ",
+        ),
+        # the second record's name id, in block 5
+        (
+            lambda: list(
+                _decode_block_records(
+                    bytes([0x01, 0, 1]) + b"a" + bytes([3, 0x03]) + OVERLONG_VARINT,
+                    [],
+                    b"",
+                    2,
+                    "f",
+                    "block 5",
+                )
+            ),
+            "f: block 5, record 2: ",
+        ),
+    ],
+    ids=["snapshot-prefix", "snapshot-size", "record-size", "record-name-id"],
+)
+def test_corrupt_varint_errors_name_the_block_and_record(decode, where):
+    """An over-long varint names its block (and record), not the block index
+    posing as a record number or a record number without its block."""
+    with pytest.raises(TraceFormatError) as caught:
+        decode()
+    assert str(caught.value) == where + "corrupt varint (over 9 bytes)"
+
+
+def test_corrupt_varint_in_a_crafted_v3_file_names_block_and_record(tmp_path):
+    """End to end: a v3 file whose second block holds an over-long size."""
+    good = tmp_path / "good.v3"
+    save_trace(Trace([Request.insert("a", 1), Request.insert("b", 2)]), good,
+               version=3, block_records=1)
+    data = good.read_bytes()
+    index = read_block_index(good)
+    second = index.blocks[1].offset
+    # BLOCK tag, 1 record, 1 entry, snapshot "a"/1 (4 bytes), body length,
+    # body = INSERT_NEW prefix 0, suffix "b", size <- replaced by 10 x 0xFF.
+    body = bytes([0x01, 0, 1]) + b"b" + OVERLONG_VARINT
+    snapshot = bytes([0, 1]) + b"a" + bytes([1])
+    block = bytes([0x05, 1, 1, len(snapshot)]) + snapshot + bytes([len(body)]) + body
+    bad = tmp_path / "bad.v3"
+    bad.write_bytes(data[:second] + block)
+    with pytest.raises(TraceFormatError, match=r"block 1, record 1: corrupt varint"):
+        list(iter_trace(bad))

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from benchmarks.legacy_codec import save_legacy_trace
 from repro.campaign import (
     CampaignSpec,
     SpecError,
@@ -413,7 +414,7 @@ def test_replay_workload_streams_from_v2_file(tmp_path):
     materialised cell (modulo the workload entry and timing)."""
     trace = churn_trace(600, target_live=60, seed=13, label="recorded")
     path = tmp_path / "recorded.v2z"
-    save_trace(trace, path, version=2, compress=True)
+    save_legacy_trace(trace, path, compress=True)
     spec = small_spec(
         workloads=[
             {"kind": "replay", "path": str(path)},
@@ -439,8 +440,8 @@ def test_streamed_replay_workload_builds_a_source(tmp_path):
     from repro.workloads import Trace, TraceFileSource
 
     trace = churn_trace(100, target_live=20, seed=1)
-    path = tmp_path / "t.v2"
-    save_trace(trace, path, version=2)
+    path = tmp_path / "t.v3"
+    save_trace(trace, path, version=3)
     entry = {"kind": "replay", "path": str(path), "stream": True}
     built = build_workload(entry, seed=9)
     assert isinstance(built, TraceFileSource)

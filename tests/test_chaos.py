@@ -26,7 +26,7 @@ def _no_leftover_faults():
     deactivate_faults()
 
 
-def chaos_spec(tmp_path, version=3, cells=1):
+def chaos_spec(tmp_path, cells=1):
     """A tiny spec that exercises *every* fault site: the checkpointed
     allocator hits ``checkpoint.persist``, the trace recorder hits the
     ``trace.write.*`` sites, the queue/artifact sites fire on any sweep."""
@@ -36,7 +36,7 @@ def chaos_spec(tmp_path, version=3, cells=1):
     ][: max(1, cells)]
     return CampaignSpec.from_dict(
         {
-            "name": f"chaos-v{version}",
+            "name": "chaos-v3",
             "seed": 13,
             "workloads": workloads,
             "allocators": [{"kind": "checkpointed"}],
@@ -44,8 +44,8 @@ def chaos_spec(tmp_path, version=3, cells=1):
             "observers": [
                 {
                     "kind": "trace_recorder",
-                    "path": str(tmp_path / ("rec-{cell}.v%d" % version)),
-                    "version": version,
+                    "path": str(tmp_path / "rec-{cell}.v3"),
+                    "version": 3,
                 }
             ],
         }
@@ -70,8 +70,7 @@ def test_single_fault_battery_every_site_raise_and_crash(tmp_path):
     sites = sorted(
         site
         for site in SITES
-        if site != "trace.write.body"
-        and not site.startswith("serve.")
+        if not site.startswith("serve.")
         and site != "checkpoint.snapshot"
     )
     plans = chaos.single_fault_plans(sites=sites)
@@ -91,18 +90,6 @@ def test_single_fault_battery_every_site_raise_and_crash(tmp_path):
     # The converged trace files are valid end to end — no silent truncation.
     info = trace_info(tmp_path / "rec-0.v3")
     assert info.requests == 40
-
-
-def test_single_fault_battery_v2_trace_body(tmp_path):
-    """The v2 buffered-body write site, via a v2 trace recorder."""
-    spec = chaos_spec(tmp_path, version=2)
-    report = chaos.run_chaos(
-        spec,
-        chaos.single_fault_plans(sites=["trace.write.body", "trace.write.trailer"]),
-        tmp_path / "chaos",
-    )
-    assert_all_passed(report)
-    assert trace_info(tmp_path / "rec-0.v2").requests == 40
 
 
 def test_seeded_multi_fault_schedules_converge(tmp_path):

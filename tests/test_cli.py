@@ -34,6 +34,7 @@ import gzip
 
 import pytest
 
+from benchmarks.legacy_codec import save_legacy_trace
 from repro.workloads import Request, Trace, churn_trace, load_trace, save_trace
 
 
@@ -46,10 +47,10 @@ def v1_trace_file(tmp_path):
     return trace, path
 
 
-def test_trace_convert_v1_to_v2_round_trips(v1_trace_file, tmp_path, capsys):
+def test_trace_convert_v1_to_v3_round_trips(v1_trace_file, tmp_path, capsys):
     trace, path = v1_trace_file
-    out = tmp_path / "churn.v2"
-    assert main(["trace", "convert", str(path), str(out), "--format", "v2", "--compress"]) == 0
+    out = tmp_path / "churn.v3z"
+    assert main(["trace", "convert", str(path), str(out), "--format", "v3", "--compress"]) == 0
     assert f"wrote {len(trace)} request(s)" in capsys.readouterr().out
     loaded = load_trace(out)
     assert len(loaded) == len(trace)
@@ -59,14 +60,30 @@ def test_trace_convert_v1_to_v2_round_trips(v1_trace_file, tmp_path, capsys):
 
 
 def test_trace_convert_v2_back_to_v1(v1_trace_file, tmp_path):
-    trace, path = v1_trace_file
+    """A legacy v2 file converts down to v1 and up to v3 (the default)."""
+    trace, _ = v1_trace_file
     binary = tmp_path / "t.v2"
+    save_legacy_trace(trace, binary)
     text = tmp_path / "back.v1"
-    assert main(["trace", "convert", str(path), str(binary)]) == 0  # default --format v2
+    upgraded = tmp_path / "up.v3"
     assert main(["trace", "convert", str(binary), str(text), "--format", "v1"]) == 0
-    assert [(r.op, r.name) for r in load_trace(text)] == [
-        (r.op, str(r.name)) for r in trace
-    ]
+    assert main(["trace", "convert", str(binary), str(upgraded)]) == 0  # default v3
+    for converted in (text, upgraded):
+        loaded = load_trace(converted)
+        assert [(r.op, r.name) for r in loaded] == [(r.op, str(r.name)) for r in trace]
+        assert loaded.metadata == trace.metadata
+    assert load_trace(upgraded).label == trace.label
+
+
+def test_trace_convert_refuses_v2_output(v1_trace_file, tmp_path, capsys):
+    """v2 is read-only: ``--format v2`` is not a choice (argparse exit 2)."""
+    _, path = v1_trace_file
+    out = tmp_path / "t.v2"
+    with pytest.raises(SystemExit) as caught:
+        main(["trace", "convert", str(path), str(out), "--format", "v2"])
+    assert caught.value.code == 2
+    assert "invalid choice: 'v2'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trace_convert_to_v0_drops_metadata_with_note(v1_trace_file, tmp_path, capsys):
@@ -79,22 +96,21 @@ def test_trace_convert_to_v0_drops_metadata_with_note(v1_trace_file, tmp_path, c
 
 def test_trace_info_reports_format_and_counts(v1_trace_file, tmp_path, capsys):
     trace, path = v1_trace_file
-    out = tmp_path / "t.v2z"
+    out = tmp_path / "t.v3z"
     main(["trace", "convert", str(path), str(out), "--compress"])
     capsys.readouterr()
     assert main(["trace", "info", str(out)]) == 0
     printed = capsys.readouterr().out
-    assert "v2 (binary, zlib body)" in printed
+    assert "v3 (binary, zlib blocks)" in printed
     assert f"requests" in printed and str(len(trace)) in printed
     assert f"peak live volume" in printed
     assert '"seed": 5' in printed
 
 
 def test_trace_analyze_reads_v2_transparently(v1_trace_file, tmp_path, capsys):
-    _, path = v1_trace_file
+    trace, _ = v1_trace_file
     out = tmp_path / "t.v2"
-    main(["trace", "convert", str(path), str(out)])
-    capsys.readouterr()
+    save_legacy_trace(trace, out, compress=True)
     assert main(["trace", "analyze", str(out)]) == 0
     assert "Trace analytics" in capsys.readouterr().out
 
@@ -110,7 +126,7 @@ def test_trace_commands_reject_garbage_with_exit_2(tmp_path, capsys, command):
     garbage.write_bytes(bytes(range(190, 256)) * 7)
     argv = ["trace"] + command + [str(garbage)]
     if command == ["convert"]:
-        argv.append(str(tmp_path / "out.v2"))
+        argv.append(str(tmp_path / "out.v3"))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "not a valid trace" in err
@@ -119,7 +135,7 @@ def test_trace_commands_reject_garbage_with_exit_2(tmp_path, capsys, command):
 
 def test_trace_info_truncated_v2_exit_2(tmp_path, capsys):
     whole = tmp_path / "whole.v2"
-    save_trace(churn_trace(300, target_live=30, seed=2), whole, version=2)
+    save_legacy_trace(churn_trace(300, target_live=30, seed=2), whole)
     clipped = tmp_path / "clipped.v2"
     clipped.write_bytes(whole.read_bytes()[:150])
     assert main(["trace", "info", str(clipped)]) == 2
@@ -130,7 +146,7 @@ def test_trace_info_truncated_v2_exit_2(tmp_path, capsys):
 
 def test_trace_convert_corrupt_v2_exit_2_and_no_partial_output(tmp_path, capsys):
     whole = tmp_path / "whole.v2"
-    save_trace(churn_trace(300, target_live=30, seed=2), whole, version=2)
+    save_legacy_trace(churn_trace(300, target_live=30, seed=2), whole)
     corrupt = tmp_path / "corrupt.v2"
     data = bytearray(whole.read_bytes())
     data[len(data) // 2] ^= 0xFF  # flip a record byte
@@ -175,7 +191,7 @@ def test_trace_convert_compress_requires_v2(v1_trace_file, tmp_path, capsys):
         ["trace", "convert", str(path), str(tmp_path / "o"), "--format", "v1", "--compress"]
     )
     assert code == 2
-    assert "v2" in capsys.readouterr().err
+    assert "binary format (v3)" in capsys.readouterr().err
 
 
 def test_trace_convert_refuses_in_place(v1_trace_file, capsys):
@@ -188,7 +204,7 @@ def test_trace_convert_reads_gzip_container(v1_trace_file, tmp_path):
     trace, path = v1_trace_file
     gz = tmp_path / "t.v1.gz"
     gz.write_bytes(gzip.compress(path.read_bytes()))
-    out = tmp_path / "from-gz.v2"
+    out = tmp_path / "from-gz.v3"
     assert main(["trace", "convert", str(gz), str(out)]) == 0
     assert len(load_trace(out)) == len(trace)
 
@@ -212,10 +228,9 @@ def test_trace_convert_to_v3_with_block_size(v1_trace_file, tmp_path, capsys):
 
 
 def test_trace_info_non_v3_reports_not_seekable(v1_trace_file, tmp_path, capsys):
-    _, path = v1_trace_file
+    trace, _ = v1_trace_file
     v2 = tmp_path / "t.v2"
-    main(["trace", "convert", str(path), str(v2)])
-    capsys.readouterr()
+    save_legacy_trace(trace, v2)
     assert main(["trace", "info", str(v2)]) == 0
     printed = capsys.readouterr().out
     assert "not seekable" in printed
@@ -225,7 +240,7 @@ def test_trace_info_non_v3_reports_not_seekable(v1_trace_file, tmp_path, capsys)
 def test_trace_convert_block_size_requires_v3(v1_trace_file, tmp_path, capsys):
     _, path = v1_trace_file
     code = main(
-        ["trace", "convert", str(path), str(tmp_path / "o"), "--format", "v2", "--block-size", "7"]
+        ["trace", "convert", str(path), str(tmp_path / "o"), "--format", "v1", "--block-size", "7"]
     )
     assert code == 2
     assert "v3" in capsys.readouterr().err

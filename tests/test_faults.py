@@ -120,7 +120,7 @@ def test_every_documented_site_has_a_description():
 def test_disabled_faults_are_no_ops():
     fault_point("queue.lease.claim")  # must not raise
     buffer = io.BytesIO()
-    fault_write("trace.write.body", buffer, b"payload")
+    fault_write("trace.write.block", buffer, b"payload")
     assert buffer.getvalue() == b"payload"
 
 

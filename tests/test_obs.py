@@ -199,7 +199,7 @@ def test_engine_abort_emits_abort_event():
 
 
 def test_trace_io_counters_and_recorder_write_seconds(tmp_path):
-    path = tmp_path / "rec.v2"
+    path = tmp_path / "rec.v3"
     telemetry = Telemetry(enabled=True)
     with use_telemetry(telemetry):
         recorder = TraceRecorderObserver(str(path))
@@ -213,7 +213,7 @@ def test_trace_io_counters_and_recorder_write_seconds(tmp_path):
 
 
 def test_recorder_export_omits_write_seconds_when_telemetry_is_off(tmp_path):
-    recorder = TraceRecorderObserver(str(tmp_path / "rec.v2"))
+    recorder = TraceRecorderObserver(str(tmp_path / "rec.v3"))
     SimulationEngine(FirstFitAllocator(), [recorder]).run(TRACE)
     assert "write_seconds" not in recorder.export()
 

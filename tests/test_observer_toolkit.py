@@ -2,7 +2,7 @@
 
 Covers the observers standalone (export structure, bounded sampling, final
 samples cross-checked against allocator state), the trace-recorder round
-trip (engine run -> v2 file -> replay reproduces identical stats and the
+trip (engine run -> v3 file -> replay reproduces identical stats and the
 E1/E3/E7/E8 experiment tables), and their campaign/CLI integration
 (per-cell attachment, ``{cell}`` path binding, ``repro sweep report``).
 """
@@ -30,7 +30,13 @@ from repro.harness.runners import (
     _WorstRequestObserver,
 )
 from repro.metrics import run_trace
-from repro.workloads import TraceFileSource, UniformSizes, churn_trace, load_trace
+from repro.workloads import (
+    TraceFileSource,
+    UniformSizes,
+    churn_trace,
+    load_trace,
+    trace_info,
+)
 
 COSTS = (LinearCost(), ConstantCost(), RotatingDiskCost())
 
@@ -122,9 +128,9 @@ ALLOCATOR_FACTORIES = [
 
 @pytest.fixture(scope="module")
 def recorded_trace(tmp_path_factory):
-    """A live engine run streamed to a v2 file by the recorder observer."""
+    """A live engine run streamed to a v3 file by the recorder observer."""
     trace = churn_trace(3000, UniformSizes(1, 64), target_live=150, seed=11)
-    path = tmp_path_factory.mktemp("recorder") / "recorded.v2z"
+    path = tmp_path_factory.mktemp("recorder") / "recorded.v3z"
     recorder = TraceRecorderObserver(str(path), compress=True, label=trace.label)
     SimulationEngine(FirstFitAllocator(), [recorder]).run(trace)
     assert recorder.requests_written == len(trace)
@@ -216,12 +222,12 @@ def test_recorder_aborts_cleanly_when_the_replay_raises(tmp_path):
             if record.index >= 50:
                 raise RuntimeError("boom")
 
-    path = tmp_path / "partial.v2"
+    path = tmp_path / "partial.v3"
     recorder = TraceRecorderObserver(str(path))
     engine = SimulationEngine(FirstFitAllocator(), [recorder, _Bomb()])
     with pytest.raises(RuntimeError, match="boom"):
         engine.run(churn_trace(500, target_live=30, seed=1))
-    # The partial v2 file has no END trailer: reading it fails loudly
+    # The partial v3 file has no END trailer: reading it fails loudly
     # instead of silently yielding a prefix.
     with pytest.raises(ValueError, match="truncated"):
         load_trace(path)
@@ -245,7 +251,7 @@ def test_abort_of_one_observer_does_not_starve_the_others(tmp_path):
         def on_abort(self, allocator, error):
             raise OSError("disk full")
 
-    path = tmp_path / "after.v2"
+    path = tmp_path / "after.v3"
     recorder = TraceRecorderObserver(str(path))
     engine = SimulationEngine(FirstFitAllocator(), [_ExplodingCleanup(), recorder])
     with pytest.raises(AllocationError):
@@ -263,7 +269,7 @@ def test_campaign_rejects_a_recorder_path_shared_by_cells(tmp_path, capsys):
             "name": "shared",
             "workloads": [{"kind": "churn", "requests": 100, "target_live": 20}],
             "allocators": ["first_fit", "best_fit"],
-            "observers": [{"kind": "trace_recorder", "path": str(tmp_path / "rec.v2")}],
+            "observers": [{"kind": "trace_recorder", "path": str(tmp_path / "rec.v3")}],
         }
     )
     with pytest.raises(SpecError, match="shared by 2 cells"):
@@ -278,7 +284,7 @@ def test_campaign_rejects_a_recorder_path_shared_by_cells(tmp_path, capsys):
             "name": "single",
             "workloads": [{"kind": "churn", "requests": 100, "target_live": 20}],
             "allocators": ["first_fit"],
-            "observers": [{"kind": "trace_recorder", "path": str(tmp_path / "one.v2")}],
+            "observers": [{"kind": "trace_recorder", "path": str(tmp_path / "one.v3")}],
         }
     )
     result = run_campaign(single, jobs=1)
@@ -287,7 +293,7 @@ def test_campaign_rejects_a_recorder_path_shared_by_cells(tmp_path, capsys):
 
 # ------------------------------------------------------ campaign integration
 def observer_spec(tmp_path, jobs_placeholder=True):
-    recorder_path = str(tmp_path / ("rec-{cell}.v2" if jobs_placeholder else "rec.v2"))
+    recorder_path = str(tmp_path / ("rec-{cell}.v3" if jobs_placeholder else "rec.v3"))
     return CampaignSpec.from_dict(
         {
             "name": "toolkit",
@@ -314,7 +320,7 @@ def test_campaign_cells_attach_the_toolkit_and_record_per_cell(tmp_path):
         assert record["gap_histogram"]["counts"]
         assert record["per_class_occupancy"]["volume"]
         recorded = record["trace_recorder"]
-        assert recorded["path"].endswith(f"rec-{record['index']}.v2")
+        assert recorded["path"].endswith(f"rec-{record['index']}.v3")
         assert recorded["requests"] == record["requests"]
         assert len(load_trace(recorded["path"])) == record["requests"]
     # Both cells replay the same workload: the recorded traces are identical.
@@ -405,3 +411,15 @@ def test_spec_validation_covers_the_new_kinds():
                 "observers": [{"kind": "trace_recorder"}],
             }
         ).validate()
+
+
+def test_recorder_writes_v3_by_default_and_refuses_v2(tmp_path):
+    trace = churn_trace(100, target_live=10, seed=1)
+    path = tmp_path / "rec.v3"
+    recorder = TraceRecorderObserver(str(path))
+    SimulationEngine(FirstFitAllocator(), [recorder]).run(trace)
+    assert recorder.export()["version"] == 3
+    assert trace_info(path).version == 3
+    legacy = TraceRecorderObserver(str(tmp_path / "rec.v2"), version=2)
+    with pytest.raises(ValueError, match="read-only.*version=3"):
+        SimulationEngine(FirstFitAllocator(), [legacy]).run(trace)

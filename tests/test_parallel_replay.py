@@ -15,6 +15,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from benchmarks.legacy_codec import save_legacy_trace
 from repro.allocators import FirstFitAllocator
 from repro.campaign import CampaignSpec, SpecError, run_campaign
 from repro.engine import (
@@ -218,7 +219,7 @@ def test_analyze_trace_parallel_declines_unshardable_inputs(tmp_path, v3_trace):
     trace, single = make_v3(tmp_path, 50, 128)  # one block
     assert analyze_trace_parallel(single, jobs=4) is None
     v2 = tmp_path / "t.v2"
-    save_trace(trace, v2, version=2)
+    save_legacy_trace(trace, v2)
     assert analyze_trace_parallel(v2, jobs=4) is None
 
 
@@ -264,7 +265,7 @@ def test_run_trace_materialised_trace_warns_and_falls_back(v3_trace):
 
 def test_run_trace_v2_file_warns_with_convert_hint(tmp_path, v3_trace):
     v2 = tmp_path / "t.v2"
-    save_trace(v3_trace["trace"], v2, version=2)
+    save_legacy_trace(v3_trace["trace"], v2)
     with pytest.warns(SerialFallbackWarning, match="--format v3"):
         metrics = run_trace(FirstFitAllocator(), TraceFileSource(v2), jobs=2)
     assert metrics.requests == 2000

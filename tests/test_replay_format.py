@@ -1,29 +1,46 @@
-"""Round-trip and cross-format tests for the trace file formats (v0/v1/v2).
+"""Round-trip and cross-format tests for the trace file formats (v0-v3).
 
 The cross-format battery saves randomized traces — weird names (whitespace,
 ``#``, ``%``, unicode, space-adjacent), sizes from 1 up to multi-byte-varint
 huge — through every coexisting format and checks that all loaders agree
-request-for-request, so the three formats cannot drift apart silently.
+request-for-request, so the formats cannot drift apart silently.  The
+read-only legacy v2 format is written by the frozen encoder in
+:mod:`benchmarks.legacy_codec`, byte-for-byte what the retired v2 writer
+produced.
 """
 
 import gzip
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from benchmarks.legacy_codec import save_legacy_trace
 from repro.workloads import (
     Request,
     Trace,
     TraceFileSource,
     TraceFormatError,
+    churn_trace,
     iter_trace,
     load_trace,
+    open_trace_writer,
     save_trace,
     trace_info,
 )
 from repro.workloads.binary import MAGIC, encode_varint
 from repro.workloads.replay import TRACE_FORMAT_VERSION
+
+DATA = Path(__file__).parent / "data"
+
+
+def save_any(trace, path, version, compress=False, metadata=None):
+    """``save_trace``, with legacy v2 written by the frozen encoder."""
+    if version == 2:
+        save_legacy_trace(trace, path, metadata=metadata, compress=compress)
+    else:
+        save_trace(trace, path, version=version, compress=compress, metadata=metadata)
 
 
 def build_trace(names, sizes, shuffle_seed, label="t", metadata=None):
@@ -235,8 +252,9 @@ def requests_of(loaded):
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("requests", [1, 2, 37, 400])
 def test_cross_format_loaders_agree(tmp_path, seed, requests):
-    """The same trace through v1, v2, and compressed v2 (plus gzip containers)
-    loads back identically under every loader, request for request."""
+    """The same trace through v1, legacy v2, v3, and their compressed
+    variants (plus gzip containers) loads back identically under every
+    loader, request for request."""
     trace = random_weird_trace(seed * 101 + requests, requests, huge_sizes=(seed % 2 == 0))
     expected = [(r.op, str(r.name), r.size if r.is_insert else 0) for r in trace]
     paths = {}
@@ -244,11 +262,13 @@ def test_cross_format_loaders_agree(tmp_path, seed, requests):
         ("v1", {"version": 1}),
         ("v2", {"version": 2}),
         ("v2z", {"version": 2, "compress": True}),
+        ("v3", {"version": 3}),
+        ("v3z", {"version": 3, "compress": True}),
     ]:
         paths[tag] = tmp_path / f"t.{tag}"
-        save_trace(trace, paths[tag], **kwargs)
-    # gzip container around the text and the binary format
-    for tag in ("v1", "v2z"):
+        save_any(trace, paths[tag], **kwargs)
+    # gzip container around the text and the binary formats
+    for tag in ("v1", "v2z", "v3z"):
         gz = tmp_path / f"t.{tag}.gz"
         gz.write_bytes(gzip.compress(paths[tag].read_bytes()))
         paths[f"{tag}.gz"] = gz
@@ -281,9 +301,9 @@ def test_cross_format_v0_agrees_on_safe_names(tmp_path, seed):
     trace = Trace(out, label=f"safe-{seed}")
     expected = [(r.op, str(r.name), r.size if r.is_insert else 0) for r in trace]
     loads = {}
-    for version, compress in [(0, False), (1, False), (2, False), (2, True)]:
+    for version, compress in [(0, False), (1, False), (2, False), (2, True), (3, False)]:
         path = tmp_path / f"t.v{version}{'z' if compress else ''}"
-        save_trace(trace, path, version=version, compress=compress)
+        save_any(trace, path, version, compress=compress)
         loads[path] = requests_of(load_trace(path))
         assert loads[path] == expected, path
         assert requests_of(iter_trace(path)) == expected, path
@@ -297,7 +317,7 @@ def test_v2_round_trip_arbitrary_names(tmp_path_factory, names, data, compress):
     sizes = [data.draw(st.integers(min_value=1, max_value=2**40)) for _ in names]
     trace = build_trace(names, sizes, shuffle_seed=data.draw(st.integers(0, 99)))
     path = tmp_path_factory.mktemp("v2") / "trace.bin"
-    save_trace(trace, path, version=2, compress=compress)
+    save_legacy_trace(trace, path, compress=compress)
     assert_round_trip(trace, load_trace(path))
 
 
@@ -308,7 +328,7 @@ def test_v2_label_metadata_and_override_round_trip(tmp_path):
         metadata={"seed": 7, "kind": "churn"},
     )
     path = tmp_path / "meta.bin"
-    save_trace(trace, path, version=2, metadata={"extra": True}, compress=True)
+    save_legacy_trace(trace, path, metadata={"extra": True}, compress=True)
     loaded = load_trace(path)
     assert loaded.label == "churn demo\nwith newline"
     assert loaded.metadata == {"seed": 7, "kind": "churn", "extra": True}
@@ -318,19 +338,20 @@ def test_v2_label_metadata_and_override_round_trip(tmp_path):
 @pytest.mark.parametrize("compress", [False, True])
 def test_v2_empty_trace_round_trips(tmp_path, compress):
     path = tmp_path / "empty.bin"
-    save_trace(Trace([], label="empty"), path, version=2, compress=compress)
+    save_legacy_trace(Trace([], label="empty"), path, compress=compress)
     loaded = load_trace(path)
     assert len(loaded) == 0
     assert loaded.label == "empty"
 
 
 def test_v2_empty_name_round_trips(tmp_path):
-    """Unlike the line-oriented formats, v2 has a length field and can carry
-    the empty name."""
+    """Unlike the line-oriented formats, the binary formats have a length
+    field and can carry the empty name."""
     trace = Trace([Request.insert("", 2), Request.delete("")])
-    path = tmp_path / "noname.bin"
-    save_trace(trace, path, version=2)
-    assert [r.name for r in load_trace(path)] == ["", ""]
+    for version in (2, 3):
+        path = tmp_path / f"noname.v{version}"
+        save_any(trace, path, version)
+        assert [r.name for r in load_trace(path)] == ["", ""]
 
 
 def test_v2_name_coding_stays_compact(tmp_path):
@@ -342,10 +363,11 @@ def test_v2_name_coding_stays_compact(tmp_path):
         [Request.insert(long_name, 5), Request.delete(long_name)] * 50
         + [Request.insert(long_name, 5)]
     )
-    path = tmp_path / "intern.bin"
-    save_trace(trace, path, version=2)
-    assert path.stat().st_size < len(long_name) + 101 * 5 + 64
-    assert requests_of(load_trace(path)) == requests_of(trace)
+    for version in (2, 3):
+        path = tmp_path / f"intern.v{version}"
+        save_any(trace, path, version)
+        assert path.stat().st_size < len(long_name) + 101 * 5 + 64, version
+        assert requests_of(load_trace(path)) == requests_of(trace)
 
 
 def test_v2_ids_are_recycled_across_object_generations(tmp_path):
@@ -358,18 +380,19 @@ def test_v2_ids_are_recycled_across_object_generations(tmp_path):
         out.append(Request.insert(name, 1))
         out.append(Request.delete(name))
     trace = Trace(out)
-    path = tmp_path / "recycle.bin"
-    save_trace(trace, path, version=2)
-    # Every delete must be a 2-byte DELETE_REF (tag + id 0): inserts are
-    # front-coded to ~5 bytes, so the whole file stays tiny.
-    assert path.stat().st_size < 6000 * 7
-    assert requests_of(load_trace(path)) == requests_of(trace)
+    for version in (2, 3):
+        path = tmp_path / f"recycle.v{version}"
+        save_any(trace, path, version)
+        # Every delete must be a 2-byte DELETE_REF (tag + id 0): inserts are
+        # front-coded to ~5 bytes, so the whole file stays tiny.
+        assert path.stat().st_size < 6000 * 7, version
+        assert requests_of(load_trace(path)) == requests_of(trace)
 
 
 def test_trace_info_matches_trace_properties(tmp_path):
     trace = random_weird_trace(99, 300)
-    path = tmp_path / "t.v2z"
-    save_trace(trace, path, version=2, compress=True)
+    path = tmp_path / "t.v3z"
+    save_trace(trace, path, version=3, compress=True)
     info = trace_info(path)
     assert info.requests == len(trace)
     assert info.inserts == trace.num_inserts
@@ -379,13 +402,13 @@ def test_trace_info_matches_trace_properties(tmp_path):
     assert info.total_inserted_volume == trace.total_inserted_volume
     assert info.label == trace.label
     assert info.metadata == trace.metadata
-    assert info.version == 2 and info.compressed
+    assert info.version == 3 and info.compressed
 
 
 def test_trace_file_source_is_re_iterable(tmp_path):
     trace = random_weird_trace(7, 50)
-    path = tmp_path / "t.v2"
-    save_trace(trace, path, version=2)
+    path = tmp_path / "t.v3"
+    save_trace(trace, path, version=3)
     source = TraceFileSource(path)
     assert requests_of(source) == requests_of(source)
     assert source.label == trace.label
@@ -393,8 +416,39 @@ def test_trace_file_source_is_re_iterable(tmp_path):
 
 
 def test_save_compress_requires_v2(tmp_path):
-    with pytest.raises(ValueError, match="v2"):
+    """Only the binary format compresses; the error names v3, the binary
+    version that is still written."""
+    with pytest.raises(ValueError, match="version=3"):
         save_trace(Trace([]), tmp_path / "x", version=1, compress=True)
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_v2_writes_are_refused_naming_v3(tmp_path, compress):
+    with pytest.raises(ValueError, match="read-only.*version=3"):
+        open_trace_writer(tmp_path / "x.v2", version=2, compress=compress)
+    with pytest.raises(ValueError, match="version=3"):
+        save_trace(Trace([]), tmp_path / "y.v2", version=2)
+    assert not (tmp_path / "x.v2").exists() and not (tmp_path / "y.v2").exists()
+
+
+@pytest.mark.parametrize("name", ["legacy-churn.v2", "legacy-churn.v2z"])
+def test_committed_legacy_v2_fixtures_decode_to_the_seeded_trace(tmp_path, name):
+    """Files written by the retired v2 writer itself still read back."""
+    compress = name.endswith("z")
+    expected = churn_trace(2000, target_live=60, seed=2014)
+    expected.metadata["seed"] = 2014
+    loaded = load_trace(DATA / name)
+    assert requests_of(loaded) == [
+        (r.op, str(r.name), r.size if r.is_insert else 0) for r in expected
+    ]
+    assert loaded.label == expected.label
+    assert loaded.metadata == {"seed": 2014}
+    info = trace_info(DATA / name)
+    assert info.version == 2 and info.compressed == compress
+    # The frozen encoder reproduces the committed files byte for byte.
+    again = tmp_path / name
+    save_legacy_trace(expected, again, compress=compress)
+    assert again.read_bytes() == (DATA / name).read_bytes()
 
 
 # ------------------------------------------------------------- v2 error paths
@@ -429,7 +483,7 @@ def test_v2_truncation_detected_at_every_cut(tmp_path):
     trace = random_weird_trace(3, 40)
     for compress in (False, True):
         path = tmp_path / f"whole{compress}.bin"
-        save_trace(trace, path, version=2, compress=compress)
+        save_legacy_trace(trace, path, compress=compress)
         data = path.read_bytes()
         for cut in {1, 4, len(data) // 4, len(data) // 2, len(data) - 1}:
             clipped = tmp_path / f"cut{compress}-{cut}.bin"
@@ -445,7 +499,7 @@ def test_v2_compressed_body_truncation_raises_with_path_at_every_cut(tmp_path):
     :class:`TraceFormatError` naming the file — never a bare ``zlib.error``
     or a silent prefix."""
     whole = tmp_path / "whole.v2z"
-    save_trace(random_weird_trace(3, 30), whole, version=2, compress=True)
+    save_legacy_trace(random_weird_trace(3, 30), whole, compress=True)
     data = whole.read_bytes()
     clipped = tmp_path / "clipped.v2z"
     for cut in range(1, len(data)):

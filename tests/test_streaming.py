@@ -5,7 +5,8 @@ from the same trace replayed out of memory.
 The battery replays a fixed-seed churn trace through ``run_trace`` and
 through the observers behind the E1/E3/E7/E8 experiment tables, once with
 the in-memory :class:`Trace` and once with a :class:`TraceFileSource` over
-the compressed binary v2 file, and requires byte-identical results.
+the compressed, multi-block binary v3 file, and requires byte-identical
+results.
 """
 
 from dataclasses import asdict
@@ -31,8 +32,8 @@ COSTS = (LinearCost(), ConstantCost(), RotatingDiskCost())
 @pytest.fixture(scope="module")
 def trace_and_source(tmp_path_factory):
     trace = churn_trace(3000, UniformSizes(1, 64), target_live=150, seed=11)
-    path = tmp_path_factory.mktemp("stream") / "churn.v2z"
-    save_trace(trace, path, version=2, compress=True)
+    path = tmp_path_factory.mktemp("stream") / "churn.v3z"
+    save_trace(trace, path, version=3, compress=True, block_records=1000)
     return trace, TraceFileSource(path)
 
 

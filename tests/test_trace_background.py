@@ -1,8 +1,8 @@
 """Tests for background trace compression, ``sync()``, and tail recovery.
 
 Satellite of ISSUE 10: ``compress="background"`` moves zlib work onto a
-writer-owned worker thread with *byte-identical* output (pinned here for
-both binary formats), ``BinaryTraceWriter.sync()`` makes the
+writer-owned worker thread with *byte-identical* output (pinned here),
+``BinaryTraceWriter.sync()`` makes the
 written-so-far prefix durable as complete self-delimiting v3 blocks, and
 :func:`read_trace_tail` recovers exactly that prefix from a trailer-less
 (crashed) file — the durability contract of the live allocation service.
@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from benchmarks.legacy_codec import save_legacy_trace
 from repro.allocators import FirstFitAllocator
 from repro.engine import SimulationEngine, TraceRecorderObserver
 from repro.workloads import (
@@ -44,7 +45,7 @@ def churny(seed, requests):
 
 
 # -------------------------------------------------------------- byte identity
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [3])
 def test_background_compression_is_byte_identical_to_inline(tmp_path, version):
     trace = churny(7, 3000)
     inline, background = tmp_path / "inline.bin", tmp_path / "background.bin"
@@ -56,7 +57,7 @@ def test_background_compression_is_byte_identical_to_inline(tmp_path, version):
     assert loaded.metadata == trace.metadata
 
 
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [3])
 def test_background_writer_streams_and_closes_cleanly(tmp_path, version):
     trace = churny(3, 500)
     path = tmp_path / "stream.bin"
@@ -73,10 +74,12 @@ def test_background_writer_streams_and_closes_cleanly(tmp_path, version):
 
 
 def test_background_mode_rejects_unsupported_targets(tmp_path):
-    with pytest.raises(ValueError, match="binary formats"):
+    with pytest.raises(ValueError, match="binary format"):
         open_trace_writer(tmp_path / "t.v1", version=1, compress="background")
-    with pytest.raises(ValueError):
-        open_trace_writer(tmp_path / "t.v2", version=2, compress="sideways")
+    with pytest.raises(ValueError, match="compress mode"):
+        open_trace_writer(tmp_path / "t.v3", version=3, compress="sideways")
+    with pytest.raises(ValueError, match="read-only"):
+        open_trace_writer(tmp_path / "t.v2", version=2, compress="background")
 
 
 def test_background_abort_discards_without_raising(tmp_path):
@@ -146,7 +149,7 @@ def test_tail_read_of_a_complete_file_reports_complete(tmp_path):
 
 def test_tail_read_requires_v3(tmp_path):
     path = tmp_path / "v2.bin"
-    save_trace(churny(1, 50), path, version=2)
+    save_legacy_trace(churny(1, 50), path)
     with pytest.raises(ValueError, match="v3"):
         read_trace_tail(path)
 
