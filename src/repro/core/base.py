@@ -266,7 +266,16 @@ class Allocator(ABC):
         old_extent = self.space.extent_of(name)
         if old_extent.start == new_address:
             return
-        new_extent = Extent(new_address, size)
+        self._relocate(name, size, old_extent, Extent(new_address, size), reason)
+
+    def _relocate(
+        self, name: Hashable, size: int, old_extent: Extent, new_extent: Extent, reason: str
+    ) -> None:
+        """Move ``name`` from ``old_extent`` to ``new_extent`` and record it.
+
+        The one copy of the move bookkeeping (space, stats, event); callers
+        have already looked up the size and both extents.
+        """
         self.space.move(name, new_extent)
         self.stats.record_move(size)
         self._current_moved_volume += size

@@ -67,8 +67,12 @@ class CheckpointedReallocator(CostObliviousReallocator):
         self.checkpoints = self.translation.checkpoints
         self.track_recovery = track_recovery
         #: Checkpoints taken because a write would otherwise have hit frozen
-        #: space.  The phase structure should make this stay at zero; tests
-        #: assert it does.
+        #: space.  The phase checkpoints do not rule this out: a pack-right
+        #: or unpack move can target space that an earlier move of the same
+        #: phase just vacated.  On ``random_churn(steps=1200, seed=2,
+        #: max_size=80)`` it is 16-1,089 here and 72-1,740 for the
+        #: deamortized variant, depending on eps; tests only bound it
+        #: against the number of flushes.
         self.blocked_checkpoints = 0
         #: name -> list of extents where the object's data is still intact.
         self._shadow: Dict[Hashable, List[Extent]] = {}
@@ -127,7 +131,7 @@ class CheckpointedReallocator(CostObliviousReallocator):
                 f"{old} to {new_extent}"
             )
         self._ensure_writable(new_extent, reason)
-        super()._move_object(name, new_address, reason)
+        self._relocate(name, size, old, new_extent, reason)
         self.translation.record_move(name, new_extent)
         self._record_write(name, new_extent, moved_from=old)
 

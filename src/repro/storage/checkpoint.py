@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import os
 import pickle
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional
 
 from repro.faults.injector import fault_point, fault_write
-from repro.storage.extent import Extent, coalesce
+from repro.storage.extent import Extent
 
 
 class FreedSpaceViolation(RuntimeError):
@@ -33,6 +34,13 @@ class FreedSpaceViolation(RuntimeError):
 
 class CheckpointManager:
     """Tracks freed-but-not-yet-checkpointed space and checkpoint counts.
+
+    The frozen space is kept as two parallel sorted lists, ``_starts`` and
+    ``_ends``, of coalesced half-open runs: no two runs overlap or touch, so
+    both lists are strictly increasing and one bisect finds the only run a
+    query can hit.  :meth:`record_free` and :meth:`is_writable` are
+    therefore O(log m) probes (plus the list insert or splice) in the
+    number ``m`` of frozen runs.
 
     Parameters
     ----------
@@ -45,25 +53,63 @@ class CheckpointManager:
 
     def __init__(self, enforce: bool = True) -> None:
         self.enforce = enforce
-        self._frozen: List[Extent] = []
+        self._starts: List[int] = []
+        self._ends: List[int] = []
         self.checkpoints_taken = 0
         self.violations = 0
 
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        """Unpickle, rebuilding the run lists of an older ``_frozen`` layout.
+
+        Session and serve snapshots pickle whole allocators, so a snapshot
+        written before the frozen space was indexed carries a plain list of
+        (possibly overlapping, unsorted) extents instead of the run lists.
+        """
+        frozen = state.pop("_frozen", None)
+        self.__dict__.update(state)
+        if frozen is not None:
+            self._starts, self._ends = [], []
+            for extent in frozen:
+                self.record_free(extent)
+
     # ------------------------------------------------------------------ API
     def record_free(self, extent: Extent) -> None:
-        """Mark ``extent`` as freed since the last checkpoint."""
-        self._frozen.append(extent)
-        if len(self._frozen) > 64:
-            self._frozen = coalesce(self._frozen)
+        """Mark ``extent`` as freed since the last checkpoint.
+
+        The extent is merged into the runs it overlaps or touches, exactly
+        as :func:`~repro.storage.extent.coalesce` would merge them, so the
+        frozen set is always stored coalesced.
+        """
+        start = extent.start
+        end = start + extent.length
+        starts, ends = self._starts, self._ends
+        # Runs [lo, hi) are the ones with end >= start and start <= end.
+        lo = bisect_left(ends, start)
+        hi = bisect_right(starts, end, lo)
+        if lo == hi:
+            starts.insert(lo, start)
+            ends.insert(lo, end)
+            return
+        if starts[lo] < start:
+            start = starts[lo]
+        if ends[hi - 1] > end:
+            end = ends[hi - 1]
+        starts[lo:hi] = (start,)
+        ends[lo:hi] = (end,)
 
     def frozen_extents(self) -> List[Extent]:
-        """The extents currently unwritable because they await a checkpoint."""
-        self._frozen = coalesce(self._frozen)
-        return list(self._frozen)
+        """The extents currently unwritable because they await a checkpoint,
+        coalesced and sorted by address (a fresh list; the index is unchanged).
+        """
+        return [Extent(start, end - start) for start, end in zip(self._starts, self._ends)]
 
     def is_writable(self, extent: Extent) -> bool:
         """True if ``extent`` does not intersect any frozen extent."""
-        return all(not extent.overlaps(frozen) for frozen in self._frozen)
+        start = extent.start
+        # The last run starting before the extent's end is the only
+        # candidate: every earlier run also ends before that run starts.
+        index = bisect_left(self._starts, start + extent.length) - 1
+        return index < 0 or self._ends[index] <= start
 
     def assert_writable(self, extent: Extent, context: Optional[str] = None) -> None:
         """Raise :class:`FreedSpaceViolation` if ``extent`` is frozen."""
@@ -83,7 +129,8 @@ class CheckpointManager:
         Returns the total number of checkpoints taken so far.
         """
         fault_point("checkpoint.persist")
-        self._frozen.clear()
+        self._starts.clear()
+        self._ends.clear()
         self.checkpoints_taken += 1
         return self.checkpoints_taken
 
@@ -93,9 +140,10 @@ class CheckpointManager:
         Space freed since the last checkpoint was, by definition, never
         reused, so after a crash the pre-crash frozen set is irrelevant.
         Callers (e.g. ``BlockTranslationLayer.crash``) use this instead of
-        poking the private extent list.
+        poking the private run lists.
         """
-        self._frozen.clear()
+        self._starts.clear()
+        self._ends.clear()
 
     def reset_counters(self) -> None:
         """Zero the checkpoint and violation counters (frozen space kept)."""
@@ -110,10 +158,9 @@ class CheckpointManager:
         so checkpoint bookkeeping survives a serialize/restore cycle
         without callers reaching into private attributes.
         """
-        self._frozen = coalesce(self._frozen)
         return {
             "enforce": self.enforce,
-            "frozen": [[extent.start, extent.length] for extent in self._frozen],
+            "frozen": [[start, end - start] for start, end in zip(self._starts, self._ends)],
             "checkpoints_taken": self.checkpoints_taken,
             "violations": self.violations,
         }
@@ -122,9 +169,8 @@ class CheckpointManager:
     def from_state(cls, state: Dict[str, Any]) -> "CheckpointManager":
         """Rebuild a manager from a :meth:`to_state` dict."""
         manager = cls(enforce=bool(state.get("enforce", True)))
-        manager._frozen = [
-            Extent(int(start), int(length)) for start, length in state.get("frozen", [])
-        ]
+        for start, length in state.get("frozen", []):
+            manager.record_free(Extent(int(start), int(length)))
         manager.checkpoints_taken = int(state.get("checkpoints_taken", 0))
         manager.violations = int(state.get("violations", 0))
         return manager

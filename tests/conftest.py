@@ -9,6 +9,7 @@ from repro.core import (
     CostObliviousReallocator,
     DeamortizedReallocator,
 )
+from repro.storage.address_space import AddressSpace
 
 
 REALLOCATOR_CLASSES = [
@@ -40,3 +41,65 @@ def random_churn(allocator, steps, seed=0, max_size=64, delete_probability=0.45)
             allocator.insert(next_id, size)
             live[next_id] = size
     return live
+
+
+# ------------------------------------------------------ frozen-space oracle
+class _OracleSpace(AddressSpace):
+    """Address space that checks every write against the oracle's frees.
+
+    Every physical write (a placement or a move destination) is compared with
+    every extent freed (by a removal or a move away) since the owner's last
+    checkpoint, by brute force and without asking the checkpoint manager.
+    """
+
+    def __init__(self, owner, validate):
+        super().__init__(validate=validate)
+        self._owner = owner
+
+    def _check(self, name, extent):
+        owner = self._owner
+        owner.oracle_writes += 1
+        for freed in owner.oracle_freed:
+            if extent.start < freed.end and freed.start < extent.end:
+                owner.oracle_violations.append((name, extent, freed))
+
+    def place(self, name, extent):
+        self._check(name, extent)
+        super().place(name, extent)
+
+    def move(self, name, extent):
+        self._check(name, extent)
+        old = super().move(name, extent)
+        self._owner.oracle_freed.append(old)
+        return old
+
+    def remove(self, name):
+        old = super().remove(name)
+        self._owner.oracle_freed.append(old)
+        return old
+
+
+def with_frozen_space_oracle(cls):
+    """A recording subclass of the checkpointed reallocator ``cls``.
+
+    Instances collect, in ``oracle_violations``, every write that landed on
+    space freed since the last checkpoint; ``oracle_writes`` and
+    ``oracle_checkpoints`` show the oracle actually saw traffic.
+    """
+
+    class FrozenSpaceOracle(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.space = _OracleSpace(self, validate=self.space.validate)
+            self.oracle_freed = []
+            self.oracle_violations = []
+            self.oracle_writes = 0
+            self.oracle_checkpoints = 0
+
+        def checkpoint(self):
+            count = super().checkpoint()
+            self.oracle_freed = []
+            self.oracle_checkpoints += 1
+            return count
+
+    return FrozenSpaceOracle

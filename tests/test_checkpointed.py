@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from repro.core import CheckpointedReallocator, check_invariants
+from repro.core import CheckpointedReallocator, DeamortizedReallocator, check_invariants
 from repro.storage import BlockTranslationLayer
-from tests.conftest import random_churn
+from tests.conftest import random_churn, with_frozen_space_oracle
 
 
 def test_moves_never_overlap_their_source():
@@ -21,9 +21,35 @@ def test_moves_never_overlap_their_source():
 
 
 def test_no_write_ever_lands_on_frozen_space():
-    realloc = CheckpointedReallocator(epsilon=0.25)
+    """Every placement and move destination is checked by brute force
+    against every extent freed since the last checkpoint, without asking
+    the checkpoint manager (see ``with_frozen_space_oracle``)."""
+    for cls in (CheckpointedReallocator, DeamortizedReallocator):
+        for epsilon in (0.1, 0.25, 0.5):
+            realloc = with_frozen_space_oracle(cls)(epsilon=epsilon)
+            random_churn(realloc, steps=1200, seed=2, max_size=80)
+            if hasattr(realloc, "finish_pending_work"):
+                realloc.finish_pending_work()
+            assert realloc.checkpoints.violations == 0
+            assert realloc.oracle_violations == [], (cls.name, epsilon)
+            assert realloc.oracle_writes > realloc.stats.inserts
+            assert realloc.oracle_checkpoints == realloc.stats.checkpoints > 0
+
+
+@pytest.mark.parametrize(
+    "cls", [CheckpointedReallocator, DeamortizedReallocator], ids=lambda cls: cls.name
+)
+def test_brute_force_oracle_catches_unchecked_writes(cls):
+    """The oracle is not vacuous: with the frozen-space check switched off,
+    the writes that would have blocked on a checkpoint are flagged."""
+
+    class Unchecked(with_frozen_space_oracle(cls)):
+        def _ensure_writable(self, extent, reason):
+            pass
+
+    realloc = Unchecked(epsilon=0.25)
     random_churn(realloc, steps=1200, seed=2, max_size=80)
-    assert realloc.checkpoints.violations == 0
+    assert realloc.oracle_violations
 
 
 def test_checkpoints_per_request_stay_bounded():

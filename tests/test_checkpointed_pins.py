@@ -1,0 +1,112 @@
+"""Byte-identity pins for the checkpointed and deamortized reallocators.
+
+Each case replays a traced random churn, drives any pending deamortized
+flush to completion, and hashes everything observable about the run: every
+request's move sequence, flush record, checkpoint count and footprint, the
+final layout, the aggregate stats, the blocked-checkpoint count and the
+checkpoint manager's state.  The digests were captured before the frozen
+space was indexed and the checkpointed move path was rebuilt, so a speed-up
+that changes any decision, any move or any recorded figure fails here.
+
+To re-capture after a deliberate behaviour change, print
+``_fingerprint(cls, epsilon, seed)`` for every case and paste the digests.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.core import CheckpointedReallocator, DeamortizedReallocator
+from tests.conftest import random_churn
+
+STEPS = 600
+MAX_SIZE = 80
+
+
+def _extent(extent):
+    return None if extent is None else (extent.start, extent.length)
+
+
+def _fingerprint(cls, epsilon, seed):
+    realloc = cls(epsilon=epsilon, trace=True)
+    random_churn(realloc, steps=STEPS, seed=seed, max_size=MAX_SIZE)
+    finish = getattr(realloc, "finish_pending_work", None)
+    if finish is not None:
+        finish()
+    history = [
+        (
+            record.index,
+            record.op,
+            record.name,
+            record.size,
+            [
+                (move.name, move.size, _extent(move.source), _extent(move.destination), move.reason)
+                for move in record.moves
+            ],
+            record.flush,
+            record.checkpoints,
+            record.footprint_after,
+            record.volume_after,
+        )
+        for record in realloc.history
+    ]
+    stats = dict(vars(realloc.stats))
+    stats["allocated_sizes"] = sorted(stats["allocated_sizes"].items())
+    stats["moved_sizes"] = sorted(stats["moved_sizes"].items())
+    payload = (
+        history,
+        sorted((name, _extent(extent)) for name, extent in realloc.space.items()),
+        sorted(stats.items()),
+        realloc.blocked_checkpoints,
+        sorted(realloc.checkpoints.to_state().items()),
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+#: (class name, epsilon, seed) -> digest captured before the rewrite.
+PINS = {
+    ('checkpointed', 0.1, 1): 'bb3abdbd3ae42d0e837aae5fd89a38368cbc2a18e177d4340319ea702847e265',
+    ('checkpointed', 0.1, 2): 'd73df48ba89546dbe6d05a265123ad3ae66a0fd19f402fd838064788b4709f74',
+    ('checkpointed', 0.1, 3): '761b507065eceb5c36e6850fdeb00deda526c8c9c0975257f592c376da3e3f6a',
+    ('checkpointed', 0.1, 4): '59e0ff8a50c01b99818a10dd30a7e4125402c215fe984231e9905c34d437cbc3',
+    ('checkpointed', 0.1, 5): '06e147d68ec3720f3c2430cdcdf142ca27b402eacd12abb043545f85fc888e8a',
+    ('checkpointed', 0.1, 6): '93befbfc742303c4064c3de002bcaec1ed1856c958bbac1fd9a7e6b70b492c60',
+    ('checkpointed', 0.25, 1): '2278b4912747232a8081af4fe03d5e43331e0403a9521008de1dae17a126f749',
+    ('checkpointed', 0.25, 2): '1f16c0194b6b3a446c47d1a6154db15821dce65ec3e4aebd14aed8e7ceb7a136',
+    ('checkpointed', 0.25, 3): 'd3fe1bab2258e0a686d4ff6911b796277ed168d7b078a564c643ae13ece65cee',
+    ('checkpointed', 0.25, 4): '939e7f98e8acbc5ea253c67df58891c6bf14738e86b0ea58b06465723bd0973e',
+    ('checkpointed', 0.25, 5): '67167ba6b0330c477d315e488a4cfc568e7957734637e4fa90a3a4855b7ddc58',
+    ('checkpointed', 0.25, 6): 'e7c9140ecc59fd11ff348a997f990ed7e533f2285657144694afe437d62e2fd5',
+    ('checkpointed', 0.5, 1): '57ccc8204427c258b12dd3e429d96bd6a9c1837a331842f98d4a089005072f22',
+    ('checkpointed', 0.5, 2): 'f65e04ecf2ed03f1ddbdc1a0692b0857a1c66a26cae8477daeb70d3fc915d27e',
+    ('checkpointed', 0.5, 3): '822ef6233392fffe3ef60f85e60d3de69f6f892c6cbe40461dbbbeb1abb489fb',
+    ('checkpointed', 0.5, 4): '5ed26daf6a79cc6cb26f44a5e97abc63f63eeecccfa4745c2d35065636fd1698',
+    ('checkpointed', 0.5, 5): '8843495d20fd6f86ee0e19935f4b8cb07b6f8f01ed5d0bdc9bc425eb64802e67',
+    ('checkpointed', 0.5, 6): '0eaf80cf5969b4fd65d346731d71537f153678bd1f1aab36e168bc6da6b7f444',
+    ('deamortized', 0.1, 1): '08137db9d7b0c3665d1174e37894b04245fd6c8ce59e50abb0468d67302d864f',
+    ('deamortized', 0.1, 2): '4bba5e82a80ae0eb50f336ed65140e4b79e770aaaa8a39d843b79c241c37c83c',
+    ('deamortized', 0.1, 3): 'efa0632369ca5afd8629502616cf64591bf9a7271e31006ae197554fc9154666',
+    ('deamortized', 0.1, 4): 'bd1dbd19dc59bb22a0dd937e67d90a4e52588da5c3252e4347472c0a10ffa392',
+    ('deamortized', 0.1, 5): '9a7e7e6a26a623ed9bf79406f5a64760e43f41d2f11d34f11157bbd96c107a5c',
+    ('deamortized', 0.1, 6): '0826c12b9f5421b27f470e5a04f9529d6bcbf84d7d4d7d9f9c0b71d203da37a6',
+    ('deamortized', 0.25, 1): '055c7a5fa239bd107d9b4637e74b880f7d2fda88ef1dcdea2dd8b3edaa942dff',
+    ('deamortized', 0.25, 2): '1e5d32f182b060110cac786ae8db976b5a9242a92da91846342b5737a05698a6',
+    ('deamortized', 0.25, 3): 'f7935172da4f298f2dd98319c1a72672f56d3f7f754b17dddf9b5e748434bd04',
+    ('deamortized', 0.25, 4): '67d296332ed1946899da61ad8b6c5005b6b1637ee9435a23a6bb731ea276e029',
+    ('deamortized', 0.25, 5): '8f50e6e8f30401152eb493f1f2393e967dcd0a63795fb1992cc96db55e03e0b8',
+    ('deamortized', 0.25, 6): 'a332460458da96431de4b8ab99f6354d1dd36f6b85a87db191a31a5d49e8fadc',
+    ('deamortized', 0.5, 1): '5dcdf04f8f7b22c338bee01f3b617c71782ac596d628f30811a0bade2d40fb59',
+    ('deamortized', 0.5, 2): 'e017fa0b7389d02126f5ef82642297d18dbfc0712c6977585e6171284ff11a0b',
+    ('deamortized', 0.5, 3): 'f1b36b74090af6a658e9d7eb829fb75ce773eb2b20569c464711053acea1a22c',
+    ('deamortized', 0.5, 4): '700969475c8cf8e7b6777939ad26ee24cc9972a39f9d9db4f3f9a3051808200f',
+    ('deamortized', 0.5, 5): '185ab314c321b520de49ba89154651ee4adedd607b7d8d90cfeb75c5f56b7ef6',
+    ('deamortized', 0.5, 6): '21cf95bbf628da3e8cd7db0c53b55550d8a49ac0dc711efd87ae396d68360046',
+}
+
+CLASSES = {cls.name: cls for cls in (CheckpointedReallocator, DeamortizedReallocator)}
+
+
+@pytest.mark.parametrize("case", sorted(PINS), ids=lambda case: "-".join(map(str, case)))
+def test_checkpointed_runs_are_byte_identical_to_the_pins(case):
+    name, epsilon, seed = case
+    assert _fingerprint(CLASSES[name], epsilon, seed) == PINS[case]

@@ -16,10 +16,13 @@ from repro.core import CheckpointedReallocator, check_invariants
 from repro.costs import RotatingDiskCost
 from repro.storage.devices import RotatingDiskDevice
 from repro.workloads import database_trace
+from tests.conftest import with_frozen_space_oracle
 
 
 def test_block_store_with_periodic_checkpoints_and_crashes():
-    realloc = CheckpointedReallocator(epsilon=0.25, track_recovery=True)
+    realloc = with_frozen_space_oracle(CheckpointedReallocator)(
+        epsilon=0.25, track_recovery=True
+    )
     device = RotatingDiskDevice()
     trace = database_trace(1500, block=32, working_set=120, seed=99)
     rng = random.Random(7)
@@ -44,6 +47,7 @@ def test_block_store_with_periodic_checkpoints_and_crashes():
     assert set(realloc.translation) == set(live)
     assert realloc.stats.max_footprint_ratio <= 1.25 + 1e-9
     assert realloc.checkpoints.violations == 0
+    assert realloc.oracle_violations == [] and realloc.oracle_writes > 0
     # The simulated disk spent time proportional to the charged cost model.
     assert device.stats.elapsed_ms > 0
     charged = realloc.stats.reallocation_cost(RotatingDiskCost())

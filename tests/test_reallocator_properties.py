@@ -15,6 +15,7 @@ from repro.core import (
     DeamortizedReallocator,
     check_invariants,
 )
+from tests.conftest import with_frozen_space_oracle
 
 # A request script is a list of (op_choice, size) pairs; op_choice picks
 # insert vs delete (deletes are ignored when nothing is live).
@@ -59,19 +60,21 @@ def test_amortized_variant_preserves_invariants(script):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(script=request_scripts)
 def test_checkpointed_variant_preserves_invariants(script):
-    realloc = CheckpointedReallocator(epsilon=0.5)
+    realloc = with_frozen_space_oracle(CheckpointedReallocator)(epsilon=0.5)
     _run_script(realloc, script)
     assert realloc.checkpoints.violations == 0
+    assert realloc.oracle_violations == []
     assert realloc.stats.max_footprint_ratio <= 1.5 + 1e-9
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(script=request_scripts)
 def test_deamortized_variant_preserves_invariants(script):
-    realloc = DeamortizedReallocator(epsilon=0.5)
+    realloc = with_frozen_space_oracle(DeamortizedReallocator)(epsilon=0.5)
     live = _run_script(realloc, script)
     realloc.finish_pending_work()
     check_invariants(realloc)
+    assert realloc.oracle_violations == []
     assert realloc.num_objects == len(live)
 
 

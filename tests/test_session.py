@@ -8,6 +8,7 @@ fix, and the ``CheckpointManager`` state round-trip the snapshots ride on.
 """
 
 import json
+import os
 import pickle
 
 import pytest
@@ -295,3 +296,60 @@ def test_checkpoint_recover_thaws_frozen_space_and_keeps_counters():
     assert manager.is_writable(Extent(8, 1))
     assert manager.to_state()["frozen"] == []
     assert manager.checkpoints_taken == 1
+
+
+# ----------------------------------------- snapshots from before the run index
+LEGACY_SNAPSHOT = os.path.join(
+    os.path.dirname(__file__), "data", "deamortized-session-pre-index.snap"
+)
+
+
+def test_checkpoint_manager_unpickles_the_legacy_frozen_list():
+    """A pickle of the older layout (one unsorted, uncoalesced ``_frozen``
+    extent list) comes back as the coalesced run index."""
+    legacy = CheckpointManager.__new__(CheckpointManager)
+    legacy.__dict__.update(
+        enforce=True,
+        _frozen=[Extent(30, 5), Extent(0, 4), Extent(4, 4), Extent(32, 10)],
+        checkpoints_taken=3,
+        violations=1,
+    )
+    clone = pickle.loads(pickle.dumps(legacy))
+    assert "_frozen" not in vars(clone)
+    assert clone.frozen_extents() == [Extent(0, 8), Extent(30, 12)]
+    assert clone.to_state() == {
+        "enforce": True,
+        "frozen": [[0, 8], [30, 12]],
+        "checkpoints_taken": 3,
+        "violations": 1,
+    }
+    assert not clone.is_writable(Extent(41, 1))
+    assert clone.is_writable(Extent(8, 22))
+    clone.record_free(Extent(8, 22))
+    assert clone.frozen_extents() == [Extent(0, 42)]
+
+
+def test_pre_index_deamortized_session_snapshot_restores_and_continues():
+    """The fixture was written mid-flush by the code that kept frozen space
+    as a plain extent list: ``DeamortizedReallocator(0.25)`` after the first
+    270 requests of ``churn_trace(400, UniformSizes(1, 32), target_live=60,
+    seed=5)``.  Restored and driven to the end of the trace, it must finish
+    exactly as an uninterrupted session does."""
+    from repro.core import DeamortizedReallocator
+
+    trace = churn_trace(400, UniformSizes(1, 32), target_live=60, seed=5)
+    restored = EngineSession.restore(LEGACY_SNAPSHOT)
+    allocator = restored.allocator
+    assert restored.requests_applied == 270
+    assert allocator.flush_in_progress
+    assert len(allocator.checkpoints.frozen_extents()) > 1
+    restored.apply(trace[270:])
+    restored.close()
+
+    fresh = EngineSession(DeamortizedReallocator(0.25)).open()
+    fresh.apply(trace)
+    fresh.close()
+    assert sorted(allocator.space.items()) == sorted(fresh.allocator.space.items())
+    assert allocator.checkpoints.to_state() == fresh.allocator.checkpoints.to_state()
+    assert allocator.blocked_checkpoints == fresh.allocator.blocked_checkpoints
+    assert vars(allocator.stats) == vars(fresh.allocator.stats)

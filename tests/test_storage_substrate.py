@@ -1,6 +1,9 @@
 """Tests for the checkpoint manager, devices, and block translation layer."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.costs.base import validate_cost_function
 from repro.storage import (
@@ -13,6 +16,7 @@ from repro.storage import (
     RotatingDiskDevice,
     SolidStateDevice,
 )
+from repro.storage.extent import coalesce
 
 
 # ------------------------------------------------------------- checkpoints
@@ -43,6 +47,56 @@ def test_frozen_extents_are_coalesced():
     assert manager.frozen_extents() == [Extent(0, 200)]
     manager.reset_counters()
     assert manager.checkpoints_taken == 0
+
+
+# A small address range so that random frees often overlap and touch.
+_extents = st.builds(Extent, st.integers(0, 60), st.integers(1, 12))
+# Frees outnumber the other operations so that runs build up between them.
+_index_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["free"] * 6 + ["checkpoint", "recover", "state", "pickle"]),
+        _extents,
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_index_ops, queries=st.lists(_extents, min_size=1, max_size=12))
+def test_frozen_run_index_matches_brute_force(ops, queries):
+    """The bisect-maintained runs agree with a plain list of every extent
+    freed since the last checkpoint, through checkpoints, recoveries and
+    state / pickle round trips."""
+    manager = CheckpointManager()
+    freed = []
+    for op, extent in ops:
+        if op == "free":
+            manager.record_free(extent)
+            freed.append(extent)
+        elif op in ("checkpoint", "recover"):
+            getattr(manager, op)()
+            freed = []
+        elif op == "state":
+            manager = CheckpointManager.from_state(manager.to_state())
+        else:
+            manager = pickle.loads(pickle.dumps(manager))
+        runs = manager.frozen_extents()
+        assert runs == coalesce(freed)
+        # Adjacent and touching runs merge, exactly as coalesce merges them.
+        assert all(left.end < right.start for left, right in zip(runs, runs[1:]))
+        for query in queries:
+            expected = not any(query.overlaps(extent) for extent in freed)
+            assert manager.is_writable(query) == expected
+
+
+def test_touching_frees_merge_into_one_run():
+    manager = CheckpointManager()
+    manager.record_free(Extent(10, 5))
+    manager.record_free(Extent(20, 5))
+    manager.record_free(Extent(15, 5))  # touches both neighbours
+    assert manager.frozen_extents() == [Extent(10, 15)]
+    assert manager.is_writable(Extent(25, 1)) and manager.is_writable(Extent(9, 1))
+    assert not manager.is_writable(Extent(0, 11))
 
 
 # ------------------------------------------------------------------ devices
