@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the deamortized work factor and of epsilon.
 
 Two knobs the paper's analysis fixes and our implementation exposes:
 

@@ -3,7 +3,7 @@
 Every experiment benchmark runs its experiment exactly once under
 ``pytest-benchmark`` (timing the whole table regeneration) and prints the
 resulting table, so ``pytest benchmarks/ --benchmark-only`` both times the
-harness and emits the tables recorded in EXPERIMENTS.md.
+harness and emits the experiment tables (see ``repro list`` for the ids).
 
 Set ``REPRO_BENCH_FULL=1`` to regenerate the tables with full-size traces.
 

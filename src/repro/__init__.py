@@ -17,7 +17,7 @@ Quickstart
 True
 
 See ``examples/`` for complete scenarios and ``benchmarks/`` for the
-experiment suite described in EXPERIMENTS.md.
+experiment suite registered in :mod:`repro.harness.experiments`.
 """
 
 from repro.core import (

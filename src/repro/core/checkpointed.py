@@ -25,13 +25,16 @@ only move to a disjoint location), giving the Lemma 3.1 footprint bound
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.events import FlushRecord
 from repro.core.reallocator import BufferEntry, CostObliviousReallocator, FlushPlan
 from repro.core.size_classes import size_class_of
 from repro.storage.extent import Extent
 from repro.storage.translation import BlockTranslationLayer
+
+#: The budget of a flush that runs all its moves at once.
+_UNBOUNDED = float("inf")
 
 
 class CheckpointedReallocator(CostObliviousReallocator):
@@ -120,20 +123,8 @@ class CheckpointedReallocator(CostObliviousReallocator):
         self._record_write(name, extent, moved_from=None)
 
     def _move_object(self, name: Hashable, new_address: int, reason: str = "move") -> None:
-        size = self._size_lookup(name)
-        old = self.space.extent_of(name)
-        if old.start == new_address:
-            return
-        new_extent = Extent(new_address, size)
-        if new_extent.overlaps(old):
-            raise RuntimeError(
-                f"non-overlapping constraint violated: moving {name!r} from "
-                f"{old} to {new_extent}"
-            )
-        self._ensure_writable(new_extent, reason)
-        self._relocate(name, size, old, new_extent, reason)
-        self.translation.record_move(name, new_extent)
-        self._record_write(name, new_extent, moved_from=old)
+        move = ("move", name, self._size_lookup(name), new_address, reason)
+        self._run_items((move,), 0, _UNBOUNDED)
 
     def _free_object(self, name: Hashable) -> Extent:
         extent = super()._free_object(name)
@@ -189,7 +180,9 @@ class CheckpointedReallocator(CostObliviousReallocator):
     def _flush_checkpointed(self, trigger_class: int, trigger_size: int) -> None:
         plan = self._plan_flush(trigger_class, pending_insert=None)
         checkpoints_before = self._current_checkpoints
-        moved_volume, move_count = self._execute_phased_moves(plan, trigger_size)
+        items, overflow_end = self._build_phased_items(plan, trigger_size)
+        self._note_transient_footprint(overflow_end)
+        _index, moved_volume, move_count = self._run_items(items, 0, _UNBOUNDED)
         self._install_plan(plan)
         self._note_flush(
             FlushRecord(
@@ -213,7 +206,7 @@ class CheckpointedReallocator(CostObliviousReallocator):
         the full ``L = S`` and ``L' = S'``, which costs at most one extra
         ``Delta`` of transient working space (the Lemma 3.1 bound becomes
         ``(1 + O(eps)) V + 2 Delta``) but guarantees disjoint moves for every
-        request pattern.  DESIGN.md discusses this in detail.
+        request pattern.
         """
         buffer_space = sum(
             self._regions[i].buffer_used for i in plan.flushed_indices
@@ -232,8 +225,8 @@ class CheckpointedReallocator(CostObliviousReallocator):
 
         Returns ``(items, overflow_end)`` where each item is either
         ``("move", name, size, target, reason)`` or ``("checkpoint",)``.
-        The deamortized variant (Section 3.3) replays these items
-        incrementally; this class replays them eagerly.
+        Both replay them through :meth:`_run_items`: the deamortized variant
+        (Section 3.3) a budgeted slice per update, this class all at once.
         """
         items: List[Tuple] = []
         buffer_space, overflow_base = self._flush_offsets(plan, trigger_size)
@@ -303,22 +296,46 @@ class CheckpointedReallocator(CostObliviousReallocator):
 
         return items, overflow_cursor
 
-    def _execute_phased_moves(self, plan: FlushPlan, trigger_size: int) -> Tuple[int, int]:
-        items, overflow_end = self._build_phased_items(plan, trigger_size)
-        self._note_transient_footprint(overflow_end)
-        moved_volume = 0
-        move_count = 0
-        for item in items:
+    def _run_items(self, items: Sequence[Tuple], index: int, budget: float) -> Tuple[int, int, int]:
+        """Execute phased items from ``items[index]`` on, while the volume
+        moved by this call is at most ``budget``.
+
+        Every move of this reallocator runs here, under the Section 3
+        rules: the destination must be disjoint from the source and, via
+        :meth:`_ensure_writable`, must not be frozen.  A move whose object
+        is already at its target or no longer occupies space is skipped and
+        costs nothing.  Returns ``(next_index, moved_volume, move_count)``.
+        """
+        lookup = self.space.get
+        record_move = self.translation.record_move
+        end = len(items)
+        moved_volume = move_count = 0
+        while index < end and moved_volume <= budget:
+            item = items[index]
+            index += 1
             if item[0] == "checkpoint":
                 self.checkpoint()
                 continue
-            _tag, obj_name, obj_size, target, reason = item
-            if self.space.extent_of(obj_name).start == target:
+            _tag, name, size, target, reason = item
+            old = lookup(name)
+            if old is None:
                 continue
-            self._move_object(obj_name, target, reason=reason)
-            moved_volume += obj_size
+            start = old.start
+            if start == target:
+                continue
+            if target < start + size and start < target + size:
+                raise RuntimeError(
+                    f"non-overlapping constraint violated: moving {name!r} from "
+                    f"{old} to {Extent(target, size)}"
+                )
+            new_extent = Extent(target, size)
+            self._ensure_writable(new_extent, reason)
+            self._relocate(name, size, old, new_extent, reason)
+            record_move(name, new_extent)
+            self._record_write(name, new_extent, moved_from=old)
+            moved_volume += size
             move_count += 1
-        return moved_volume, move_count
+        return index, moved_volume, move_count
 
     # ------------------------------------------------------- crash recovery
     def crash_and_recover(self) -> None:

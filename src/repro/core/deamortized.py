@@ -152,14 +152,12 @@ class DeamortizedReallocator(CheckpointedReallocator):
         return extra
 
     def _size_lookup(self, name: Hashable) -> int:
+        """Size of a live object, or of one whose delete is still logged."""
         if name in self._sizes:
             return self._sizes[name]
         return self._deferred_deletes[name]
 
-    def size_of(self, name: Hashable) -> int:
-        if name in self._sizes:
-            return self._sizes[name]
-        return self._deferred_deletes[name]
+    size_of = _size_lookup
 
     # -------------------------------------------------------------- requests
     def _do_insert(self, name: Hashable, size: int) -> None:
@@ -293,24 +291,13 @@ class DeamortizedReallocator(CheckpointedReallocator):
         if pending is None:
             return
         budget = self.work_factor * update_size
-        executed = 0.0
 
         # Stage 1: the planned phased moves.
-        while pending.next_item < len(pending.items) and executed <= budget:
-            item = pending.items[pending.next_item]
-            pending.next_item += 1
-            if item[0] == "checkpoint":
-                self.checkpoint()
-                continue
-            _tag, obj_name, obj_size, target, reason = item
-            if obj_name not in self.space:
-                continue
-            if self.space.extent_of(obj_name).start == target:
-                continue
-            self._move_object(obj_name, target, reason=reason)
-            executed += obj_size
-            pending.moved_volume += obj_size
-            pending.move_count += 1
+        pending.next_item, executed, moves = self._run_items(
+            pending.items, pending.next_item, budget
+        )
+        pending.moved_volume += executed
+        pending.move_count += moves
         if pending.next_item < len(pending.items):
             return
 

@@ -1,4 +1,4 @@
-"""Implementations of the experiments listed in DESIGN.md / EXPERIMENTS.md.
+"""Implementations of the experiments registered in :mod:`repro.harness.experiments`.
 
 Each ``run_*`` function accepts ``quick`` (smaller traces, used by the test
 suite and the default benchmark run) and returns an
@@ -491,8 +491,9 @@ def run_e6_transient_footprint(quick: bool = True) -> ExperimentResult:
         metrics = run_trace(allocator, trace)
         # The working space additionally holds the flushed buffers (an eps
         # fraction of the volume) and, for the deamortized variant, the tail
-        # buffer and the log — all O(eps V) terms — plus the 2*Delta noted in
-        # DESIGN.md (we do not subtract the trigger size from L / L').
+        # buffer and the log — all O(eps V) terms — plus the 2*Delta that
+        # CheckpointedReallocator._flush_offsets explains (we do not
+        # subtract the trigger size from L / L').
         bound = (1 + 3 * epsilon) * peak_volume + 2 * delta
         result.rows.append(
             [

@@ -1,8 +1,8 @@
 """Plain-text tables and series for benchmark output.
 
 Every benchmark prints its experiment's table through these helpers so the
-shape of the output matches from run to run and can be diffed against
-EXPERIMENTS.md.
+shape of the output matches from run to run and can be diffed between
+runs.
 """
 
 from __future__ import annotations

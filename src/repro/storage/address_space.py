@@ -6,16 +6,20 @@ The reallocators in :mod:`repro.core` mirror every placement into an
 addresses — and to answer footprint queries (the paper's objective: the
 largest allocated address).
 
-Footprint and volume are maintained incrementally (lazy max-heap of extent
-end addresses plus a running volume counter); the heap is compacted whenever
-lazily-deleted entries dominate, so its memory stays bounded by the live set
-even on delete-heavy traces.
+Volume is a running counter.  Footprint comes from whichever structure the
+space keeps: while validation is on, the live extents are pairwise disjoint
+and the address index (below) is sorted by start, hence by end as well, so
+the footprint is the end of its last entry, read in O(1).  With
+``validate=False`` extents may overlap, so the space keeps a lazy max-heap
+of end addresses instead; that heap is compacted whenever lazily-deleted
+entries dominate, so its memory stays bounded by the live set even on
+delete-heavy traces.
 
-Overlap auditing rides on an address-ordered index: a bisect-maintained list
-of ``(start, order, end, name)`` entries.  While validation is on, the live
-extents are pairwise disjoint by construction, so a placement can only clash
-with its nearest neighbours in address order — one bisect plus two neighbour
-probes, O(log n) per request instead of the pre-index scan over every live
+Overlap auditing rides on the address-ordered index: a bisect-maintained
+list of ``(start, order, end, name)`` entries.  Because the live extents
+are disjoint by construction, a placement can only clash with its nearest
+neighbours in address order — one bisect plus two neighbour probes,
+O(log n) per request instead of the pre-index scan over every live
 object.  The same index makes :meth:`free_gaps` and :meth:`verify_disjoint`
 single ordered walks with no sorting.  With ``validate=False`` the index is
 not maintained at all (overlapping extents would break its invariant), and
@@ -58,24 +62,38 @@ class AddressSpace:
         self._validate = validate
         self._extents: Dict[Hashable, Extent] = {}
         self._volume = 0
-        self._end_counts: Counter = Counter()
-        self._end_heap: List[int] = []
-        self._tracked_ends = 0
         # Address-ordered index, maintained only while validating: entries
         # are (start, order, end, name) where ``order`` is a unique serial
         # so bisection never compares the (possibly uncomparable) names.
         self._index: List[Tuple[int, int, int, Hashable]] = []
         self._order: Dict[Hashable, int] = {}
         self._order_seq = 0
+        if not validate:
+            # Overlapping extents break the index's end order, so an
+            # unaudited space finds its footprint in a lazy end-heap.
+            self._end_counts: Counter = Counter()
+            self._end_heap: List[int] = []
+            self._tracked_ends = 0
         # Bound once at construction, only when telemetry is enabled; the
         # hot paths pay a single attribute-is-None check while it is off.
         telemetry = get_telemetry()
+        self._c_probes = None
+        self._c_compactions = None
         if telemetry.enabled:
             self._c_probes = telemetry.counter("address_space.audit_probes")
-            self._c_compactions = telemetry.counter("address_space.heap_compactions")
-        else:
-            self._c_probes = None
-            self._c_compactions = None
+            if not validate:
+                self._c_compactions = telemetry.counter("address_space.heap_compactions")
+
+    def __setstate__(self, state: Dict) -> None:
+        """Unpickle, dropping the end-heap an older audited space carried.
+
+        Session and serve snapshots pickle whole allocators; before audited
+        spaces read their footprint from the index they also kept the heap.
+        """
+        if state.get("_validate", True):
+            for stale in ("_end_heap", "_end_counts", "_tracked_ends"):
+                state.pop(stale, None)
+        self.__dict__.update(state)
 
     @property
     def validate(self) -> bool:
@@ -95,6 +113,10 @@ class AddressSpace:
         """Return the extent occupied by ``name`` (KeyError if absent)."""
         return self._extents[name]
 
+    def get(self, name: Hashable) -> Optional[Extent]:
+        """The extent occupied by ``name``, or None if it is not placed."""
+        return self._extents.get(name)
+
     def items(self) -> Iterator[Tuple[Hashable, Extent]]:
         return iter(self._extents.items())
 
@@ -112,24 +134,26 @@ class AddressSpace:
         if counter is not None:
             counter.value += 1
         index = self._index
-        pos = bisect_left(index, (extent.start,))
+        start = extent.start
+        pos = bisect_left(index, (start,))
         i = pos - 1
         while i >= 0:  # nearest predecessor (start < extent.start)
             _, _, end, name = index[i]
             if name == ignore:
                 i -= 1
                 continue
-            if end > extent.start:
+            if end > start:
                 return name
             break
         i = pos
         size = len(index)
+        end = start + extent.length
         while i < size:  # nearest successor (start >= extent.start)
-            start, _, _, name = index[i]
+            successor, _, _, name = index[i]
             if name == ignore:
                 i += 1
                 continue
-            if start < extent.end:
+            if successor < end:
                 return name
             break
         return None
@@ -184,28 +208,36 @@ class AddressSpace:
                     f"{self._extents[clash]}"
                 )
             self._index_add(name, extent)
+        else:
+            self._track_end(extent.end)
         self._extents[name] = extent
         self._volume += extent.length
-        self._track_end(extent.end)
 
     def move(self, name: Hashable, extent: Extent) -> Extent:
         """Move an existing object to ``extent``; returns the old extent."""
-        if name not in self._extents:
+        extents = self._extents
+        old = extents.get(name)
+        if old is None:
             raise KeyError(f"object {name!r} is not placed")
-        old = self._extents[name]
         if self._validate:
             clash = self._find_overlap(extent, ignore=name)
             if clash is not None:
                 raise OverlapError(
                     f"moving {name!r} to {extent} overlaps {clash!r} at "
-                    f"{self._extents[clash]}"
+                    f"{extents[clash]}"
                 )
-            self._index_remove(name, old)
-            self._index_add(name, extent)
-        self._extents[name] = extent
+            # The object keeps its order serial: it is unique among the
+            # live names, which is all the bisection needs.
+            index = self._index
+            order = self._order[name]
+            start = extent.start
+            del index[bisect_left(index, (old.start, order))]
+            insort(index, (start, order, start + extent.length, name))
+        else:
+            self._untrack_end(old.end)
+            self._track_end(extent.end)
+        extents[name] = extent
         self._volume += extent.length - old.length
-        self._untrack_end(old.end)
-        self._track_end(extent.end)
         return old
 
     def remove(self, name: Hashable) -> Extent:
@@ -213,13 +245,18 @@ class AddressSpace:
         extent = self._extents.pop(name)
         if self._validate:
             self._index_remove(name, extent)
+        else:
+            self._untrack_end(extent.end)
         self._volume -= extent.length
-        self._untrack_end(extent.end)
         return extent
 
     # -------------------------------------------------------------- queries
     def footprint(self) -> int:
         """Largest allocated address (the paper's footprint objective)."""
+        if self._validate:
+            # Disjoint extents sorted by start are sorted by end too.
+            index = self._index
+            return index[-1][2] if index else 0
         heap = self._end_heap
         counts = self._end_counts
         while heap and -heap[0] not in counts:

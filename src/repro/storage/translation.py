@@ -30,9 +30,7 @@ class BlockTranslationLayer:
         self.checkpoints = checkpoints if checkpoints is not None else CheckpointManager()
         self._volatile: Dict[Hashable, Extent] = {}
         self._durable: Dict[Hashable, Extent] = {}
-        #: Content tag per physical address region, used to detect data loss
-        #: during crash-recovery tests.  Maps name -> extent it was last
-        #: durably written at.
+        #: Map updates (allocations, moves, frees) since the last checkpoint.
         self.updates_since_checkpoint = 0
 
     # ------------------------------------------------------------- volatile

@@ -1,6 +1,7 @@
 """Unit tests for the auditing address space."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.storage.address_space import AddressSpace, OverlapError
 from repro.storage.extent import Extent
@@ -88,8 +89,10 @@ def test_snapshot_is_a_copy():
 def test_end_heap_is_compacted_on_delete_heavy_churn():
     """A long insert/delete churn trace must not grow the lazy footprint
     heap without bound: stale entries are compacted away once they exceed
-    2x the live ones, so the heap stays proportional to the live set."""
-    space = AddressSpace()
+    2x the live ones, so the heap stays proportional to the live set.
+    Only an unaudited space keeps the heap; an audited one reads its
+    footprint from the address index."""
+    space = AddressSpace(validate=False)
     for round_number in range(5000):
         # Two live objects at a time, with ever-changing end addresses so
         # every round pushes fresh heap entries and strands the old ones.
@@ -169,3 +172,68 @@ def test_incremental_footprint_and_volume_match_naive_recomputation(seed):
         del mirror[name]
         assert space.footprint() == _naive_footprint(mirror)
     assert space.footprint() == 0 and space.volume() == 0
+
+
+def test_audited_space_keeps_no_end_heap():
+    space = AddressSpace()
+    space.place("a", Extent(0, 4))
+    assert not hasattr(space, "_end_heap") and not hasattr(space, "_end_counts")
+    assert hasattr(AddressSpace(validate=False), "_end_heap")
+
+
+#: One step of the audited-footprint property test: an op, a name slot, an
+#: address and a length (``move`` keeps the object's length, as the
+#: reallocators do).
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["place", "move", "remove"]),
+        st.integers(0, 11),
+        st.integers(0, 120),
+        st.integers(1, 24),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(steps=_STEPS)
+def test_audited_footprint_matches_naive_recomputation(steps):
+    """An audited space reads its footprint from the last index entry.
+    Random place/move/remove sequences, including overlapping requests the
+    audit rejects, must always agree with a from-scratch recompute, and a
+    rejected request must leave footprint and volume unchanged."""
+    space = AddressSpace()
+    mirror = {}
+    for op, slot, address, length in steps:
+        name = f"obj-{slot}"
+        before = (space.footprint(), space.volume())
+        if op == "move" and name in mirror:
+            length = mirror[name].length
+        extent = Extent(address, length)
+        clash = op != "remove" and any(
+            extent.overlaps(other) for other_name, other in mirror.items() if other_name != name
+        )
+        if op == "place" and name not in mirror:
+            if clash:
+                with pytest.raises(OverlapError):
+                    space.place(name, extent)
+            else:
+                space.place(name, extent)
+                mirror[name] = extent
+        elif op == "move" and name in mirror:
+            if clash:
+                with pytest.raises(OverlapError):
+                    space.move(name, extent)
+            else:
+                assert space.move(name, extent) == mirror[name]
+                mirror[name] = extent
+        elif op == "remove" and name in mirror:
+            assert space.remove(name) == mirror.pop(name)
+        else:
+            continue
+        if clash:
+            assert (space.footprint(), space.volume()) == before
+        assert space.footprint() == _naive_footprint(mirror)
+        assert space.volume() == _naive_volume(mirror)
+        assert space.snapshot() == mirror
+    space.verify_disjoint()

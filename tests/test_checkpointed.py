@@ -144,3 +144,20 @@ def test_system_initiated_checkpoints_are_counted():
     realloc.checkpoint()
     realloc.checkpoint()
     assert realloc.stats.checkpoints == before + 2
+
+
+def test_move_sharing_an_address_with_its_source_is_refused():
+    """Section 3's non-overlapping moves: a destination that shares even one
+    address with the object's current extent is refused before anything is
+    written, on either side of the source."""
+    realloc = CheckpointedReallocator(epsilon=0.5)
+    realloc.insert("a", 8)
+    realloc._move_object("a", realloc.footprint + 16)
+    start = realloc.address_of("a")
+    layout = realloc.space.snapshot()
+    for target in (start + 7, start + 1, start - 7):
+        with pytest.raises(RuntimeError, match="non-overlapping"):
+            realloc._move_object("a", target)
+    assert realloc.space.snapshot() == layout
+    assert realloc.stats.total_moves == 1
+    assert realloc.translation.lookup("a") == layout["a"]

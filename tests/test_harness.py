@@ -2,7 +2,8 @@
 
 These are the tests that tie the library back to the paper: each experiment's
 quick run must reproduce the qualitative statement of the theorem/lemma/figure
-it corresponds to (see EXPERIMENTS.md for the mapping).
+it corresponds to (the mapping is each ``Experiment``'s ``paper_reference``
+in :mod:`repro.harness.experiments`).
 """
 
 import pytest
