@@ -16,7 +16,12 @@ Hard guards that run on every invocation (no ``--benchmark-only`` needed):
 * streaming replay (v3z) and streaming analytics (v3) through
   :class:`TraceFileSource` must complete with a small fraction of the peak
   memory that materialising the :class:`Trace` costs — i.e. they provably
-  never hold the trace.
+  never hold the trace;
+* a served-style recording (50-request batches over a ~200-live churn,
+  ``sync()`` after each batch) must stay within 125% of the same requests
+  written offline, and its ``sync()`` must be at least 3x faster than the
+  snapshot-per-sync writer preserved in :mod:`benchmarks.legacy_codec`;
+  both files must decode to the same requests.
 
 The default trace is 200k requests so CI stays fast; set
 ``REPRO_BENCH_FULL=1`` for the 1M-request version of the acceptance run::
@@ -31,12 +36,17 @@ import tracemalloc
 import pytest
 
 from benchmarks.bench_artifact import record_metric
-from benchmarks.legacy_codec import iter_legacy_trace, save_legacy_trace
+from benchmarks.legacy_codec import (
+    SnapshotPerSyncWriter,
+    iter_legacy_trace,
+    save_legacy_trace,
+)
 from repro.allocators import FirstFitAllocator
 from repro.campaign import analytics_result, analyze_trace
 from repro.engine import SimulationEngine, analyze_trace_parallel
 from repro.engine.analytics import TraceAnalyticsObserver
 from repro.workloads import (
+    BinaryTraceWriter,
     TraceFileSource,
     UniformSizes,
     churn_trace,
@@ -311,4 +321,73 @@ def test_streaming_replay_never_materialises_the_trace(trace_files):
     assert streaming_peak <= materialised_peak * 0.2, (
         f"streaming replay peaked at {streaming_peak} bytes vs {materialised_peak} "
         "for the materialised trace; the pipeline is buffering the trace somewhere"
+    )
+
+
+#: The served emulation: the serve tier's 50-request batches, each synced.
+SERVED_BATCH = 50
+SERVED_REQUESTS = 25_000
+
+
+def _served_sync_seconds(writer_class, path, requests):
+    """Record ``requests`` as a served tenant does: write a batch, then
+    ``sync()``.  Returns the seconds spent in ``sync()``."""
+    seconds = 0.0
+    writer = writer_class(path, label="served")
+    for start in range(0, len(requests), SERVED_BATCH):
+        for request in requests[start : start + SERVED_BATCH]:
+            writer.write(request)
+        started = time.perf_counter()
+        writer.sync()
+        seconds += time.perf_counter() - started
+    writer.close()
+    return seconds
+
+
+def test_served_sync_writes_continuation_blocks(tmp_path):
+    """The served-emulation guard: synced recordings cost <= 1.25x the
+    offline bytes, and sync() is >= 3x the snapshot-per-sync writer.
+
+    Best-of-3 sync time per writer with the two interleaved, so a load
+    spike hits both sides; both run on the same requests in one process.
+    """
+    trace = churn_trace(SERVED_REQUESTS, UniformSizes(1, 64), target_live=200, seed=78)
+    requests = list(trace)
+    offline, served, legacy = (
+        tmp_path / "offline.v3", tmp_path / "served.v3", tmp_path / "legacy.v3"
+    )
+    save_trace(trace, offline, version=3)
+    live_seconds = legacy_seconds = float("inf")
+    for _ in range(3):
+        legacy_seconds = min(
+            legacy_seconds, _served_sync_seconds(SnapshotPerSyncWriter, legacy, requests)
+        )
+        live_seconds = min(
+            live_seconds, _served_sync_seconds(BinaryTraceWriter, served, requests)
+        )
+    batches = SERVED_REQUESTS // SERVED_BATCH
+    speedup = legacy_seconds / live_seconds
+    size_ratio = os.path.getsize(served) / os.path.getsize(offline)
+    print(
+        f"\nserved emulation, {SERVED_REQUESTS} requests in {batches} synced batches: "
+        f"sync {live_seconds / batches * 1e6:.1f} us/batch vs snapshot-per-sync "
+        f"{legacy_seconds / batches * 1e6:.1f} us ({speedup:.1f}x); bytes "
+        f"{size_ratio:.3f}x offline (snapshot-per-sync "
+        f"{os.path.getsize(legacy) / os.path.getsize(offline):.2f}x)"
+    )
+    record_metric(
+        "trace_io", "served_sync_us_per_batch", round(live_seconds / batches * 1e6, 2), "us"
+    )
+    record_metric("trace_io", "served_sync_speedup_vs_snapshot", round(speedup, 2), "ratio")
+    record_metric("trace_io", "served_over_offline_bytes", round(size_ratio, 4), "ratio")
+    expected = [(r.op, str(r.name), r.size) for r in requests]
+    assert [(r.op, r.name, r.size) for r in iter_trace(served)] == expected
+    assert [(r.op, r.name, r.size) for r in iter_trace(legacy)] == expected
+    assert size_ratio <= 1.25, (
+        f"a served recording is {size_ratio:.2f}x the offline file of the same "
+        "requests (guard: <= 1.25x); sync() is writing snapshots again"
+    )
+    assert speedup >= 3.0, (
+        f"sync() is only {speedup:.2f}x the snapshot-per-sync writer "
+        "(guard: >= 3x); continuation blocks regressed"
     )

@@ -1,7 +1,7 @@
-"""Frozen copies of the retired v2 binary trace codec.
+"""Frozen copies of retired trace codec behaviour.
 
 ``src/`` no longer writes v2 (v3 is the only binary format it produces) and
-reads v2 through the v3 block decoder.  Two frozen pieces of the old codec
+reads v2 through the v3 block decoder.  Three frozen pieces of older codecs
 live here instead:
 
 * the pre-block-index v2 *decoder* (the reader ``repro.workloads.binary``
@@ -13,7 +13,12 @@ live here instead:
   interpreter and hardware;
 * the last v2 *encoder* (:func:`save_legacy_trace`, plain or whole-body
   zlib), byte-for-byte what ``save_trace(version=2[, compress=True])``
-  wrote, so tests and benchmarks can still produce legacy v2 inputs.
+  wrote, so tests and benchmarks can still produce legacy v2 inputs;
+* the snapshot-per-sync v3 writer (:class:`SnapshotPerSyncWriter`): the
+  live writer with ``sync()`` as it was before continuation blocks, ending
+  the segment so the next block re-snapshots every live name.
+  ``bench_trace_io`` times served-style syncs through it and through the
+  live writer and asserts the live ``sync()`` is at least 3x faster.
 
 Not a public API; only the benchmarks and tests import this.
 """
@@ -24,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List
 
 from repro.workloads.base import INSERT, Request
+from repro.workloads.binary import BinaryTraceWriter
 
 MAGIC = b"\x93RPTRACE"
 LEGACY_VERSION = 2
@@ -358,3 +364,15 @@ def save_legacy_trace(trace, path, metadata=None, compress: bool = False) -> Non
         flush()
         if compressor is not None:
             handle.write(compressor.flush())
+
+
+# ------------------------------------------------------- snapshot-per-sync v3
+class SnapshotPerSyncWriter(BinaryTraceWriter):
+    """The v3 writer whose ``sync()`` ends the segment: the next block is a
+    snapshot block again, so every sync pays a sorted, front-coded snapshot
+    of every live name (O(live) work and bytes per sync)."""
+
+    def sync(self) -> None:
+        super().sync()
+        if self._segment_records:
+            self._start_segment()

@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Union
@@ -128,7 +129,11 @@ class NullSink:
 
 
 class MemorySink:
-    """Buffers events in a list (campaign worker cells, tests)."""
+    """Buffers events in a list (campaign worker cells, tests).
+
+    Threads may share one: each event is a single ``list.append``, which is
+    atomic.
+    """
 
     def __init__(self) -> None:
         self.events: List[Dict[str, Any]] = []
@@ -141,20 +146,30 @@ class MemorySink:
 
 
 class JsonlSink:
-    """Writes one JSON object per line to ``path`` (created eagerly)."""
+    """Writes one JSON object per line to ``path`` (created eagerly).
+
+    Threads may share one (the serve tier's tenant executor threads emit
+    concurrently): a line is encoded outside the lock and written whole
+    under it, so lines never interleave.  Disabled telemetry never reaches
+    a sink, so the lock costs nothing then.
+    """
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = str(path)
         self._handle = open(self.path, "w", encoding="utf-8")
+        self._lock = threading.Lock()
 
     def emit(self, event: Dict[str, Any]) -> None:
-        if self._handle is not None:
-            self._handle.write(json.dumps(event, sort_keys=True, default=str) + "\n")
+        line = json.dumps(event, sort_keys=True, default=str) + "\n"
+        with self._lock:
+            if self._handle is not None:
+                self._handle.write(line)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
 
 # ------------------------------------------------------------------ telemetry

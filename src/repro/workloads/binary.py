@@ -9,25 +9,33 @@ Layout of a v3 file (the only binary version written)::
     header len   varint    byte length of the JSON header block
     header       bytes     UTF-8 JSON: {"label": str, "meta": {...}}
 
-then self-contained **blocks** of records and an END record::
+then **segments** — a snapshot block and any continuation blocks after
+it — and an END record::
 
-    0x05  BLOCK:  varint record-count      records encoded in this block
-                  varint entry-count       objects live at block entry
-                  varint snapshot-len      byte length of the snapshot
-                  snapshot                 entry-count x (front-coded name,
+    0x05  BLOCK:     varint record-count   records encoded in this block
+                     varint entry-count    objects live at segment entry
+                     varint snapshot-len   byte length of the snapshot
+                     snapshot              entry-count x (front-coded name,
                                            varint size), sorted by UTF-8
                                            name bytes, front-coded from ""
-                  varint body-len          on-disk body bytes
-                  body                     records (zlib-compressed per
+                     varint body-len       on-disk body bytes
+                     body                  records (zlib-compressed per
                                            block when flagged)
 
-    0x00  END:    varint total record count
-                  varint block count
-                  block count x (varint offset, varint record-count)
-                    - offset of the 0x05 tag: absolute for the first
-                      block, delta from the previous offset after that
-                  8 bytes   little-endian absolute offset of the END tag
-                  8 bytes   footer magic b"\\x93RPT3IDX"
+    0x06  CONTINUE:  varint record-count   records encoded in this block
+                     varint body-len       on-disk body bytes
+                     body                  records, decoded against the
+                                           interning table the block before
+                                           it left (no snapshot)
+
+    0x00  END:       varint total record count
+                     varint segment count
+                     segment count x (varint offset, varint record-count)
+                       - offset of the segment's 0x05 tag: absolute for the
+                         first segment, delta from the previous offset
+                         after that; record-count covers the whole segment
+                     8 bytes   little-endian absolute offset of the END tag
+                     8 bytes   footer magic b"\\x93RPT3IDX"
 
 A block body is a sequence of varint-encoded records over a *live-scoped
 interned name table*: an insert binds its name to an integer id (the most
@@ -48,16 +56,23 @@ generate to a couple of bytes.
     0x04  DELETE, other name: varint shared-prefix-len, varint suffix-len,
                               suffix bytes                (binds nothing)
 
-Each block re-binds the snapshot names to ids ``0..entry_count-1`` in
-snapshot order (next fresh id = entry_count, free-id pool empty) and
+A snapshot block re-binds the snapshot names to ids ``0..entry_count-1``
+in snapshot order (next fresh id = entry_count, free-id pool empty) and
 front-codes record names starting from the *last* snapshot name, so a
-block can be decoded knowing nothing but its own bytes.  The fixed-size
-trailer lets a reader seek straight to the footer, then to any block —
-that is what :func:`read_block_index` and sharded parallel replay build
-on.  Truncation stays loud: every byte before the trailer is needed to
-reach the END record, the footer must agree with the blocks actually
-read, and the trailer offset must point back at the END tag.  All varints
-are unsigned LEB128.
+segment decodes from its own bytes alone.  A continuation block carries
+on the ids, free-id pool and previous name the block before it left.
+The writer opens a snapshot block every ``block_records`` records; only
+:meth:`BinaryTraceWriter.sync` writes continuation blocks, so without it
+a segment is one block.  The footer indexes segments, and the fixed-size
+trailer lets a reader seek straight to the footer, then to any segment —
+what :func:`read_block_index` and sharded parallel replay build on.
+Errors name blocks ``block S`` (segment ``S``'s snapshot block) or ``block
+S.J`` (its ``J``-th continuation block).  Truncation stays loud: every
+byte before the trailer is needed to reach the END record, the footer
+must agree with the segments read, and the trailer offset must point back
+at the END tag.  All varints are unsigned LEB128.  Readers older than
+continuation blocks reject a synced file ("unknown record tag 0x06");
+``repro trace convert`` rewrites it with snapshot blocks only.
 
 **Legacy v2 (read-only).** v2 files share the magic/flags/header layout
 (version varint 2; flag bit 0 means *one* zlib stream over the whole body)
@@ -83,7 +98,7 @@ import sys
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.faults.injector import fault_write
 from repro.obs.telemetry import get_telemetry
@@ -106,6 +121,7 @@ _TAG_INSERT_REF = 0x02
 _TAG_DELETE_REF = 0x03
 _TAG_DELETE_NEW = 0x04
 _TAG_BLOCK = 0x05
+_TAG_CONTINUE = 0x06
 
 _FOOTER_MAGIC = b"\x93RPT3IDX"
 _TRAILER_LEN = 8 + len(_FOOTER_MAGIC)
@@ -330,25 +346,36 @@ def _decode_snapshot(
     return names, sizes, raw
 
 
-def _decode_block_records(
-    body: bytes, names: List[str], previous_name: bytes, expected: int, path, where: str
-):
+class _NameTable:
+    """What a block body decodes against: bound ids, the free-id pool, the
+    next fresh id and the front-coding name (see the module docstring)."""
+
+    __slots__ = ("bound", "free_ids", "next_id", "previous_name")
+
+    def __init__(self, names: Sequence[str] = (), previous_name: bytes = b"") -> None:
+        self.bound: Dict[int, str] = dict(enumerate(names))
+        self.free_ids: List[int] = []
+        self.next_id = len(names)
+        self.previous_name = previous_name
+
+
+def _decode_block_records(body: bytes, table: _NameTable, expected: int, path, where: str):
     """Yield exactly ``expected`` requests from one in-memory block body.
 
-    The interned-name table starts as the snapshot ``names`` bound to ids
-    ``0..len(names)-1``; front-coding starts from ``previous_name`` (the
-    last snapshot name).  The body must contain exactly the declared
-    records with no bytes left over.  ``where`` (``"block 5"``) prefixes
-    error messages.
+    Records are decoded against ``table``, which is left as the next
+    continuation block needs it once the body is decoded.  The body must
+    contain exactly the declared records with no bytes left over.
+    ``where`` (``"block 5"``) prefixes error messages.
 
     With ``expected=_UNTIL_END`` (a legacy v2 body) decoding instead stops
     at the first END tag and the generator returns ``(records, pos)``,
     ``pos`` being the offset just past that tag; the caller checks what
     follows it.
     """
-    bound: Dict[int, str] = dict(enumerate(names))
-    free_ids: List[int] = []
-    next_id = len(names)
+    bound = table.bound
+    free_ids = table.free_ids
+    next_id = table.next_id
+    previous_name = table.previous_name
     count = 0
     pos = 0
     try:
@@ -475,18 +502,22 @@ def _decode_block_records(
         raise TraceFormatError(
             f"{path}: {where}: trailing bytes after the declared records"
         )
+    table.next_id = next_id
+    table.previous_name = previous_name
 
 
-def _read_block_parts(handle, compressed: bool, path, block: int):
-    """Read one block with ``handle`` positioned just past its 0x05 tag.
+def _read_block(handle, snapshot: bool, compressed: bool, path, segment: int, where: str):
+    """Read one block with ``handle`` positioned just past its tag.
 
-    Returns ``(record_count, names, sizes, last_raw_name, body_bytes)``
-    with the body already decompressed and the snapshot decoded.
+    Returns ``(record_count, entries, body)`` with the body decompressed;
+    ``entries`` is the decoded ``(names, sizes, last_raw_name)`` snapshot
+    of a snapshot block and ``None`` for a continuation block.
     """
     record_count = _read_varint_from(handle, "block record count", path)
-    entry_count = _read_varint_from(handle, "block entry count", path)
-    snapshot_len = _read_varint_from(handle, "block snapshot length", path)
-    snapshot = _read_exact_from(handle, snapshot_len, "block snapshot", path)
+    if snapshot:
+        entry_count = _read_varint_from(handle, "block entry count", path)
+        snapshot_len = _read_varint_from(handle, "block snapshot length", path)
+        data = _read_exact_from(handle, snapshot_len, "block snapshot", path)
     body_len = _read_varint_from(handle, "block body length", path)
     body = _read_exact_from(handle, body_len, "block body", path)
     if compressed:
@@ -494,85 +525,149 @@ def _read_block_parts(handle, compressed: bool, path, block: int):
             body = zlib.decompress(body)
         except zlib.error as error:
             raise TraceFormatError(
-                f"{path}: block {block}: corrupt zlib block body ({error})"
+                f"{path}: {where}: corrupt zlib block body ({error})"
             ) from error
-    names, sizes, last_raw = _decode_snapshot(snapshot, entry_count, path, block)
-    return record_count, names, sizes, last_raw, body
+    entries = _decode_snapshot(data, entry_count, path, segment) if snapshot else None
+    return record_count, entries, body
+
+
+@dataclass
+class _Walk:
+    """What :func:`_walk_blocks` read: ``[offset, records]`` per segment,
+    the blocks decoded, and the tag that ended the walk (``None``: end of
+    data, or a torn block in a tolerant walk)."""
+
+    segments: List[List[int]] = field(default_factory=list)
+    blocks: int = 0
+    stop_tag: Optional[int] = None
+
+
+def _walk_blocks(
+    handle, path, compressed: bool, walk: _Walk, strict: bool = True,
+    first_segment: int = 0, segments: Optional[int] = None,
+) -> Iterator[Iterator[Request]]:
+    """Walk v3 blocks from the handle's position, yielding each block's
+    requests as an iterator to consume before asking for the next.
+
+    The continuation rule lives here: a snapshot block opens a segment
+    with a fresh interning table, a continuation block decodes against the
+    table the block before it left.  The walk ends at the first tag that
+    starts no block of it (END, garbage, end of data, or the snapshot block
+    after ``segments`` segments), leaving the handle just past that tag.
+    Strict walks raise :class:`TraceFormatError` on a malformed block;
+    tolerant ones stop quietly before it and never yield part of a block.
+    """
+    table: Optional[_NameTable] = None
+    segment = continuation = 0
+    while True:
+        offset = handle.tell()
+        probe = handle.read(1)
+        tag = probe[0] if probe else None
+        if tag == _TAG_BLOCK and (segments is None or len(walk.segments) < segments):
+            segment = first_segment + len(walk.segments)
+            continuation = 0
+            where = f"block {segment}"
+        elif tag == _TAG_CONTINUE and table is not None:
+            continuation += 1
+            where = f"block {segment}.{continuation}"
+        elif tag == _TAG_CONTINUE and strict:
+            raise TraceFormatError(
+                f"{path}: block {first_segment}: continuation block with no "
+                "snapshot block before it"
+            )
+        else:
+            walk.stop_tag = tag
+            return
+        try:
+            count, entries, body = _read_block(
+                handle, tag == _TAG_BLOCK, compressed, path, segment, where
+            )
+            if entries is not None:
+                table = _NameTable(entries[0], entries[2])
+            decoded = _decode_block_records(body, table, count, path, where)
+            if not strict:
+                decoded = list(decoded)
+        except TraceFormatError:
+            if strict:
+                raise
+            return
+        if entries is not None:
+            walk.segments.append([offset, 0])
+        walk.segments[-1][1] += count
+        walk.blocks += 1
+        yield decoded
+
+
+def _read_footer(handle, path) -> Tuple[int, List[Tuple[int, int]]]:
+    """Read the END record past its tag: ``(total records, [(segment
+    offset, segment records), ...])``."""
+    total = _read_varint_from(handle, "END trailer record count", path)
+    entries: List[Tuple[int, int]] = []
+    offset = 0
+    for _ in range(_read_varint_from(handle, "footer segment count", path)):
+        offset += _read_varint_from(handle, "footer segment offset", path)
+        entries.append((offset, _read_varint_from(handle, "footer segment records", path)))
+    return total, entries
+
+
+def _check_segments(path, indexed: List[Tuple[int, int]], walk: _Walk, first: int = 0) -> None:
+    """The footer's ``(offset, records)`` entries from segment ``first`` on
+    must match the segments the walk read, one for one."""
+    read = walk.segments
+    for index in range(max(len(indexed), len(read))):
+        entry = list(indexed[index]) if index < len(indexed) else "nothing"
+        seen = read[index] if index < len(read) else "nothing"
+        if entry != seen:
+            stop = "end of data" if walk.stop_tag is None else f"tag 0x{walk.stop_tag:02x}"
+            raise TraceFormatError(
+                f"{path}: footer entry {first + index} disagrees with the segment "
+                f"of block {first + index} actually read ([offset, records] in the "
+                f"footer: {entry}, read: {seen}; the walk stopped at {stop})"
+            )
 
 
 def _iter_v3_records(handle, header: BinaryHeader, path) -> Iterator[Request]:
     """Sequential scan of a v3 body: blocks, END record, footer, trailer."""
     start_offset = handle.tell()
-    blocks_seen: List[Tuple[int, int]] = []  # (offset, record_count)
-    count = 0
-    while True:
-        offset = handle.tell()
-        probe = handle.read(1)
-        if len(probe) != 1:
-            raise TraceFormatError(
-                f"{path}: truncated trace file (end of data before the END "
-                f"trailer; {count} record(s) read)"
-            )
-        tag = probe[0]
-        if tag == _TAG_BLOCK:
-            block = len(blocks_seen)
-            record_count, names, _sizes, last_raw, body = _read_block_parts(
-                handle, header.compressed, path, block
-            )
-            yield from _decode_block_records(
-                body, names, last_raw, record_count, path, f"block {block}"
-            )
-            blocks_seen.append((offset, record_count))
-            count += record_count
-        elif tag == _TAG_END:
-            declared = _read_varint_from(handle, "END trailer record count", path)
-            if declared != count:
-                raise TraceFormatError(
-                    f"{path}: record count mismatch: END trailer declares "
-                    f"{declared}, read {count}"
-                )
-            block_count = _read_varint_from(handle, "footer block count", path)
-            if block_count != len(blocks_seen):
-                raise TraceFormatError(
-                    f"{path}: footer block count mismatch: footer declares "
-                    f"{block_count}, read {len(blocks_seen)}"
-                )
-            previous = 0
-            for index in range(block_count):
-                delta = _read_varint_from(handle, "footer block offset", path)
-                block_offset = delta if index == 0 else previous + delta
-                block_records = _read_varint_from(handle, "footer block records", path)
-                if (block_offset, block_records) != blocks_seen[index]:
-                    raise TraceFormatError(
-                        f"{path}: footer entry {index} disagrees with the block "
-                        f"actually read (footer says offset {block_offset} / "
-                        f"{block_records} record(s), read "
-                        f"{blocks_seen[index][0]} / {blocks_seen[index][1]})"
-                    )
-                previous = block_offset
-            trailer = _read_exact_from(handle, _TRAILER_LEN, "footer trailer", path)
-            if trailer[8:] != _FOOTER_MAGIC:
-                raise TraceFormatError(
-                    f"{path}: bad footer magic {trailer[8:]!r} in the v3 trailer"
-                )
-            end_offset = int.from_bytes(trailer[:8], "little")
-            if end_offset != offset:
-                raise TraceFormatError(
-                    f"{path}: v3 trailer points at offset {end_offset}, but the "
-                    f"END record is at {offset}"
-                )
-            if handle.read(1):
-                raise TraceFormatError(f"{path}: trailing data after the END trailer")
-            telemetry = get_telemetry()
-            if telemetry.enabled:
-                telemetry.add("trace_io.decode_records", count)
-                telemetry.add("trace_io.decode_bytes", handle.tell() - start_offset)
-                telemetry.add("trace_io.decode_files")
-            return
-        else:
-            raise TraceFormatError(
-                f"{path}: block {len(blocks_seen)}: unknown record tag 0x{tag:02x}"
-            )
+    walk = _Walk()
+    for block in _walk_blocks(handle, path, header.compressed, walk):
+        yield from block
+    count = sum(records for _offset, records in walk.segments)
+    if walk.stop_tag is None:
+        raise TraceFormatError(
+            f"{path}: truncated trace file (end of data before the END "
+            f"trailer; {count} record(s) read)"
+        )
+    if walk.stop_tag != _TAG_END:
+        raise TraceFormatError(
+            f"{path}: block {len(walk.segments)}: unknown record tag 0x{walk.stop_tag:02x}"
+        )
+    offset = handle.tell() - 1
+    declared, footer = _read_footer(handle, path)
+    if declared != count:
+        raise TraceFormatError(
+            f"{path}: record count mismatch: END trailer declares "
+            f"{declared}, read {count}"
+        )
+    _check_segments(path, footer, walk)
+    trailer = _read_exact_from(handle, _TRAILER_LEN, "footer trailer", path)
+    if trailer[8:] != _FOOTER_MAGIC:
+        raise TraceFormatError(
+            f"{path}: bad footer magic {trailer[8:]!r} in the v3 trailer"
+        )
+    end_offset = int.from_bytes(trailer[:8], "little")
+    if end_offset != offset:
+        raise TraceFormatError(
+            f"{path}: v3 trailer points at offset {end_offset}, but the "
+            f"END record is at {offset}"
+        )
+    if handle.read(1):
+        raise TraceFormatError(f"{path}: trailing data after the END trailer")
+    telemetry = get_telemetry()
+    if telemetry.enabled:
+        telemetry.add("trace_io.decode_records", count)
+        telemetry.add("trace_io.decode_bytes", handle.tell() - start_offset)
+        telemetry.add("trace_io.decode_files")
 
 
 def _iter_v2_records(handle, header: BinaryHeader, path) -> Iterator[Request]:
@@ -594,7 +689,7 @@ def _iter_v2_records(handle, header: BinaryHeader, path) -> Iterator[Request]:
                 f"{path}: trailing data after the compressed record body"
             )
     count, pos = yield from _decode_block_records(
-        body, [], b"", _UNTIL_END, path, "v2 body"
+        body, _NameTable(), _UNTIL_END, path, "v2 body"
     )
     trailer = io.BytesIO(body[pos:])
     declared = _read_varint_from(trailer, "END trailer record count", path)
@@ -613,33 +708,25 @@ def _iter_v2_records(handle, header: BinaryHeader, path) -> Iterator[Request]:
 
 
 # --------------------------------------------------------------- block index
-def _check_block_tag(handle, path, block: int) -> None:
-    tag = _read_exact_from(handle, 1, "block tag", path)[0]
-    if tag != _TAG_BLOCK:
-        raise TraceFormatError(
-            f"{path}: block {block}: expected a block tag at its indexed "
-            f"offset, found 0x{tag:02x}"
-        )
-
-
 @dataclass(frozen=True)
 class TraceBlock:
-    """One v3 block as described by the footer index."""
+    """One indexed v3 segment: its snapshot block and the continuation
+    blocks after it, as described by the footer index."""
 
-    index: int  # position in the block sequence
-    offset: int  # absolute file offset of the 0x05 block tag
-    records: int  # records encoded in this block
-    start: int  # global index of the block's first record
+    index: int  # position in the segment sequence
+    offset: int  # absolute file offset of the segment's 0x05 block tag
+    records: int  # records encoded in the whole segment
+    start: int  # global index of the segment's first record
 
 
 @dataclass
 class BlockIndex:
-    """The seek index of a v3 trace: where every block lives.
+    """The seek index of a v3 trace: where every segment lives.
 
     Built by :func:`read_block_index` from the fixed-size trailer at the
     end of the file — no body scan.  ``entry_snapshot`` and ``iter_range``
-    seek straight to a block, which is what sharded parallel replay and
-    suffix scans build on.
+    seek straight to a segment's snapshot block, which is what sharded
+    parallel replay and suffix scans build on.
     """
 
     path: str
@@ -656,37 +743,37 @@ class BlockIndex:
         target = self.blocks[block]
         with open(self.path, "rb") as handle:
             handle.seek(target.offset)
-            _check_block_tag(handle, self.path, block)
-            _count, names, sizes, _last, _body = _read_block_parts(
-                handle, self.compressed, self.path, block
+            tag = _read_exact_from(handle, 1, "block tag", self.path)[0]
+            if tag != _TAG_BLOCK:
+                raise TraceFormatError(
+                    f"{self.path}: block {block}: expected a block tag at its "
+                    f"indexed offset, found 0x{tag:02x}"
+                )
+            _count, (names, sizes, _last), _body = _read_block(
+                handle, True, self.compressed, self.path, block, f"block {block}"
             )
         self._count_seeks(1)
         return list(zip(names, sizes))
 
     def iter_range(self, start: int, stop: Optional[int] = None) -> Iterator[Request]:
-        """Yield the requests of blocks ``start..stop-1`` by seeking.
+        """Yield the requests of segments ``start..stop-1`` by seeking.
 
         ``stop`` defaults to the end of the trace, so ``iter_range(n)`` is
-        the suffix of the trace from block ``n`` on.
+        the suffix of the trace from segment ``n`` on.
         """
         blocks = self.blocks[start:stop]
         if not blocks:
             return
+        walk = _Walk()
         with open(self.path, "rb") as handle:
             handle.seek(blocks[0].offset)
-            for block in blocks:
-                _check_block_tag(handle, self.path, block.index)
-                record_count, names, _sizes, last_raw, body = _read_block_parts(
-                    handle, self.compressed, self.path, block.index
-                )
-                if record_count != block.records:
-                    raise TraceFormatError(
-                        f"{self.path}: block {block.index} declares {record_count} "
-                        f"record(s), footer index says {block.records}"
-                    )
-                yield from _decode_block_records(
-                    body, names, last_raw, record_count, self.path, f"block {block.index}"
-                )
+            for block in _walk_blocks(
+                handle, self.path, self.compressed, walk,
+                first_segment=blocks[0].index, segments=len(blocks),
+            ):
+                yield from block
+        indexed = [(block.offset, block.records) for block in blocks]
+        _check_segments(self.path, indexed, walk, blocks[0].index)
         self._count_seeks(len(blocks))
 
     def _count_seeks(self, seeks: int) -> None:
@@ -704,11 +791,7 @@ def read_block_index(path: Union[str, os.PathLike]) -> Optional[BlockIndex]:
     to be v3 but its trailer or footer is missing or corrupt.
     """
     with open(path, "rb") as handle:
-        head = handle.read(2)
-        if head == b"\x1f\x8b":  # gzip container: no random access
-            return None
-        handle.seek(0)
-        if handle.read(len(MAGIC)) != MAGIC:
+        if handle.read(len(MAGIC)) != MAGIC:  # text, or a gzip container
             return None
         handle.seek(0)
         header = read_binary_header(handle, path)
@@ -737,17 +820,11 @@ def read_block_index(path: Union[str, os.PathLike]) -> Optional[BlockIndex]:
             raise TraceFormatError(
                 f"{path}: v3 trailer points at tag 0x{tag:02x}, not the END record"
             )
-        total = _read_varint_from(handle, "END trailer record count", path)
-        block_count = _read_varint_from(handle, "footer block count", path)
+        total, footer = _read_footer(handle, path)
         blocks: List[TraceBlock] = []
-        previous = 0
         start = 0
-        for index in range(block_count):
-            delta = _read_varint_from(handle, "footer block offset", path)
-            offset = delta if index == 0 else previous + delta
-            records = _read_varint_from(handle, "footer block records", path)
+        for index, (offset, records) in enumerate(footer):
             blocks.append(TraceBlock(index=index, offset=offset, records=records, start=start))
-            previous = offset
             start += records
         if start != total:
             raise TraceFormatError(
@@ -774,7 +851,7 @@ class TraceTail:
 
     requests: List[Request]
     complete: bool  # True when the END trailer was reached (a finished trace)
-    blocks: int  # complete blocks decoded
+    blocks: int  # complete blocks decoded, snapshot and continuation alike
     header: BinaryHeader
 
 
@@ -798,31 +875,11 @@ def read_trace_tail(path: Union[str, os.PathLike]) -> TraceTail:
             raise TraceFormatError(
                 f"{path}: tail recovery needs a v3 trace, got v{header.version}"
             )
+        walk = _Walk()
         requests: List[Request] = []
-        blocks = 0
-        while True:
-            probe = handle.read(1)
-            if len(probe) != 1:
-                return TraceTail(requests, False, blocks, header)
-            tag = probe[0]
-            if tag == _TAG_END:
-                return TraceTail(requests, True, blocks, header)
-            if tag != _TAG_BLOCK:
-                return TraceTail(requests, False, blocks, header)
-            try:
-                record_count, names, _sizes, last_raw, body = _read_block_parts(
-                    handle, header.compressed, path, blocks
-                )
-                decoded = list(
-                    _decode_block_records(
-                        body, names, last_raw, record_count, path, f"block {blocks}"
-                    )
-                )
-            except TraceFormatError:
-                # A torn final block: everything before it is intact.
-                return TraceTail(requests, False, blocks, header)
-            requests.extend(decoded)
-            blocks += 1
+        for block in _walk_blocks(handle, path, header.compressed, walk, strict=False):
+            requests.extend(block)
+    return TraceTail(requests, walk.stop_tag == _TAG_END, walk.blocks, header)
 
 
 # --------------------------------------------------------------------- writer
@@ -878,18 +935,9 @@ class BinaryTraceWriter:
         self._compresslevel = compresslevel
         self._background = compress == "background"
         self._buffer = bytearray()
-        self._bound: Dict[str, int] = {}  # live name -> id
-        self._free_ids: List[int] = []  # LIFO pool, mirrored by the reader
-        self._next_id = 0
-        self._previous_name = b""  # front-coding state
         self._closed = False
-        # Live sizes for block-entry snapshots, the footer index, and the
-        # current block's record count.
-        self._live_sizes: Dict[str, int] = {}
-        self._blocks: List[Tuple[int, int]] = []  # (offset, record_count)
-        self._block_count = 0
-        self._pending_snapshot = b""
-        self._pending_entries = 0
+        self._live_sizes: Dict[str, int] = {}  # for segment-entry snapshots
+        self._segments: List[List[int]] = []  # footer: [offset, records] each
         # Background compression: a single writer thread owns the file
         # handle between header and trailer — it compresses each block and
         # writes it in submission order, so the on-disk bytes are identical
@@ -906,7 +954,7 @@ class BinaryTraceWriter:
                 daemon=True,
             )
             self._worker.start()
-        self._start_block()
+        self._start_segment()
 
     def __enter__(self) -> "BinaryTraceWriter":
         return self
@@ -918,8 +966,8 @@ class BinaryTraceWriter:
             self.abort()
 
     # ---------------------------------------------------------------- blocks
-    def _start_block(self) -> None:
-        """Capture the block-entry snapshot and restart the interning table.
+    def _start_segment(self) -> None:
+        """Capture the segment-entry snapshot and restart the interning table.
 
         Snapshot names are bound to ids ``0..n-1`` in sorted UTF-8 byte
         order (fresh ids continue from ``n``, the free pool empties) and
@@ -931,60 +979,60 @@ class BinaryTraceWriter:
             for name, size in self._live_sizes.items()
         )
         snapshot = bytearray()
-        prev = b""
-        bound: Dict[str, int] = {}
-        for index, (raw, name, size) in enumerate(entries):
-            prefix = 0
-            limit = min(len(raw), len(prev))
-            while prefix < limit and raw[prefix] == prev[prefix]:
-                prefix += 1
-            snapshot += encode_varint(prefix)
-            snapshot += encode_varint(len(raw) - prefix)
-            snapshot += raw[prefix:]
+        self._previous_name = b""  # front-coding state
+        for raw, _name, size in entries:
+            self._append_name(snapshot, raw)
             snapshot += encode_varint(size)
-            prev = raw
-            bound[name] = index
-        self._pending_snapshot = bytes(snapshot)
-        self._pending_entries = len(entries)
-        self._bound = bound
-        self._free_ids = []
+        self._snapshot = (len(entries), bytes(snapshot))
+        self._bound = {name: index for index, (_raw, name, _size) in enumerate(entries)}
+        self._free_ids: List[int] = []  # LIFO pool, mirrored by the reader
         self._next_id = len(entries)
-        self._previous_name = prev
-        self._block_count = 0
+        self._segment_records = 0  # records in the segment, written or buffered
+        self._segment_written = 0  # of those, handed to _write_block already
 
     def _flush_block(self) -> None:
-        """Hand the buffered block to :meth:`_write_block` (inline or on the
-        writer thread)."""
+        """Hand the buffered records to :meth:`_write_block` (inline or on
+        the writer thread): as the segment's snapshot block while none of
+        the segment is written, as a continuation block after that."""
         block = (
             bytes(self._buffer),
-            self._block_count,
-            self._pending_entries,
-            self._pending_snapshot,
+            self._segment_records - self._segment_written,
+            None if self._segment_written else self._snapshot,
         )
+        self._segment_written = self._segment_records
         self._buffer.clear()
         if self._background:
             self._submit(block)
         else:
             self._write_block(*block)
 
-    def _write_block(self, body: bytes, records: int, entries: int, snapshot: bytes) -> None:
-        """Write one block (header + snapshot + body) and index it."""
+    def _write_block(
+        self, body: bytes, records: int, snapshot: Optional[Tuple[int, bytes]]
+    ) -> None:
+        """Write one block and index it: a snapshot block (``snapshot`` is
+        ``(entries, bytes)``) opens a footer entry, a continuation block
+        (``None``) adds its records to the last one."""
         if self._compressed:
             body = zlib.compress(body, self._compresslevel)
-        offset = self._handle.tell()
-        block = (
-            bytes([_TAG_BLOCK])
-            + encode_varint(records)
-            + encode_varint(entries)
-            + encode_varint(len(snapshot))
-            + snapshot
-            + encode_varint(len(body))
-            + body
-        )
+        if snapshot is None:
+            head = bytes([_TAG_CONTINUE]) + encode_varint(records)
+        else:
+            entries, data = snapshot
+            offset = self._handle.tell()
+            head = (
+                bytes([_TAG_BLOCK])
+                + encode_varint(records)
+                + encode_varint(entries)
+                + encode_varint(len(data))
+                + data
+            )
         # Fault site: a crash mid-block must leave a truncation the reader
         # detects (the missing END trailer / footer), never a silent gap.
-        fault_write("trace.write.block", self._handle, block)
-        self._blocks.append((offset, records))
+        fault_write("trace.write.block", self._handle, head + encode_varint(len(body)) + body)
+        if snapshot is None:
+            self._segments[-1][1] += records
+        else:
+            self._segments.append([offset, records])
 
     # ---------------------------------------------------- background worker
     def _submit(self, block) -> None:
@@ -1089,27 +1137,27 @@ class BinaryTraceWriter:
                     buffer += encode_varint(name_id)
             self._live_sizes.pop(name, None)
         self.count += 1
-        self._block_count += 1
-        if self._block_count >= self.block_records:
+        self._segment_records += 1
+        if self._segment_records >= self.block_records:
             self._flush_block()
-            self._start_block()
+            self._start_segment()
 
     def sync(self) -> None:
         """Flush everything written so far to the OS in decodable form.
 
-        The current partial block is written out as its own (shorter) block
-        and a fresh block begins — legal because the footer records
-        per-block counts — so after ``sync()`` every request written so far
-        sits in a complete, self-delimiting block that
-        :func:`read_trace_tail` can recover even if the process dies before
-        :meth:`close`.  Background-compression tasks are drained first, so
-        on return the bytes have left the process.
+        The records since the last block go out as one block: the
+        segment's snapshot block if none of the segment is written yet,
+        else a continuation block (no snapshot), so a sync costs the
+        records since the last one, not the live set.  After ``sync()``
+        every request written so far sits in a complete, self-delimiting
+        block that :func:`read_trace_tail` can recover even if the process
+        dies before :meth:`close`.  Background-compression tasks are
+        drained first, so on return the bytes have left the process.
         """
         if self._closed:
             raise ValueError(f"trace writer for {self.path} is already closed")
-        if self._block_count:
+        if self._segment_records > self._segment_written:
             self._flush_block()
-            self._start_block()
         if self._background:
             self._tasks.join()
             if self._worker_error is not None:
@@ -1121,7 +1169,7 @@ class BinaryTraceWriter:
         (idempotent)."""
         if self._closed:
             return
-        if self._block_count:
+        if self._segment_records > self._segment_written:
             self._flush_block()
         # The footer needs the final offsets, so the writer thread (the only
         # other writer) must be done before the trailer lands.
@@ -1129,10 +1177,10 @@ class BinaryTraceWriter:
         end_offset = self._handle.tell()
         footer = bytearray([_TAG_END])
         footer += encode_varint(self.count)
-        footer += encode_varint(len(self._blocks))
+        footer += encode_varint(len(self._segments))
         previous = 0
-        for index, (offset, records) in enumerate(self._blocks):
-            footer += encode_varint(offset if index == 0 else offset - previous)
+        for offset, records in self._segments:
+            footer += encode_varint(offset - previous)
             footer += encode_varint(records)
             previous = offset
         footer += end_offset.to_bytes(8, "little")

@@ -14,10 +14,17 @@ over) and checks three invariants end to end:
   at that point;
 * truncating the file anywhere raises :class:`TraceFormatError` naming the
   file, never a silent prefix.
+
+Synced files (a snapshot block per segment plus continuation blocks) get
+the same round-trip, seek and every-cut truncation checks, where the tail
+reader must salvage exactly the complete blocks before the cut; offline
+writes are sha256-pinned.
 """
 
 import gzip
+import hashlib
 import random
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,17 +35,23 @@ from repro.workloads import (
     Trace,
     TraceFileSource,
     TraceFormatError,
+    UniformSizes,
+    churn_trace,
     iter_trace,
     load_trace,
+    open_trace_writer,
     read_block_index,
+    read_trace_tail,
     save_trace,
     trace_info,
 )
 from repro.workloads.binary import (
     MAGIC,
+    _NameTable,
     _decode_block_records,
     _decode_snapshot,
     encode_varint,
+    read_binary_header,
 )
 
 
@@ -326,7 +339,7 @@ OVERLONG_VARINT = bytes([0xFF] * 10)
         (
             lambda: list(
                 _decode_block_records(
-                    bytes([0x01, 0, 1]) + b"a" + OVERLONG_VARINT, [], b"", 1, "f", "block 5"
+                    bytes([0x01, 0, 1]) + b"a" + OVERLONG_VARINT, _NameTable(), 1, "f", "block 5"
                 )
             ),
             "f: block 5, record 1: ",
@@ -336,8 +349,7 @@ OVERLONG_VARINT = bytes([0xFF] * 10)
             lambda: list(
                 _decode_block_records(
                     bytes([0x01, 0, 1]) + b"a" + bytes([3, 0x03]) + OVERLONG_VARINT,
-                    [],
-                    b"",
+                    _NameTable(),
                     2,
                     "f",
                     "block 5",
@@ -373,3 +385,194 @@ def test_corrupt_varint_in_a_crafted_v3_file_names_block_and_record(tmp_path):
     bad.write_bytes(data[:second] + block)
     with pytest.raises(TraceFormatError, match=r"block 1, record 1: corrupt varint"):
         list(iter_trace(bad))
+
+
+# ------------------------------------------------- synced files: continuation
+def write_synced(path, trace, compress=False, block_records=40, batch=7):
+    """Write ``trace`` in ``batch``-request syncs: a snapshot block opens
+    each ``block_records``-record segment and continuation blocks follow."""
+    writer = open_trace_writer(
+        path, version=3, label="synced", compress=compress, block_records=block_records
+    )
+    for index, request in enumerate(trace, 1):
+        writer.write(request)
+        if index % batch == 0:
+            writer.sync()
+    writer.close()
+
+
+def read_uvarint(data, pos):
+    value = shift = 0
+    while True:
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
+        shift += 7
+
+
+def block_layout(path):
+    """``(header_end, [(tag, end_offset, records), ...], end_tag_offset)``,
+    parsed from the raw bytes independently of the reader under test."""
+    data = path.read_bytes()
+    with open(path, "rb") as handle:
+        read_binary_header(handle, path)
+        pos = handle.tell()
+    header_end = pos
+    blocks = []
+    while data[pos] in (0x05, 0x06):
+        tag = data[pos]
+        records, pos = read_uvarint(data, pos + 1)
+        if tag == 0x05:
+            _entries, pos = read_uvarint(data, pos)
+            snapshot_len, pos = read_uvarint(data, pos)
+            pos += snapshot_len
+        body_len, pos = read_uvarint(data, pos)
+        pos += body_len
+        blocks.append((tag, pos, records))
+    return header_end, blocks, pos
+
+
+@pytest.mark.parametrize("compress", [False, True, "background"])
+def test_synced_file_round_trips_with_continuation_blocks(tmp_path, compress):
+    trace = churny_trace(21, 130)
+    path = tmp_path / "synced.v3"
+    write_synced(path, trace, compress=compress)
+    _header_end, blocks, _end = block_layout(path)
+    tags = [tag for tag, _offset, _records in blocks]
+    # Segments of 40 records: 5 syncs of 7 then the rollover flush of 5,
+    # so each segment is one snapshot block plus continuation blocks.
+    assert tags.count(0x05) == 4 and tags.count(0x06) > tags.count(0x05)
+    assert_same_requests(trace, load_trace(path))
+    index = read_block_index(path)
+    assert [block.records for block in index.blocks] == [40, 40, 40, 10]
+    for segment in range(len(index)):
+        start = index.blocks[segment].start
+        assert_same_requests(list(trace)[start:], index.iter_range(segment))
+        live = {}
+        for request in list(trace)[:start]:
+            if request.is_insert:
+                live[str(request.name)] = request.size
+            else:
+                live.pop(str(request.name), None)
+        assert dict(index.entry_snapshot(segment)) == live
+    tail = read_trace_tail(path)
+    assert tail.complete and tail.blocks == len(blocks)
+    assert_same_requests(trace, tail.requests)
+
+
+@pytest.mark.parametrize("compress", [False, True, "background"])
+def test_synced_file_truncation_at_every_cut(tmp_path, compress):
+    """Cut a synced file anywhere past its header: the strict reader must
+    raise, and the tail reader must return exactly the records of the
+    complete blocks before the cut."""
+    trace = list(churny_trace(22, 100))
+    path = tmp_path / "synced.v3"
+    write_synced(path, trace, compress=compress)
+    whole = path.read_bytes()
+    header_end, blocks, end_tag = block_layout(path)
+    clipped = tmp_path / "cut.v3"
+    for cut in range(header_end, len(whole)):
+        clipped.write_bytes(whole[:cut])
+        with pytest.raises(TraceFormatError, match="cut.v3"):
+            list(iter_trace(clipped))
+        complete = [(end, records) for _tag, end, records in blocks if end <= cut]
+        kept = sum(records for _end, records in complete)
+        tail = read_trace_tail(clipped)
+        assert tail.blocks == len(complete), cut
+        assert tail.complete == (cut > end_tag), cut
+        assert_same_requests(trace[:kept], tail.requests)
+
+
+def crafted(tmp_path, name, body):
+    """A v3 header followed by ``body`` (raw blocks, END/footer or not)."""
+    header = tmp_path / "header.v3"
+    save_trace(Trace([], label="crafted"), header, version=3)
+    header_end, _blocks, _end = block_layout(header)
+    path = tmp_path / name
+    path.write_bytes(header.read_bytes()[:header_end] + body)
+    return path
+
+
+def test_continuation_block_first_is_rejected(tmp_path):
+    body = bytes([0x01, 0, 1]) + b"a" + bytes([4])
+    path = crafted(tmp_path, "lead.v3", bytes([0x06, 1, len(body)]) + body)
+    with pytest.raises(TraceFormatError, match="block 0: continuation block with no snapshot"):
+        list(iter_trace(path))
+    tail = read_trace_tail(path)
+    assert tail.requests == [] and not tail.complete
+
+
+def test_continuation_block_with_an_unbound_id_is_rejected(tmp_path):
+    """The snapshot block binds "a" to id 0; the continuation deletes id 5."""
+    first = bytes([0x01, 0, 1]) + b"a" + bytes([4])
+    second = bytes([0x03, 5])
+    blocks = (
+        bytes([0x05, 1, 0, 0, len(first)]) + first
+        + bytes([0x06, 1, len(second)]) + second
+    )
+    path = crafted(tmp_path, "unbound.v3", blocks)
+    with pytest.raises(
+        TraceFormatError, match=r"block 0\.1, record 1: name id 5 references an unbound"
+    ):
+        list(iter_trace(path))
+    assert [r.name for r in read_trace_tail(path).requests] == ["a"]
+
+
+def test_footer_segment_count_disagreeing_with_blocks_read_is_rejected(tmp_path):
+    """Move one record from segment 0's footer entry to segment 1's: the
+    END total still matches, the segments do not."""
+    trace = churny_trace(23, 60)
+    path = tmp_path / "synced.v3"
+    write_synced(path, trace)
+    index = read_block_index(path)
+    data = path.read_bytes()
+    end_offset = int.from_bytes(data[-16:-8], "little")
+    records = [block.records for block in index.blocks]
+    records[0] += 1
+    records[1] -= 1
+    footer = bytearray([0x00]) + encode_varint(index.total_records)
+    footer += encode_varint(len(records))
+    previous = 0
+    for block, count in zip(index.blocks, records):
+        footer += encode_varint(block.offset - previous) + encode_varint(count)
+        previous = block.offset
+    footer += data[-16:]
+    broken = tmp_path / "badsegment.v3"
+    broken.write_bytes(data[:end_offset] + bytes(footer))
+    with pytest.raises(
+        TraceFormatError, match="footer entry 0 disagrees with the segment of block 0"
+    ):
+        list(iter_trace(broken))
+    with pytest.raises(
+        TraceFormatError, match=r"footer entry 0 .* footer: \[\d+, 41\], read: \[\d+, 40\]"
+    ):
+        list(read_block_index(broken).iter_range(0))
+
+
+# Digests of offline writes (no sync) of one fixed trace: the byte layout of
+# files written without sync() is pinned, so an encoder change that moves a
+# byte is caught here rather than by readers of archived traces.
+OFFLINE_DIGESTS = {
+    "plain": "6f2aecb6e0786f79ad1557351c9cfcddcc4e7e4ad16cdc35247a3fdeef229af0",
+    "zlib": "bc31922680b6483647dc590992fdd513e93ac0315d82f7561b6fb2c0fb2a9ac0",
+    "background": "bc31922680b6483647dc590992fdd513e93ac0315d82f7561b6fb2c0fb2a9ac0",
+    "block_records=1000": "f1740775e71c6b2c399d37392e9183513fcfe6076bcbcece19de99c58b45b0f4",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(OFFLINE_DIGESTS))
+def test_offline_writes_are_byte_pinned(tmp_path, variant):
+    if variant in ("zlib", "background") and "ng" in zlib.ZLIB_RUNTIME_VERSION:
+        pytest.skip(f"zlib-ng {zlib.ZLIB_RUNTIME_VERSION} deflates to other bytes")
+    trace = churn_trace(5000, UniformSizes(1, 64), target_live=200, seed=16)
+    options = {
+        "plain": {},
+        "zlib": {"compress": True},
+        "background": {"compress": "background"},
+        "block_records=1000": {"block_records": 1000},
+    }[variant]
+    path = tmp_path / "pinned.v3"
+    save_trace(trace, path, version=3, **options)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == OFFLINE_DIGESTS[variant]

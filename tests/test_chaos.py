@@ -13,11 +13,14 @@ import os
 
 import pytest
 
+from repro.allocators import FirstFitAllocator
 from repro.campaign import CampaignSpec, load_results
 from repro.cli import main
-from repro.faults import FaultPlan, FaultRule, SITES, deactivate_faults
+from repro.faults import CRASH_EXIT_CODE, FaultPlan, FaultRule, SITES, deactivate_faults
 from repro.faults import chaos
-from repro.workloads import trace_info
+from repro.serve import ProtocolError, ServeClient, ServeClientError, restore_session
+from repro.workloads import UniformSizes, churn_trace, read_trace_tail, trace_info
+from test_serve import _spawn_server, layout
 
 
 @pytest.fixture(autouse=True)
@@ -113,6 +116,58 @@ def test_comparable_records_strip_only_volatile_fields():
               "worker": "w-1", "resources": {}, "max_footprint": 9}
     [stripped] = chaos.comparable_records([record])
     assert stripped == {"cell_id": "c", "status": "ok", "max_footprint": 9}
+
+
+# ---------------------------------------------------------------- serve tier
+def test_crash_mid_continuation_block_restores_the_acked_prefix(tmp_path):
+    """Crash a served tenant while it writes its third continuation block
+    (each acked batch syncs one block: batch 1 the snapshot block, batches
+    2.. continuation blocks).  The torn block must cost exactly the
+    unacked batch: the tail holds the acked prefix, and snapshot + tail
+    restore to the offline replay's layout."""
+    plan_path = tmp_path / "plan.json"
+    FaultPlan(
+        rules=[FaultRule(site="trace.write.block", action="crash", after=3)],
+        seed=0,
+    ).to_json(plan_path)
+    process, host, port = _spawn_server(
+        tmp_path, "cont", env_extra={"REPRO_FAULTS": str(plan_path)}
+    )
+    trace = list(churn_trace(300, UniformSizes(1, 32), target_live=40, seed=34))
+    acked = 0
+    try:
+        try:
+            client = ServeClient(host, port, tenant="c")
+            for index in range(6):
+                ack = client.apply(trace[index * 50 : (index + 1) * 50])
+                assert ack["ok"]
+                acked += ack["applied"]
+                if index == 1:
+                    assert client.snapshot()["requests_applied"] == 100
+            raise AssertionError("server should have crashed mid-continuation")
+        except (ServeClientError, ProtocolError, OSError):
+            pass
+        assert process.wait(timeout=30) == CRASH_EXIT_CODE
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=30)
+    assert acked == 150  # the fourth batch's continuation block was torn
+
+    tail = read_trace_tail(tmp_path / "cont-c.v3")
+    assert not tail.complete
+    assert tail.blocks == 3  # one snapshot and two continuation blocks
+    assert [(r.op, r.name, r.size) for r in tail.requests] == [
+        (r.op, str(r.name), r.size) for r in trace[:150]
+    ]
+    session, replayed = restore_session(tmp_path / "cont-c.snap", tmp_path / "cont-c.v3")
+    assert replayed == 50
+    assert session.requests_applied == 150
+    offline = FirstFitAllocator()
+    offline.run(trace[:150])
+    assert layout(session.allocator) == sorted(
+        (str(name), start, length) for name, start, length in layout(offline)
+    )
 
 
 # ------------------------------------------------------------------------ CLI

@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -154,6 +156,45 @@ def test_jsonl_sink_round_trips_through_load_and_validate(tmp_path):
     assert kinds[0] == "meta"
     assert "span" in kinds and "counter" in kinds and "gauge" in kinds
     assert {e["name"] for e in events if e["ev"] == "counter"} == {"ops"}
+
+
+@pytest.mark.parametrize("sink_kind", ["jsonl", "memory"])
+def test_sinks_keep_every_line_whole_under_concurrent_emitters(tmp_path, sink_kind):
+    """Threads emitting spans into one sink (the serve tier's tenant
+    executors) must never tear or lose a line."""
+    threads, spans = 8, 300
+    path = tmp_path / "threads.jsonl"
+    sink = JsonlSink(path) if sink_kind == "jsonl" else MemorySink()
+    telemetry = Telemetry(enabled=True, sink=sink)
+    padding = "x" * 2000  # long lines: more bytes per write to tear
+    barrier = threading.Barrier(threads)
+
+    def emitter(thread):
+        barrier.wait(timeout=30)
+        for index in range(spans):
+            with telemetry.span("batch", thread=thread, index=index, pad=padding):
+                pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=emitter, args=(t,)) for t in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    sink.close()
+    if sink_kind == "jsonl":
+        with open(path, encoding="utf-8") as handle:
+            events = [json.loads(line) for line in handle]
+    else:
+        events = sink.events
+    assert validate_events(events) == []
+    seen = sorted((e["attrs"]["thread"], e["attrs"]["index"]) for e in events)
+    assert seen == [(t, i) for t in range(threads) for i in range(spans)]
 
 
 def test_validate_events_flags_schema_violations():

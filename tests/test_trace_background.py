@@ -155,8 +155,9 @@ def test_tail_read_requires_v3(tmp_path):
 
 
 def test_sync_flushes_partial_blocks_that_stay_readable_after_close(tmp_path):
-    """sync() mid-block emits a short block; the footer records per-block
-    counts, so variable-size blocks round-trip through a normal close."""
+    """sync() mid-segment emits a short snapshot block and close() a
+    continuation block; the footer indexes the one segment they form, so
+    the file round-trips through a normal close."""
     trace = list(churny(9, 130))
     path = tmp_path / "short-blocks.v3"
     writer = open_trace_writer(path, version=3, block_records=1000)
@@ -167,7 +168,8 @@ def test_sync_flushes_partial_blocks_that_stay_readable_after_close(tmp_path):
     writer.close()
     info = trace_info(path)
     assert info.requests == 130
-    assert info.blocks == 2
+    assert info.blocks == 1  # indexed segments
+    assert read_trace_tail(path).blocks == 2  # snapshot + continuation block
     assert [(r.op, str(r.name)) for r in load_trace(path)] == [
         (r.op, str(r.name)) for r in trace
     ]
