@@ -20,9 +20,9 @@ from repro.allocators import FirstFitAllocator
 from repro.core import CostObliviousReallocator
 from repro.engine import (
     DeviceObserver,
+    EngineSession,
     FootprintSeriesObserver,
     HistoryObserver,
-    SimulationEngine,
 )
 from repro.storage.devices import MainMemoryDevice
 from repro.workloads import UniformSizes, churn_trace
@@ -51,7 +51,7 @@ def test_engine_replay_overhead(benchmark, name, factory, mode):
     def run_once():
         allocator = factory()
         observers = _full_observers() if mode == "fully-observed" else []
-        SimulationEngine(allocator, observers).run(TRACE)
+        EngineSession(allocator, observers).run(TRACE)
         return allocator
 
     allocator = benchmark.pedantic(run_once, rounds=3, iterations=1)
@@ -68,7 +68,7 @@ def test_zero_observer_run_is_not_slower_than_fully_observed(name, factory):
 
     def timed(observer_factory):
         allocator = factory()
-        engine = SimulationEngine(allocator, observer_factory())
+        engine = EngineSession(allocator, observer_factory())
         started = time.perf_counter()
         engine.run(TRACE)
         return time.perf_counter() - started
@@ -100,7 +100,7 @@ def test_disabled_telemetry_overhead_within_2_percent(name, factory):
 
     def engine_run() -> float:
         allocator = factory()
-        engine = SimulationEngine(allocator, [])
+        engine = EngineSession(allocator, [])
         started = time.perf_counter()
         engine.run(TRACE)
         return time.perf_counter() - started
@@ -146,9 +146,9 @@ def test_disabled_telemetry_overhead_within_2_percent(name, factory):
 def test_zero_observer_stats_match_fully_observed(name, factory):
     """Correctness guard: both paths must produce identical aggregates."""
     bare = factory()
-    SimulationEngine(bare, []).run(TRACE)
+    EngineSession(bare, []).run(TRACE)
     observed = factory()
-    SimulationEngine(observed, _full_observers()).run(TRACE)
+    EngineSession(observed, _full_observers()).run(TRACE)
     assert bare.stats.max_footprint_ratio == observed.stats.max_footprint_ratio
     assert bare.stats.total_moved_volume == observed.stats.total_moved_volume
     assert bare.stats.allocated_sizes == observed.stats.allocated_sizes

@@ -21,7 +21,7 @@ import pytest
 
 from benchmarks.bench_artifact import record_metric
 from repro.allocators import FirstFitAllocator
-from repro.engine import SimulationEngine
+from repro.engine import EngineSession
 from repro.serve import ServeConfig, run_load, start_background
 from repro.serve.client import load_pattern_trace
 from repro.workloads import load_trace, trace_info
@@ -46,7 +46,7 @@ def _batch_replay_seconds(workloads):
         started = time.perf_counter()
         total = 0
         for trace in workloads:
-            total += SimulationEngine(FirstFitAllocator()).run(trace).requests
+            total += EngineSession(FirstFitAllocator()).run(trace).requests
         best = min(best, time.perf_counter() - started)
         assert total == CLIENTS * REQUESTS
     return best

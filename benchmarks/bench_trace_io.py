@@ -42,8 +42,8 @@ from benchmarks.legacy_codec import (
     save_legacy_trace,
 )
 from repro.allocators import FirstFitAllocator
-from repro.campaign import analytics_result, analyze_trace
-from repro.engine import SimulationEngine, analyze_trace_parallel
+from repro.campaign import analytics_result
+from repro.engine import EngineSession, analyze_source, analyze_trace_parallel
 from repro.engine.analytics import TraceAnalyticsObserver
 from repro.workloads import (
     BinaryTraceWriter,
@@ -266,12 +266,12 @@ def test_streaming_analytics_matches_materialised_within_memory_budget(trace_fil
     path = trace_files["paths"]["v3"]
 
     tracemalloc.start()
-    materialised = analyze_trace(load_trace(path))
+    materialised = analyze_source(load_trace(path))
     _, materialised_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
     tracemalloc.start()
-    streamed = analyze_trace(TraceFileSource(path))
+    streamed = analyze_source(TraceFileSource(path))
     _, streaming_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
@@ -307,7 +307,7 @@ def test_streaming_replay_never_materialises_the_trace(trace_files):
 
     allocator = FirstFitAllocator()  # audited: the index adds O(live set) only
     tracemalloc.start()
-    run = SimulationEngine(allocator).run(TraceFileSource(path))
+    run = EngineSession(allocator).run(TraceFileSource(path))
     _, streaming_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 

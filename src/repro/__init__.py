@@ -44,12 +44,12 @@ from repro.costs import (
     STANDARD_COST_SUITE,
 )
 from repro.engine import (
+    EngineSession,
     FootprintSeriesObserver,
     GapHistogramObserver,
     HistoryObserver,
     Observer,
     PerClassOccupancyObserver,
-    SimulationEngine,
     TraceAnalyticsObserver,
     TraceRecorderObserver,
 )
@@ -87,12 +87,12 @@ __all__ = [
     "SolidStateCost",
     "MainMemoryCost",
     "STANDARD_COST_SUITE",
+    "EngineSession",
     "FootprintSeriesObserver",
     "GapHistogramObserver",
     "HistoryObserver",
     "Observer",
     "PerClassOccupancyObserver",
-    "SimulationEngine",
     "TraceAnalyticsObserver",
     "TraceRecorderObserver",
     "run_trace",

@@ -13,12 +13,8 @@ Entry points: ``repro sweep <spec.json> [--jobs N] [--out DIR]`` and
 ``repro trace analyze <path>``.
 """
 
-from repro.campaign.analyze import (
-    TraceAnalytics,
-    TraceAnalyticsObserver,
-    analytics_result,
-    analyze_trace,
-)
+from repro.campaign.analyze import analytics_result
+from repro.engine.analytics import TraceAnalytics, TraceAnalyticsObserver
 from repro.campaign.report import document_table, sweep_report
 from repro.campaign.artifacts import (
     ArtifactError,
@@ -85,7 +81,6 @@ __all__ = [
     "TraceAnalytics",
     "TraceAnalyticsObserver",
     "analytics_result",
-    "analyze_trace",
     "atomic_write",
     "claim_cell",
     "diff_documents",

@@ -1,11 +1,12 @@
 """Trace analytics: what does a workload look like before it hits an allocator?
 
 WiscSee-style pipelines first characterise the collected trace (sizes,
-lifetimes, death times, footprint) and only then sweep configurations; this
-module is that characterisation step for any request stream — a synthetic or
-adversarial :class:`~repro.workloads.base.Trace`, or a streaming
+lifetimes, death times, footprint) and only then sweep configurations.
+:func:`repro.engine.analyze_source` is that characterisation step for any
+request stream — a synthetic or adversarial
+:class:`~repro.workloads.base.Trace`, or a streaming
 :class:`~repro.workloads.replay.TraceFileSource` over an on-disk file that
-is never materialised.
+is never materialised — and this module renders its result as tables.
 
 All statistics are derived purely from the request stream in **one pass**
 (the heavy lifting lives in
@@ -24,28 +25,9 @@ along on live engine runs):
 
 from __future__ import annotations
 
-from repro.engine.analytics import (  # noqa: F401 - re-exported for compatibility
-    TraceAnalytics,
-    TraceAnalyticsObserver,
-    analyze_source,
-    percentile,
-    size_histogram,
-)
+from repro.engine.analytics import TraceAnalytics
 from repro.harness.results import ExperimentResult
 from repro.metrics.report import render_sparkline
-
-
-def analyze_trace(trace, death_buckets: int = 10) -> TraceAnalytics:
-    """Compute the full analytics bundle for ``trace`` in one streaming pass.
-
-    ``trace`` may be a materialised :class:`~repro.workloads.base.Trace`, a
-    streaming :class:`~repro.workloads.replay.TraceFileSource`, or any
-    iterable of requests; the statistics are identical either way, and a
-    streaming source is consumed one request at a time (peak memory is
-    bounded by the live-object set and the distinct statistic values, never
-    the request count).
-    """
-    return analyze_source(trace, death_buckets=death_buckets)
 
 
 def analytics_result(analytics: TraceAnalytics) -> ExperimentResult:

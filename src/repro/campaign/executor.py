@@ -2,7 +2,7 @@
 
 Each :class:`~repro.campaign.spec.CampaignCell` is an independent unit of
 work: build the trace from the cell seed, replay it on a freshly built
-allocator through the :class:`~repro.engine.SimulationEngine` (the device
+allocator through :meth:`~repro.engine.EngineSession.run` (the device
 model rides along as a :class:`~repro.engine.DeviceObserver`, any observers
 requested by the spec are attached per cell), then charge the execution
 under the cell's cost function.  Cells are therefore embarrassingly

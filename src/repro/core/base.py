@@ -47,7 +47,7 @@ class Allocator(ABC):
     observers:
         Observers (see :mod:`repro.engine.observers`) notified of every
         request record, move, flush, and checkpoint.  Usually attached per
-        replay by the :class:`~repro.engine.SimulationEngine` rather than at
+        replay by an :class:`~repro.engine.EngineSession` rather than at
         construction time.
 
     Instrumentation fast path: :meth:`run` checks once whether anything can

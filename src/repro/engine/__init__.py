@@ -2,13 +2,12 @@
 
 The one instrumentation seam shared by the metrics collector, the experiment
 harness, and the campaign executor: replay a trace through an allocator with
-pluggable :class:`Observer` instances.  See ``README.md`` ("Analytics &
-observers") for the registered observer kinds and a worked example of
-writing a custom observer.
+pluggable :class:`Observer` instances via :meth:`EngineSession.run`.  See
+``README.md`` ("Analytics & observers") for the registered observer kinds
+and a worked example of writing a custom observer.
 """
 
-from repro.engine.engine import EngineRun, Replayable, SimulationEngine, replay
-from repro.engine.session import EngineSession, SessionStateError
+from repro.engine.session import EngineRun, EngineSession, Replayable, SessionStateError
 from repro.engine.observers import (
     EVENT_HOOKS,
     OBSERVER_KINDS,
@@ -37,7 +36,6 @@ from repro.engine.analytics import (
 )
 from repro.engine.parallel import (
     SerialFallbackWarning,
-    ShardedRun,
     analyze_trace_parallel,
     replay_unshardable_reason,
     run_replay_sharded,
@@ -68,8 +66,6 @@ __all__ = [
     "SerialFallbackWarning",
     "SessionStateError",
     "ShardContext",
-    "ShardedRun",
-    "SimulationEngine",
     "TraceAnalytics",
     "TraceAnalyticsObserver",
     "TraceRecorderObserver",
@@ -79,7 +75,6 @@ __all__ = [
     "needs_events",
     "percentile",
     "planned_stride",
-    "replay",
     "replay_unshardable_reason",
     "run_replay_sharded",
     "shard_plan",

@@ -6,7 +6,7 @@ grouping — from a single pass over any request stream: a materialised
 :class:`~repro.workloads.base.Trace`, a streaming
 :class:`~repro.workloads.replay.TraceFileSource`, or the live request feed
 of a replay (it is an :class:`~repro.engine.observers.Observer`, so it can
-ride along on a :class:`~repro.engine.SimulationEngine` run).
+ride along on an :meth:`~repro.engine.EngineSession.run`).
 
 Every statistic is *identical* to the one the materialised implementation
 produced — same nearest-rank percentiles, same float accumulation order for
@@ -187,7 +187,7 @@ class TraceAnalyticsObserver(Observer):
 
     Feed it requests directly (:meth:`observe`, e.g. while iterating a
     :class:`~repro.workloads.replay.TraceFileSource`) or attach it to a
-    :class:`~repro.engine.SimulationEngine` replay (``on_request`` consumes
+    :class:`~repro.engine.EngineSession` replay (``on_request`` consumes
     the same fields from each :class:`~repro.core.events.RequestRecord`),
     then call :meth:`result` for the finished :class:`TraceAnalytics`.
 

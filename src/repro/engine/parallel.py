@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.analytics import TraceAnalyticsObserver
-from repro.engine.engine import SimulationEngine
 from repro.engine.observers import Observer, ShardContext
+from repro.engine.session import EngineRun, EngineSession
 from repro.obs.telemetry import Telemetry, get_telemetry, use_telemetry
 from repro.workloads.base import Request
 from repro.workloads.binary import BlockIndex, read_block_index
@@ -44,16 +44,6 @@ from repro.workloads.binary import BlockIndex, read_block_index
 
 class SerialFallbackWarning(UserWarning):
     """A requested parallel replay fell back to serial (reason in the message)."""
-
-
-@dataclass
-class ShardedRun:
-    """Outcome of one sharded engine replay (see :func:`run_replay_sharded`)."""
-
-    observers: List[Observer]
-    shards: int
-    requests: int
-    elapsed_seconds: float
 
 
 def unmergeable_observers(observers: Sequence[Observer]) -> List[str]:
@@ -108,18 +98,51 @@ def _shard_context(
     )
 
 
-# ------------------------------------------------------------------ analytics
-def _analyze_shard(payload) -> TraceAnalyticsObserver:
-    path, start, stop, shard, shards, death_buckets, max_points = payload
+def _in_shard(payload):
+    """Pool entry point: run one shard's worker with telemetry disabled."""
+    worker, path, start, stop, shard, shards, extra = payload
     with use_telemetry(Telemetry(enabled=False)):
         index = read_block_index(path)
-        observer = TraceAnalyticsObserver(
-            death_buckets=death_buckets, max_points=max_points
-        )
-        observer.begin_shard(_shard_context(index, start, stop, shard, shards))
-        observe = observer.observe
-        for request in index.iter_range(start, stop):
-            observe(request)
+        context = _shard_context(index, start, stop, shard, shards)
+        return worker(index.iter_range(start, stop), context, *extra)
+
+
+def _run_shards(
+    path: str,
+    index: BlockIndex,
+    jobs: int,
+    mode: str,
+    worker: Callable[..., Any],
+    extra: Tuple[Any, ...],
+) -> List[Any]:
+    """Run ``worker`` over each shard of ``index`` in a process pool.
+
+    Each call gets the shard's request iterator, its :class:`ShardContext`
+    and ``*extra``; the results come back in shard order.  Callers check
+    first that ``jobs`` and the block count both allow two or more shards.
+    """
+    plan = shard_plan(index, jobs)
+    shards = len(plan)
+    telemetry = get_telemetry()
+    payloads = [
+        (worker, path, start, stop, shard, shards, extra)
+        for shard, (start, stop) in enumerate(plan)
+    ]
+    with telemetry.span("parallel.replay", path=path, shards=shards, mode=mode):
+        with multiprocessing.Pool(processes=shards) as pool:
+            results = pool.map(_in_shard, payloads)
+    telemetry.add("parallel.shards", shards)
+    telemetry.add("parallel.requests", index.total_records)
+    return results
+
+
+# ------------------------------------------------------------------ analytics
+def _analyze_shard(requests, context, death_buckets, max_points) -> TraceAnalyticsObserver:
+    observer = TraceAnalyticsObserver(death_buckets=death_buckets, max_points=max_points)
+    observer.begin_shard(context)
+    observe = observer.observe
+    for request in requests:
+        observe(request)
     return observer
 
 
@@ -142,20 +165,10 @@ def analyze_trace_parallel(
     index = read_block_index(path)
     if index is None or len(index.blocks) < 2 or index.total_records == 0:
         return None
-    plan = shard_plan(index, jobs)
-    if len(plan) < 2:
-        return None
-    telemetry = get_telemetry()
-    payloads = [
-        (path, start, stop, shard, len(plan), death_buckets, max_points)
-        for shard, (start, stop) in enumerate(plan)
-    ]
-    with telemetry.span("parallel.replay", path=path, shards=len(plan), mode="analyze"):
-        with multiprocessing.Pool(processes=len(plan)) as pool:
-            shards = pool.map(_analyze_shard, payloads)
-    telemetry.add("parallel.shards", len(plan))
-    telemetry.add("parallel.requests", index.total_records)
-    with telemetry.span("parallel.merge", shards=len(plan)):
+    shards = _run_shards(
+        path, index, jobs, "analyze", _analyze_shard, (death_buckets, max_points)
+    )
+    with get_telemetry().span("parallel.merge", shards=len(shards)):
         merged = shards[0]
         for other in shards[1:]:
             merged.merge(other)
@@ -234,23 +247,16 @@ def _fold_stats(allocator, deltas: Sequence[Dict[str, Any]]) -> None:
             allocator._delta = delta["delta"]
 
 
-def _replay_shard(payload):
-    allocator, observers, path, start, stop, shard, shards, finish_pending = payload
-    with use_telemetry(Telemetry(enabled=False)):
-        index = read_block_index(path)
-        context = _shard_context(index, start, stop, shard, shards)
-        if context.entry_live:
-            # Seed the shard's allocator with the objects live at its entry
-            # — observer-free, so seeding takes the zero-instrumentation
-            # fast path and observers never mistake it for trace requests.
-            allocator.run(
-                Request.insert(name, size) for name, size in context.entry_live
-            )
-        for observer in observers:
-            observer.begin_shard(context)
-        baseline = _stats_baseline(allocator)
-        engine = SimulationEngine(allocator, observers, finish_pending=finish_pending)
-        engine.run(index.iter_range(start, stop))
+def _replay_shard(requests, context, allocator, observers, finish_pending):
+    if context.entry_live:
+        # Seed the shard's allocator with the objects live at its entry —
+        # observer-free, so seeding takes the zero-instrumentation fast path
+        # and observers never mistake it for trace requests.
+        allocator.run(Request.insert(name, size) for name, size in context.entry_live)
+    for observer in observers:
+        observer.begin_shard(context)
+    baseline = _stats_baseline(allocator)
+    EngineSession(allocator, observers, finish_pending=finish_pending).run(requests)
     return observers, _stats_delta(allocator, baseline)
 
 
@@ -288,7 +294,7 @@ def run_replay_sharded(
     observers: Sequence[Observer],
     jobs: int,
     finish_pending: bool = True,
-) -> Optional[ShardedRun]:
+) -> Optional[EngineRun]:
     """Replay ``source`` sharded over ``jobs`` worker processes.
 
     Every observer must be mergeable and ``source`` a
@@ -299,38 +305,25 @@ def run_replay_sharded(
     Each worker receives a pickled copy of ``allocator`` and of the
     observers, seeds its copy from the shard's block-entry snapshot,
     replays its block range, and sends the observers (plus its stat
-    deltas) back; the returned :class:`ShardedRun` carries the merged
-    observers in the same order they were passed, and the coordinating
-    allocator's stats are folded to read as totals over all shards.
+    deltas) back.  The merged state is adopted into the observers passed
+    in, the coordinating allocator's stats are folded to read as totals
+    over all shards, and the returned :class:`EngineRun` is shaped like a
+    serial run's.
     """
     if jobs <= 1 or replay_unshardable_reason(source, observers) is not None:
         return None
     path = os.fspath(source.path)
     index = read_block_index(path)
-    plan = shard_plan(index, jobs)
-    if len(plan) < 2:
-        return None
-    telemetry = get_telemetry()
-    shards = len(plan)
-    payloads = [
-        (allocator, list(observers), path, start, stop, shard, shards, finish_pending)
-        for shard, (start, stop) in enumerate(plan)
-    ]
+    extra = (allocator, list(observers), finish_pending)
     try:
-        import pickle
-
-        pickle.dumps(payloads[0])
+        pickle.dumps(extra)
     except Exception:
         # An unpicklable allocator or observer cannot cross the process
         # boundary; the caller falls back to a serial replay.
         return None
     started = time.perf_counter()
-    with telemetry.span("parallel.replay", path=path, shards=shards, mode="engine"):
-        with multiprocessing.Pool(processes=shards) as pool:
-            results = pool.map(_replay_shard, payloads)
-    telemetry.add("parallel.shards", shards)
-    telemetry.add("parallel.requests", index.total_records)
-    with telemetry.span("parallel.merge", shards=shards):
+    results = _run_shards(path, index, jobs, "engine", _replay_shard, extra)
+    with get_telemetry().span("parallel.merge", shards=len(results)):
         merged, _ = results[0]
         for others, _ in results[1:]:
             for mine, theirs in zip(merged, others):
@@ -342,10 +335,11 @@ def run_replay_sharded(
         # leave the caller's observers equally finished.
         for original, result in zip(observers, merged):
             original.__dict__.update(result.__dict__)
-    elapsed = time.perf_counter() - started
-    return ShardedRun(
-        observers=list(observers),
-        shards=shards,
+    return EngineRun(
+        allocator=allocator,
+        trace=source,
         requests=index.total_records,
-        elapsed_seconds=elapsed,
+        elapsed_seconds=time.perf_counter() - started,
+        observers=list(observers),
+        label=getattr(source, "label", "trace"),
     )

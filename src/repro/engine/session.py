@@ -1,35 +1,38 @@
-"""The incremental session core: open / apply / snapshot / close.
+"""The engine session: the one way to replay a trace through an allocator.
 
-:class:`EngineSession` is :meth:`SimulationEngine.run` taken apart so a
-replay no longer has to be one blocking call.  A session attaches the
-observers once (:meth:`open`), feeds request batches through the allocator
-as they arrive (:meth:`apply`), reads live stats and observer analytics
-mid-flight (:meth:`stats` / :meth:`analytics`), checkpoints the allocator
-and observer state to disk (:meth:`snapshot` / :meth:`restore`), and runs
-today's finish/abort semantics at the end (:meth:`close` / :meth:`abort`).
+Everything the paper measures reduces to "replay a trace through an
+allocator and observe what happens".  :meth:`EngineSession.run` is that
+replay: open, apply the whole trace as one batch, close (or abort on a
+raise).  ``run_trace``, the sharded replay workers and the campaign cells
+all replay through it.  The same session also runs incrementally, as the
+live allocation service (:mod:`repro.serve`) does once per tenant: attach
+the observers once (:meth:`open`), feed request batches as they arrive
+(:meth:`apply`), read live stats and observer analytics (:meth:`stats` /
+:meth:`analytics`), checkpoint to disk (:meth:`snapshot` /
+:meth:`restore`), and finish or abort at the end (:meth:`close` /
+:meth:`abort`).
 
-``SimulationEngine.run``, ``run_trace``, and the campaign cell path are all
-thin wrappers over one session per replay, so the batch behaviour — span
-sequence, observer hooks, stats accounting, abort cleanup — is pinned by
-the whole existing test suite.  The live allocation service
-(:mod:`repro.serve`) holds one long-lived session per tenant and calls
-:meth:`apply` once per coalesced network batch.
-
-The active-observer fast path survives intact: only observers overriding a
-per-event hook are attached to the allocator, so a session with passive
-observers (or none) replays at full zero-instrumentation speed.
+Only *active* observers (those overriding a per-event hook) are attached
+to the allocator, so a session with passive observers (or none) replays
+on the allocator's zero-instrumentation fast path.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List, Sequence, Union
 
 from repro.core.base import Allocator
 from repro.engine.observers import Observer, needs_events
 from repro.obs.telemetry import get_telemetry
 from repro.storage.checkpoint import read_snapshot, write_snapshot
-from repro.workloads.base import Request
+from repro.workloads.base import Request, RequestSource, Trace
+
+#: What a replay can consume: a materialised trace, a streaming source
+#: (e.g. :class:`~repro.workloads.replay.TraceFileSource`), or any iterable
+#: of requests.
+Replayable = Union[Trace, RequestSource, Iterable[Request]]
 
 #: Snapshot payload format tag (see :meth:`EngineSession.snapshot`).
 SESSION_SNAPSHOT_FORMAT = "repro-session-snapshot"
@@ -38,6 +41,34 @@ SESSION_SNAPSHOT_VERSION = 1
 
 class SessionStateError(RuntimeError):
     """A session method was called in the wrong lifecycle state."""
+
+
+@dataclass
+class EngineRun:
+    """The outcome of one session (:meth:`EngineSession.run` or
+    :meth:`EngineSession.close`).
+
+    ``label`` is the replayed trace's label (``"trace"`` for a bare
+    iterable), or the session's label when it was fed plain batches.
+    """
+
+    allocator: Allocator
+    trace: Any
+    requests: int
+    elapsed_seconds: float
+    observers: List[Observer] = field(default_factory=list)
+    label: str = "trace"
+
+    @property
+    def requests_per_second(self) -> float:
+        """Throughput of the run; ``0.0`` on sub-clock-resolution runs.
+
+        Never ``inf``: serve-mode stats serialise this straight into JSON,
+        and ``Infinity`` is not valid JSON.
+        """
+        if self.elapsed_seconds <= 0:
+            return 0.0
+        return self.requests / self.elapsed_seconds
 
 
 class EngineSession:
@@ -55,9 +86,9 @@ class EngineSession:
         Drive any deamortized flush to completion in :meth:`close` so final
         volumes and invariants are comparable across allocators.
     label:
-        Label stamped on the :class:`~repro.engine.engine.EngineRun` that
-        :meth:`close` returns when the session was fed plain batches (a
-        trace-driven run keeps the trace's own label).
+        Label stamped on the :class:`EngineRun` that :meth:`close` returns
+        when the session was fed plain batches (a :meth:`run` keeps the
+        trace's own label).
     """
 
     def __init__(
@@ -88,10 +119,10 @@ class EngineSession:
     def open(self) -> "EngineSession":
         """Attach observers and baseline the stats counters.
 
-        Mirrors the head of the old ``SimulationEngine.run``: one telemetry
-        lookup for the whole session, an ``engine.attach`` span around the
-        ``on_attach`` hooks, and only *active* observers attached to the
-        allocator so the zero-instrumentation fast path is preserved.
+        One telemetry lookup for the whole session, an ``engine.attach``
+        span around the ``on_attach`` hooks, and only *active* observers
+        attached to the allocator so the zero-instrumentation fast path is
+        preserved.
         """
         if self._opened:
             raise SessionStateError("session is already open")
@@ -116,6 +147,31 @@ class EngineSession:
         if self._finalized:
             raise SessionStateError("session is already closed or aborted")
 
+    def run(self, trace: Replayable) -> EngineRun:
+        """Serve ``trace`` (a :class:`Trace`, a streaming
+        :class:`~repro.workloads.base.RequestSource`, or any iterable of
+        requests) in one session and return the run outcome.
+
+        Opens the session, applies the whole trace as one batch and closes
+        it.  A streaming source is consumed one request at a time, so
+        replaying a 10M-request on-disk trace never materialises it.
+        Observers are attached for the duration of the call only, so the
+        same allocator can be replayed again with different
+        instrumentation.  A session runs once: a second :meth:`run` (or one
+        after :meth:`open`) raises :class:`SessionStateError`.
+        """
+        self.open()
+        try:
+            self.apply(trace)
+        except BaseException as error:
+            # A raising replay never reaches on_finish; the abort path gives
+            # every observer its on_abort (e.g. a trace recorder aborts its
+            # writer so the partial file fails loudly) and detaches the
+            # active observers.
+            self.abort(error)
+            raise
+        return self.close(trace)
+
     # ----------------------------------------------------------------- apply
     def apply(self, batch: Union[Iterable[Request], Sequence[Request]]) -> int:
         """Feed ``batch`` (any iterable of requests) through the allocator.
@@ -125,8 +181,8 @@ class EngineSession:
         (see ``Allocator._serve_insert``), so the applied count stays
         derivable from the stats delta even across a mid-batch failure —
         and the exception propagates to the caller, who decides whether to
-        :meth:`abort` the session (``SimulationEngine.run`` does) or keep
-        it alive (the serve layer reports the error and carries on).
+        :meth:`abort` the session (:meth:`run` does) or keep it alive (the
+        serve layer reports the error and carries on).
         """
         self._require_open()
         allocator = self.allocator
@@ -273,10 +329,10 @@ class EngineSession:
     def abort(self, error: BaseException) -> None:
         """Run the abort semantics of a raising replay (idempotent).
 
-        Exactly the old engine's except-path: record the abort against the
-        ``engine.replay`` span, give every observer its ``on_abort`` (one
-        observer's cleanup failing must neither starve the others of theirs
-        nor replace the original error), then detach the active observers.
+        Record the abort against the ``engine.replay`` span, give every
+        observer its ``on_abort`` (one observer's cleanup failing must
+        neither starve the others of theirs nor replace the original
+        error), then detach the active observers.
         """
         if self._finalized or not self._opened:
             return
@@ -291,18 +347,18 @@ class EngineSession:
         for observer in self._active:
             allocator.detach_observer(observer)
 
-    def close(self, trace: Any = None) -> "EngineRun":
+    def close(self, trace: Any = None) -> EngineRun:
         """Finish the session and return its :class:`EngineRun`.
 
         Drives pending deamortized work to completion (when
         ``finish_pending``), detaches the active observers, runs
-        ``on_finish`` for all of them, and pushes the telemetry counters —
-        the exact tail of the old ``SimulationEngine.run``.  A raising
-        flush takes the abort path (observers see ``on_abort``) and
-        re-raises, as it always did.
+        ``on_finish`` for all of them, and pushes the telemetry counters.
+        A raising flush takes the abort path (observers see ``on_abort``)
+        and re-raises.
 
         ``trace`` is what the run was fed, recorded on the returned
-        :class:`EngineRun` (batch callers can leave it ``None``).
+        :class:`EngineRun` with its label (batch callers leave it ``None``
+        and the run carries the session's label).
         """
         self._require_open()
         allocator = self.allocator
@@ -335,26 +391,11 @@ class EngineSession:
             if elapsed > 0:
                 telemetry.gauge("engine.requests_per_sec", round(requests / elapsed, 1))
             telemetry.gauge("engine.elapsed_seconds", round(elapsed, 6))
-        from repro.engine.engine import EngineRun
-
         return EngineRun(
             allocator=allocator,
-            trace=trace if trace is not None else self.label,
+            trace=trace,
             requests=requests,
             elapsed_seconds=elapsed,
             observers=self.observers,
+            label=self.label if trace is None else getattr(trace, "label", "trace"),
         )
-
-    # -------------------------------------------------------- context manager
-    def __enter__(self) -> "EngineSession":
-        if not self._opened:
-            self.open()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._finalized:
-            return
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort(exc)

@@ -1,7 +1,7 @@
 """Run a trace against an allocator and collect the paper's metrics.
 
-:func:`run_trace` is a thin composition over the observer-based
-:class:`~repro.engine.SimulationEngine`: an :class:`ExecutionMetrics` is the
+:func:`run_trace` is a thin composition over one observer-based
+:meth:`~repro.engine.EngineSession.run`: an :class:`ExecutionMetrics` is the
 product of a :class:`~repro.engine.MetricsObserver` (headline scalars), a
 :class:`~repro.engine.CostObserver` (after-the-fact cost charging), and —
 when sampling is requested — a
@@ -20,11 +20,14 @@ from repro.core.base import Allocator
 from repro.costs.base import CostFunction
 from repro.engine import (
     CostObserver,
+    EngineSession,
     FootprintSeriesObserver,
     MetricsObserver,
     Observer,
     Replayable,
-    SimulationEngine,
+    SerialFallbackWarning,
+    replay_unshardable_reason,
+    run_replay_sharded,
 )
 
 
@@ -87,7 +90,6 @@ def run_trace(
     sample_every: int = 0,
     finish_pending: bool = True,
     observers: Sequence[Observer] = (),
-    max_series_points: int = 0,
     jobs: int = 1,
 ) -> ExecutionMetrics:
     """Replay ``trace`` on ``allocator`` and return the collected metrics.
@@ -113,9 +115,6 @@ def run_trace(
     observers:
         Additional observers wired into the replay (experiment-specific
         instrumentation; see :mod:`repro.engine`).
-    max_series_points:
-        If positive (and ``sample_every`` is zero), collect an adaptively
-        downsampled footprint series bounded to this many points.
     jobs:
         If greater than one, replay the trace sharded over that many worker
         processes.  Requires ``trace`` to be a
@@ -124,45 +123,31 @@ def run_trace(
         be mergeable; otherwise the replay falls back to serial with a
         :class:`~repro.engine.SerialFallbackWarning` naming the reason.
         Note the footprint series is order-dependent, so requesting
-        ``sample_every``/``max_series_points`` also forces serial.
+        ``sample_every`` also forces serial.
     """
     metrics_observer = MetricsObserver()
     cost_observer = CostObserver(cost_functions)
     series_observer: Optional[FootprintSeriesObserver] = None
+    wired: List[Observer] = [metrics_observer, cost_observer]
     if sample_every:
         series_observer = FootprintSeriesObserver(every=sample_every)
-    elif max_series_points:
-        series_observer = FootprintSeriesObserver(max_points=max_series_points)
-    wired: List[Observer] = [metrics_observer, cost_observer]
-    if series_observer is not None:
         wired.append(series_observer)
     wired.extend(observers)
 
+    # A sharded replay adopts the merged state into ``wired``, so both
+    # paths leave the same observers finished for the metrics below.
+    run = None
     if jobs > 1:
-        from repro.engine import SerialFallbackWarning, run_replay_sharded
-        from repro.engine.parallel import replay_unshardable_reason
-
-        sharded = run_replay_sharded(
-            allocator, trace, wired, jobs, finish_pending=finish_pending
-        )
-        if sharded is not None:
-            metrics_observer, cost_observer = sharded.observers[0], sharded.observers[1]
-            return ExecutionMetrics(
-                allocator=allocator.describe(),
-                trace=getattr(trace, "label", "trace"),
-                requests=sharded.requests,
-                elapsed_seconds=sharded.elapsed_seconds,
-                cost_ratios=cost_observer.cost_ratios,
-                **metrics_observer.snapshot,
+        run = run_replay_sharded(allocator, trace, wired, jobs, finish_pending=finish_pending)
+        if run is None:
+            reason = replay_unshardable_reason(trace, wired) or "allocator or observers cannot be pickled across processes"
+            warnings.warn(
+                f"parallel replay (jobs={jobs}) fell back to serial: {reason}",
+                SerialFallbackWarning,
+                stacklevel=2,
             )
-        reason = replay_unshardable_reason(trace, wired) or "allocator or observers cannot be pickled across processes"
-        warnings.warn(
-            f"parallel replay (jobs={jobs}) fell back to serial: {reason}",
-            SerialFallbackWarning,
-            stacklevel=2,
-        )
-
-    run = SimulationEngine(allocator, wired, finish_pending=finish_pending).run(trace)
+    if run is None:
+        run = EngineSession(allocator, wired, finish_pending=finish_pending).run(trace)
 
     return ExecutionMetrics(
         allocator=allocator.describe(),

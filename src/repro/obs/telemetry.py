@@ -185,18 +185,20 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         telemetry = self._telemetry
-        self._depth = len(telemetry._stack)
-        telemetry._stack.append(self.name)
+        stack = telemetry._stack
+        self._depth = len(stack)
+        stack.append(self.name)
         self._start = telemetry.now()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         telemetry = self._telemetry
         duration = telemetry.now() - self._start
+        stack = telemetry._stack
         # Truncate rather than pop: a child span that never exited (its
         # block raised past it) must not leave the ancestry poisoned.
-        path = "/".join(telemetry._stack[: self._depth + 1])
-        del telemetry._stack[self._depth:]
+        path = "/".join(stack[: self._depth + 1])
+        del stack[self._depth:]
         fields: Dict[str, Any] = {
             "path": path,
             "depth": self._depth,
@@ -212,10 +214,13 @@ class _Span:
 
 
 class Telemetry:
-    """A process-local telemetry session (not thread-safe by design).
+    """A process-local telemetry session.
 
     A disabled instance (the default) is inert: no registry, no sink
-    writes, shared no-op singletons from every factory method.
+    writes, shared no-op singletons from every factory method.  Each thread
+    keeps its own span stack, so concurrent spans (the serve tier's tenant
+    threads) never report each other as parent; counter and gauge updates
+    are not locked.
     """
 
     def __init__(self, enabled: bool = False, sink: Optional[Any] = None) -> None:
@@ -225,8 +230,17 @@ class Telemetry:
         self.sink = sink
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._stack: List[str] = []
+        self._local = threading.local()
         self._t0 = time.perf_counter()
+
+    @property
+    def _stack(self) -> List[str]:
+        """The calling thread's open span names, outermost first."""
+        local = self._local
+        stack = getattr(local, "stack", None)
+        if stack is None:
+            stack = local.stack = []
+        return stack
 
     # ------------------------------------------------------------- plumbing
     def now(self) -> float:

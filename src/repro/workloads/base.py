@@ -12,8 +12,8 @@ DELETE = "delete"
 class RequestSource(Protocol):
     """Anything that can feed requests to a replay, one at a time.
 
-    The streaming counterpart of :class:`Trace`: ``Allocator.run``, the
-    :class:`~repro.engine.SimulationEngine`, and ``repro.metrics.run_trace``
+    The streaming counterpart of :class:`Trace`: ``Allocator.run``,
+    :meth:`~repro.engine.EngineSession.run`, and ``repro.metrics.run_trace``
     accept any object satisfying this protocol, so a multi-million-request
     replay (e.g. a :class:`~repro.workloads.replay.TraceFileSource` over an
     on-disk v3 file) never has to materialise its trace.  Iteration must be

@@ -52,8 +52,8 @@ Streaming
 :func:`load_trace` materialises a full :class:`Trace`.  For traces too
 large to hold in memory, :func:`iter_trace` yields requests one at a time
 and :class:`TraceFileSource` wraps a file as a re-iterable
-:class:`~repro.workloads.base.RequestSource` that ``Allocator.run``, the
-:class:`~repro.engine.SimulationEngine`, and ``repro.metrics.run_trace``
+:class:`~repro.workloads.base.RequestSource` that ``Allocator.run``,
+:meth:`~repro.engine.EngineSession.run`, and ``repro.metrics.run_trace``
 accept in place of a ``Trace``.  :func:`trace_info` computes a file's
 summary statistics (counts, delta, peak live volume) in one streaming pass,
 and the full analytics bundle (``repro trace analyze``) streams the same

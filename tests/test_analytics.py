@@ -16,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from benchmarks.legacy_codec import save_legacy_trace
-from repro.campaign import TraceAnalyticsObserver, analytics_result, analyze_trace
+from repro.campaign import TraceAnalyticsObserver, analytics_result
 from repro.cli import main
-from repro.engine import SimulationEngine, size_histogram
+from repro.engine import EngineSession, analyze_source, size_histogram
 from repro.engine.analytics import TraceAnalytics, _NameSet
 from repro.workloads import (
     Request,
@@ -146,8 +146,8 @@ def test_streaming_equals_materialized_oracle_across_formats(tmp_path, tag):
     path = _save(trace, tmp_path, tag)
     materialized = load_trace(path)
     expected = _materialized_analyze(materialized)
-    via_trace = analyze_trace(materialized)
-    via_source = analyze_trace(TraceFileSource(path))
+    via_trace = analyze_source(materialized)
+    via_source = analyze_source(TraceFileSource(path))
     assert via_trace == expected
     assert via_source == expected
     # The rendered terminal tables are byte-identical too.
@@ -166,7 +166,7 @@ def test_streaming_handles_reinserted_names(tmp_path):
     save_trace(trace, path, version=3)
     expected = _materialized_analyze(load_trace(path))
     assert expected.distinct_objects == 4
-    assert analyze_trace(TraceFileSource(path)) == expected
+    assert analyze_source(TraceFileSource(path)) == expected
 
 
 def test_analyze_trace_death_buckets_parameter(tmp_path):
@@ -174,16 +174,16 @@ def test_analyze_trace_death_buckets_parameter(tmp_path):
     path = tmp_path / "t.v1"
     save_trace(trace, path)
     expected = _materialized_analyze(load_trace(path), death_buckets=4)
-    assert analyze_trace(TraceFileSource(path), death_buckets=4) == expected
+    assert analyze_source(TraceFileSource(path), death_buckets=4) == expected
     assert len(expected.death_groups) == 4
 
 
 def test_analyze_empty_and_insert_only_traces():
-    empty = analyze_trace(Trace([], label="empty"))
+    empty = analyze_source(Trace([], label="empty"))
     assert empty.requests == 0 and empty.turnover == 0 and empty.mean_volume == 0.0
     assert empty == _materialized_analyze(Trace([], label="empty"))
     grow = Trace([Request.insert(i, 3) for i in range(10)], label="grow")
-    assert analyze_trace(grow) == _materialized_analyze(grow)
+    assert analyze_source(grow) == _materialized_analyze(grow)
 
 
 # ------------------------------------------------------ hypothesis equivalence
@@ -223,8 +223,8 @@ def test_hypothesis_streaming_equals_materialized(tmp_path_factory, version, com
         save_trace(trace, path, version=version, compress=compress)
     materialized = load_trace(path)
     expected = _materialized_analyze(materialized)
-    assert analyze_trace(materialized) == expected
-    assert analyze_trace(TraceFileSource(path)) == expected
+    assert analyze_source(materialized) == expected
+    assert analyze_source(TraceFileSource(path)) == expected
 
 
 # ----------------------------------------------------- engine observer parity
@@ -233,7 +233,7 @@ def test_observer_rides_along_on_an_engine_run():
 
     trace = churn_trace(800, target_live=50, seed=9, label="ride")
     observer = TraceAnalyticsObserver()
-    SimulationEngine(FirstFitAllocator(), [observer]).run(trace)
+    EngineSession(FirstFitAllocator(), [observer]).run(trace)
     assert observer.result(label="ride") == _materialized_analyze(trace)
     export = observer.export()
     assert export["requests"] == len(trace)
@@ -289,9 +289,9 @@ def test_streaming_analytics_rejects_inconsistent_streams():
     """The observer raises the same ValueError a materialised Trace raises,
     instead of crashing with a KeyError or silently mis-counting."""
     with pytest.raises(ValueError, match="request 1: 'b' deleted while inactive"):
-        analyze_trace([Request.insert("a", 5), Request.delete("b")])
+        analyze_source([Request.insert("a", 5), Request.delete("b")])
     with pytest.raises(ValueError, match="request 1: 'a' inserted while active"):
-        analyze_trace([Request.insert("a", 5), Request.insert("a", 7)])
+        analyze_source([Request.insert("a", 5), Request.insert("a", 7)])
 
 
 def test_cli_trace_analyze_malformed_trace_exits_2(tmp_path, capsys):

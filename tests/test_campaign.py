@@ -9,7 +9,6 @@ from benchmarks.legacy_codec import save_legacy_trace
 from repro.campaign import (
     CampaignSpec,
     SpecError,
-    analyze_trace,
     build_workload,
     campaign_table,
     load_results,
@@ -18,6 +17,7 @@ from repro.campaign import (
 )
 from repro.campaign.executor import RECORD_VERSION
 from repro.cli import main
+from repro.engine import analyze_source
 from repro.workloads import churn_trace, grow_then_shrink_trace, save_trace
 
 
@@ -156,7 +156,7 @@ def test_load_results_rejects_foreign_json(tmp_path):
 # ------------------------------------------------------------------ analytics
 def test_analyze_trace_conserves_volume():
     trace = churn_trace(400, target_live=50, seed=2)
-    analytics = analyze_trace(trace)
+    analytics = analyze_source(trace)
     died = sum(bucket["volume"] for bucket in analytics.death_groups)
     assert died + analytics.immortal_volume == analytics.inserted_volume
     assert analytics.peak_volume == trace.peak_volume()
@@ -168,7 +168,7 @@ def test_analyze_trace_conserves_volume():
 
 def test_analyze_trace_lifetimes_grow_shrink():
     trace = grow_then_shrink_trace(50, seed=1, order="fifo")
-    analytics = analyze_trace(trace)
+    analytics = analyze_source(trace)
     assert analytics.immortal_objects == 0
     # FIFO deletion: every object lives exactly `num_objects` requests.
     assert analytics.lifetimes["p50"] == 50
@@ -178,7 +178,7 @@ def test_analyze_trace_lifetimes_grow_shrink():
 def test_analyze_empty_trace():
     from repro.workloads import Trace
 
-    analytics = analyze_trace(Trace([], label="empty"))
+    analytics = analyze_source(Trace([], label="empty"))
     assert analytics.requests == 0
     assert analytics.peak_volume == 0
     assert analytics.turnover == 0

@@ -19,13 +19,12 @@ from repro.core.base import AllocationError
 from repro.costs import ConstantCost, LinearCost
 from repro.engine import (
     DeviceObserver,
+    EngineSession,
     FootprintSeriesObserver,
     HistoryObserver,
     Observer,
-    SimulationEngine,
     build_observer,
     needs_events,
-    replay,
 )
 from repro.metrics import run_trace
 from repro.storage.devices import MainMemoryDevice
@@ -67,7 +66,7 @@ def test_observer_sees_every_event_kind():
     trace = churn_trace(600, UniformSizes(1, 32), target_live=60, seed=3)
     allocator = CheckpointedReallocator(epsilon=0.25)
     observer = RecordingObserver()
-    run = SimulationEngine(allocator, [observer]).run(trace)
+    run = EngineSession(allocator, [observer]).run(trace)
     assert observer.attached is allocator
     assert observer.finished is allocator
     assert len(observer.requests) == len(trace) == run.requests
@@ -81,7 +80,7 @@ def test_engine_detaches_observers_after_the_run():
     trace = churn_trace(100, seed=4, target_live=20)
     allocator = CostObliviousReallocator(epsilon=0.5)
     observer = RecordingObserver()
-    SimulationEngine(allocator, [observer]).run(trace)
+    EngineSession(allocator, [observer]).run(trace)
     seen = len(observer.requests)
     allocator.insert("late", 3)
     assert len(observer.requests) == seen  # detached: no more notifications
@@ -231,7 +230,7 @@ def test_series_observer_every_mode_matches_legacy_sampling():
     trace = churn_trace(500, seed=9, target_live=50)
     legacy = _legacy_run_trace(CostObliviousReallocator(epsilon=0.5), trace, sample_every=13)
     observer = FootprintSeriesObserver(every=13)
-    replay(CostObliviousReallocator(epsilon=0.5), trace, [observer])
+    EngineSession(CostObliviousReallocator(epsilon=0.5), [observer]).run(trace)
     assert observer.footprint == legacy["footprint_series"]
     assert observer.volume == legacy["volume_series"]
     assert observer.indices == list(range(0, len(trace), 13))
@@ -240,7 +239,7 @@ def test_series_observer_every_mode_matches_legacy_sampling():
 def test_series_observer_adaptive_mode_stays_bounded():
     observer = FootprintSeriesObserver(max_points=64)
     allocator = CostObliviousReallocator(epsilon=0.5, audit=False)
-    replay(allocator, churn_trace(5000, seed=10, target_live=60), [observer])
+    EngineSession(allocator, [observer]).run(churn_trace(5000, seed=10, target_live=60))
     assert 2 <= len(observer.footprint) <= 64
     assert observer.indices == sorted(observer.indices)
     assert observer.indices[0] == 0
@@ -275,7 +274,7 @@ def test_device_observer_matches_inline_accounting():
     trace = churn_trace(400, seed=11, target_live=40)
     device = MainMemoryDevice()
     allocator = CostObliviousReallocator(epsilon=0.25)
-    replay(allocator, trace, [DeviceObserver(device)])
+    EngineSession(allocator, [DeviceObserver(device)]).run(trace)
     assert device.stats.units_written == (
         trace.total_inserted_volume + allocator.stats.total_moved_volume
     )
@@ -341,7 +340,7 @@ def test_device_observer_consistent_for_deamortized_pending_work():
     trace = churn_trace(400, seed=12, target_live=40)
     device = MainMemoryDevice()
     allocator = DeamortizedReallocator(epsilon=0.25)
-    replay(allocator, trace, [DeviceObserver(device)])
+    EngineSession(allocator, [DeviceObserver(device)]).run(trace)
     # The device sees exactly the moves the stats count, including the
     # drain of any flush still pending at trace end.
     assert device.stats.moves == allocator.stats.total_moves

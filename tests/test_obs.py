@@ -9,7 +9,7 @@ import pytest
 
 from repro.allocators import FirstFitAllocator
 from repro.cli import main
-from repro.engine import SimulationEngine, TraceRecorderObserver
+from repro.engine import EngineSession, TraceRecorderObserver
 from repro.obs import (
     NULL_COUNTER,
     NULL_SPAN,
@@ -86,7 +86,7 @@ def test_disabled_replay_creates_no_registry_and_no_file(tmp_path):
     telemetry = get_telemetry()
     assert not telemetry.enabled
     allocator = FirstFitAllocator()
-    SimulationEngine(allocator, []).run(TRACE)
+    EngineSession(allocator, []).run(TRACE)
     assert telemetry.counter_values() == {}
     assert telemetry.gauge_values() == {}
     # Hot classes bind no counter objects at all while off.
@@ -124,6 +124,36 @@ def test_span_exception_safety_records_error_and_unwinds_stack():
     with telemetry.span("after"):
         pass
     assert sink.events[-1]["path"] == "after"
+
+
+def test_concurrent_threads_keep_their_own_span_ancestry():
+    """Two threads inside their spans at once: neither is the other's
+    parent, and one thread's exit leaves the other's stack intact."""
+    sink = MemorySink()
+    telemetry = Telemetry(enabled=True, sink=sink)
+    both_inside = threading.Barrier(2, timeout=10)
+    errors = []
+
+    def tenant(name):
+        try:
+            with telemetry.span(name):
+                both_inside.wait()  # both spans open together…
+                both_inside.wait()  # …and neither exits before both checked in
+        except threading.BrokenBarrierError as error:
+            errors.append(error)
+
+    threads = [threading.Thread(target=tenant, args=(n,)) for n in ("tenant.a", "tenant.b")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert not errors
+    spans = sorted(
+        (e["name"], e["path"], e["depth"]) for e in sink.events if e["ev"] == "span"
+    )
+    assert spans == [("tenant.a", "tenant.a", 0), ("tenant.b", "tenant.b", 0)]
+    assert telemetry._stack == []
 
 
 def test_flush_emits_deltas_and_resets_counters():
@@ -213,7 +243,7 @@ def test_enabled_replay_populates_engine_and_substrate_counters():
     telemetry = Telemetry(enabled=True)
     with use_telemetry(telemetry):
         allocator = FirstFitAllocator()
-        SimulationEngine(allocator, []).run(TRACE)
+        EngineSession(allocator, []).run(TRACE)
     counters = telemetry.counter_values()
     assert counters["engine.requests"] == len(TRACE)
     assert counters["engine.replays"] == 1
@@ -231,7 +261,7 @@ def test_engine_abort_emits_abort_event():
     telemetry = Telemetry(enabled=True, sink=sink)
     with use_telemetry(telemetry):
         with pytest.raises(RuntimeError):
-            SimulationEngine(FirstFitAllocator(), []).run(poisoned())
+            EngineSession(FirstFitAllocator(), []).run(poisoned())
     aborts = [e for e in sink.events if e["ev"] == "abort"]
     assert len(aborts) == 1
     assert aborts[0]["name"] == "engine.replay"
@@ -244,7 +274,7 @@ def test_trace_io_counters_and_recorder_write_seconds(tmp_path):
     telemetry = Telemetry(enabled=True)
     with use_telemetry(telemetry):
         recorder = TraceRecorderObserver(str(path))
-        SimulationEngine(FirstFitAllocator(), [recorder]).run(TRACE)
+        EngineSession(FirstFitAllocator(), [recorder]).run(TRACE)
     counters = telemetry.counter_values()
     assert counters["trace_io.encode_records"] == len(TRACE)
     assert counters["trace_io.encode_bytes"] == os.path.getsize(path)
@@ -255,7 +285,7 @@ def test_trace_io_counters_and_recorder_write_seconds(tmp_path):
 
 def test_recorder_export_omits_write_seconds_when_telemetry_is_off(tmp_path):
     recorder = TraceRecorderObserver(str(tmp_path / "rec.v3"))
-    SimulationEngine(FirstFitAllocator(), [recorder]).run(TRACE)
+    EngineSession(FirstFitAllocator(), [recorder]).run(TRACE)
     assert "write_seconds" not in recorder.export()
 
 

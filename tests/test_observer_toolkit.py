@@ -18,9 +18,9 @@ from repro.cli import main
 from repro.core import CostObliviousReallocator, DeamortizedReallocator
 from repro.costs import ConstantCost, LinearCost, RotatingDiskCost
 from repro.engine import (
+    EngineSession,
     GapHistogramObserver,
     PerClassOccupancyObserver,
-    SimulationEngine,
     TraceRecorderObserver,
 )
 from repro.harness.runners import (
@@ -46,7 +46,7 @@ def test_gap_histogram_final_sample_matches_free_extents():
     trace = churn_trace(400, target_live=40, seed=8)
     observer = GapHistogramObserver(every=1)
     allocator = FirstFitAllocator()
-    SimulationEngine(allocator, [observer]).run(trace)
+    EngineSession(allocator, [observer]).run(trace)
     export = export_of(observer)
     assert export["requests_seen"] == len(trace)
     # every=1: the last sample is the state after the final request.
@@ -66,7 +66,7 @@ def test_gap_histogram_falls_back_to_address_space_gaps():
     observer = GapHistogramObserver(every=1)
     allocator = CostObliviousReallocator(epsilon=0.5)
     assert not hasattr(allocator, "free_extents")
-    SimulationEngine(allocator, [observer]).run(trace)
+    EngineSession(allocator, [observer]).run(trace)
     export = export_of(observer)
     gaps = allocator.space.free_gaps()
     assert export["total_gaps"][-1] == len(gaps)
@@ -76,7 +76,7 @@ def test_gap_histogram_falls_back_to_address_space_gaps():
 def test_gap_histogram_sampling_is_bounded():
     trace = churn_trace(3000, target_live=50, seed=5)
     observer = GapHistogramObserver(max_points=16)
-    SimulationEngine(FirstFitAllocator(), [observer]).run(trace)
+    EngineSession(FirstFitAllocator(), [observer]).run(trace)
     export = export_of(observer)
     assert 2 <= len(export["indices"]) <= 16
     assert len(export["counts"]) == len(export["indices"])
@@ -94,7 +94,7 @@ def test_per_class_occupancy_conserves_live_volume():
     trace = churn_trace(500, UniformSizes(1, 200), target_live=60, seed=12)
     observer = PerClassOccupancyObserver(every=1)
     allocator = FirstFitAllocator()
-    SimulationEngine(allocator, [observer]).run(trace)
+    EngineSession(allocator, [observer]).run(trace)
     export = export_of(observer)
     assert sum(export["volume"][-1]) == allocator.volume
     assert sum(export["count"][-1]) == allocator.num_objects
@@ -111,7 +111,7 @@ def test_per_class_occupancy_bounded_and_observer_registry():
         assert kind in OBSERVER_KINDS
     observer = build_observer({"kind": "per_class_occupancy", "max_points": 8})
     trace = churn_trace(2000, target_live=40, seed=2)
-    SimulationEngine(FirstFitAllocator(), [observer]).run(trace)
+    EngineSession(FirstFitAllocator(), [observer]).run(trace)
     assert 2 <= len(observer.indices) <= 8
     with pytest.raises(ValueError, match="bad parameters"):
         build_observer({"kind": "gap_histogram", "nope": 1})
@@ -132,7 +132,7 @@ def recorded_trace(tmp_path_factory):
     trace = churn_trace(3000, UniformSizes(1, 64), target_live=150, seed=11)
     path = tmp_path_factory.mktemp("recorder") / "recorded.v3z"
     recorder = TraceRecorderObserver(str(path), compress=True, label=trace.label)
-    SimulationEngine(FirstFitAllocator(), [recorder]).run(trace)
+    EngineSession(FirstFitAllocator(), [recorder]).run(trace)
     assert recorder.requests_written == len(trace)
     assert recorder.file_bytes > 0
     assert recorder.export()["path"] == str(path)
@@ -224,7 +224,7 @@ def test_recorder_aborts_cleanly_when_the_replay_raises(tmp_path):
 
     path = tmp_path / "partial.v3"
     recorder = TraceRecorderObserver(str(path))
-    engine = SimulationEngine(FirstFitAllocator(), [recorder, _Bomb()])
+    engine = EngineSession(FirstFitAllocator(), [recorder, _Bomb()])
     with pytest.raises(RuntimeError, match="boom"):
         engine.run(churn_trace(500, target_live=30, seed=1))
     # The partial v3 file has no END trailer: reading it fails loudly
@@ -253,7 +253,7 @@ def test_abort_of_one_observer_does_not_starve_the_others(tmp_path):
 
     path = tmp_path / "after.v3"
     recorder = TraceRecorderObserver(str(path))
-    engine = SimulationEngine(FirstFitAllocator(), [_ExplodingCleanup(), recorder])
+    engine = EngineSession(FirstFitAllocator(), [_ExplodingCleanup(), recorder])
     with pytest.raises(AllocationError):
         engine.run([churn_trace(10, target_live=5, seed=1)[0]] * 2)  # duplicate insert
     # The recorder, listed after the exploding observer, still aborted.
@@ -417,9 +417,9 @@ def test_recorder_writes_v3_by_default_and_refuses_v2(tmp_path):
     trace = churn_trace(100, target_live=10, seed=1)
     path = tmp_path / "rec.v3"
     recorder = TraceRecorderObserver(str(path))
-    SimulationEngine(FirstFitAllocator(), [recorder]).run(trace)
+    EngineSession(FirstFitAllocator(), [recorder]).run(trace)
     assert recorder.export()["version"] == 3
     assert trace_info(path).version == 3
     legacy = TraceRecorderObserver(str(tmp_path / "rec.v2"), version=2)
     with pytest.raises(ValueError, match="read-only.*version=3"):
-        SimulationEngine(FirstFitAllocator(), [legacy]).run(trace)
+        EngineSession(FirstFitAllocator(), [legacy]).run(trace)

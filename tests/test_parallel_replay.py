@@ -19,12 +19,12 @@ from benchmarks.legacy_codec import save_legacy_trace
 from repro.allocators import FirstFitAllocator
 from repro.campaign import CampaignSpec, SpecError, run_campaign
 from repro.engine import (
+    EngineSession,
     FootprintSeriesObserver,
     MetricsObserver,
     PerClassOccupancyObserver,
     SerialFallbackWarning,
     ShardContext,
-    SimulationEngine,
     TraceAnalyticsObserver,
     analyze_trace_parallel,
     planned_stride,
@@ -172,7 +172,7 @@ def test_per_class_occupancy_merge_is_byte_identical(
     save_trace(trace, path, version=3, block_records=16)
 
     serial = PerClassOccupancyObserver(max_points=16)
-    SimulationEngine(FirstFitAllocator(), [serial]).run(trace)
+    EngineSession(FirstFitAllocator(), [serial]).run(trace)
 
     index = read_block_index(path)
     plan = shard_plan(index, shards)
@@ -196,7 +196,7 @@ def test_per_class_occupancy_merge_is_byte_identical(
                 Request.insert(name, size) for name, size in context.entry_live
             )
         observer.begin_shard(context)
-        SimulationEngine(allocator, [observer]).run(index.iter_range(start, stop))
+        EngineSession(allocator, [observer]).run(index.iter_range(start, stop))
         parts.append(observer)
     merged = parts[0]
     for other in parts[1:]:

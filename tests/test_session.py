@@ -1,10 +1,10 @@
-"""Tests for the incremental session core (:mod:`repro.engine.session`).
+"""Tests for the engine session (:mod:`repro.engine.session`).
 
-The refactor contract: ``SimulationEngine.run`` over one session must be
-byte-identical to the old monolithic run (the whole existing suite pins
-that); these tests pin what is *new* — the incremental lifecycle, live
-stats/analytics, snapshot/restore, the ``requests_per_second`` finiteness
-fix, and the ``CheckpointManager`` state round-trip the snapshots ride on.
+The whole suite replays through :meth:`EngineSession.run`; these tests pin
+the session's own contracts — the one-shot ``run`` lifecycle, the
+incremental lifecycle, run labels, live stats/analytics, snapshot/restore,
+the ``requests_per_second`` finiteness fix, and the ``CheckpointManager``
+state round-trip the snapshots ride on.
 """
 
 import json
@@ -14,14 +14,15 @@ import pickle
 import pytest
 
 from repro.allocators import FirstFitAllocator
+from repro.core.base import AllocationError
 from repro.engine import (
+    EngineRun,
     EngineSession,
     FootprintSeriesObserver,
+    Observer,
     SessionStateError,
-    SimulationEngine,
     TraceRecorderObserver,
 )
-from repro.engine.engine import EngineRun
 from repro.metrics import run_trace
 from repro.metrics.collector import ExecutionMetrics
 from repro.obs import MemorySink, Telemetry, use_telemetry
@@ -50,7 +51,7 @@ def layout(allocator):
 # ----------------------------------------------------------------- lifecycle
 def test_incremental_session_matches_one_shot_run():
     trace = churn_trace(600, UniformSizes(1, 32), target_live=60, seed=5)
-    one_shot = SimulationEngine(FirstFitAllocator()).run(trace)
+    one_shot = EngineSession(FirstFitAllocator()).run(trace)
 
     session = EngineSession(FirstFitAllocator()).open()
     applied = sum(session.apply(batch) for batch in batches(trace, 64))
@@ -121,23 +122,64 @@ def test_abort_is_idempotent_and_detaches_observers():
         session.close()
 
 
-def test_context_manager_closes_on_success_and_aborts_on_error():
-    with EngineSession(FirstFitAllocator()) as session:
-        session.apply([Request.insert("a", 4)])
+def test_a_session_runs_once():
+    trace = [Request.insert("a", 4), Request.delete("a")]
+    session = EngineSession(FirstFitAllocator())
+    assert session.run(trace).requests == 2
     assert not session.opened
+    with pytest.raises(SessionStateError):
+        session.run(trace)
 
+    opened = EngineSession(FirstFitAllocator()).open()
+    with pytest.raises(SessionStateError):
+        opened.run(trace)
+    assert opened.opened  # the refused run left the open session alone
+    assert opened.requests_applied == 0
+
+
+class _AbortLog(Observer):
+    """A passive observer that records its abort."""
+
+    aborted = None
+
+    def on_abort(self, allocator, error):
+        self.aborted = error
+
+
+class _ActiveAbortLog(_AbortLog):
+    def on_request(self, record):
+        pass
+
+
+def test_a_raising_run_aborts_every_observer_and_detaches():
+    active, passive = _ActiveAbortLog(), _AbortLog()
     allocator = FirstFitAllocator()
-    with pytest.raises(RuntimeError, match="boom"):
-        with EngineSession(allocator) as session:
-            raise RuntimeError("boom")
+    session = EngineSession(allocator, [active, passive])
+    bad = [Request.insert("a", 4), Request.insert("a", 4)]  # duplicate name
+    with pytest.raises(AllocationError) as raised:
+        session.run(bad)
     assert not session.opened
+    assert active.aborted is raised.value
+    assert passive.aborted is raised.value
+    assert not allocator._observers  # the active observer was detached
+
+
+def test_run_label_is_the_trace_label_or_the_session_label():
+    trace = churn_trace(40, UniformSizes(1, 8), target_live=10, seed=3)
+    assert EngineSession(FirstFitAllocator(), label="x").run(trace).label == trace.label
+    bare = EngineSession(FirstFitAllocator(), label="x").run(list(trace))
+    assert bare.label == "trace"
+
+    session = EngineSession(FirstFitAllocator(), label="tenant-a").open()
+    session.apply(list(trace))
+    assert session.close().label == "tenant-a"
 
 
 def test_session_spans_match_the_engine_spans():
     trace = churn_trace(50, UniformSizes(1, 8), target_live=10, seed=2)
     sink_engine, sink_session = MemorySink(), MemorySink()
     with use_telemetry(Telemetry(sink=sink_engine, enabled=True)):
-        SimulationEngine(FirstFitAllocator()).run(trace)
+        EngineSession(FirstFitAllocator()).run(trace)
     with use_telemetry(Telemetry(sink=sink_session, enabled=True)):
         session = EngineSession(FirstFitAllocator()).open()
         session.apply(list(trace))

@@ -16,7 +16,7 @@ import pytest
 from repro.allocators import FirstFitAllocator, LoggingCompactingReallocator
 from repro.core import CostObliviousReallocator, DeamortizedReallocator
 from repro.costs import ConstantCost, LinearCost, RotatingDiskCost
-from repro.engine import SimulationEngine
+from repro.engine import EngineSession
 from repro.harness.runners import (
     _ReservedSpaceObserver,
     _WorstCaseBoundObserver,
@@ -144,14 +144,14 @@ def test_engine_accepts_bare_request_iterator(trace_and_source):
     """A one-shot generator (no label, no len) replays fine; the request
     count comes from what the allocator served."""
     trace, source = trace_and_source
-    run = SimulationEngine(FirstFitAllocator()).run(iter_trace(source.path))
+    run = EngineSession(FirstFitAllocator()).run(iter_trace(source.path))
     assert run.requests == len(trace)
     assert run.label == "trace"
 
 
 def test_engine_run_label_comes_from_source(trace_and_source):
     trace, source = trace_and_source
-    run = SimulationEngine(FirstFitAllocator()).run(source)
+    run = EngineSession(FirstFitAllocator()).run(source)
     assert run.label == trace.label
     assert run.requests == len(trace)
 
@@ -161,8 +161,8 @@ def test_streaming_replay_serves_every_request_without_a_trace(trace_and_source)
     in-memory replay exactly."""
     trace, source = trace_and_source
     streamed, materialized = FirstFitAllocator(), FirstFitAllocator()
-    SimulationEngine(streamed).run(source)
-    SimulationEngine(materialized).run(trace)
+    EngineSession(streamed).run(source)
+    EngineSession(materialized).run(trace)
     assert streamed.stats.requests == materialized.stats.requests == len(trace)
     assert streamed.footprint == materialized.footprint
     assert streamed.volume == materialized.volume

@@ -14,7 +14,7 @@ import pytest
 
 from benchmarks.legacy_codec import save_legacy_trace
 from repro.allocators import FirstFitAllocator
-from repro.engine import SimulationEngine, TraceRecorderObserver
+from repro.engine import EngineSession, TraceRecorderObserver
 from repro.workloads import (
     Request,
     Trace,
@@ -96,11 +96,11 @@ def test_background_abort_discards_without_raising(tmp_path):
 def test_trace_recorder_observer_supports_background_compression(tmp_path):
     trace = churn_trace(400, UniformSizes(1, 32), target_live=40, seed=2)
     inline_path, background_path = tmp_path / "in.v3", tmp_path / "bg.v3"
-    SimulationEngine(
+    EngineSession(
         FirstFitAllocator(),
         [TraceRecorderObserver(inline_path, version=3, compress=True)],
     ).run(trace)
-    SimulationEngine(
+    EngineSession(
         FirstFitAllocator(),
         [TraceRecorderObserver(background_path, version=3, compress="background")],
     ).run(trace)
