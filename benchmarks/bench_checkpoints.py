@@ -1,5 +1,5 @@
-"""E5 — checkpoints needed per buffer flush (Lemma 3.3) — and two guards on
-the checkpointed move path.
+"""E5 — checkpoints needed per buffer flush (Lemma 3.3) — and three guards
+on the checkpointed move path.
 
 ``_LegacyScanCheckpoints`` reinstates the pre-index checkpoint manager on top
 of the current one: freed extents appended to a plain list (coalesced only
@@ -14,12 +14,22 @@ space that also keeps a lazy end-heap on every place, move and remove.  The
 same replay through the phased executor, with the footprint read from the
 address index, must beat it by at least 1.25x.
 
+``_ParentMovePath`` reinstates the move path that came before in-slot
+moves: an address-space ``move`` that deletes its index entry and
+re-inserts it with ``insort`` after a full neighbour walk, a per-move
+``_relocate`` and ``record_move`` for every planned move, and a checkpoint
+that copies the whole translation map.  The same replay through today's
+path (in-slot moves, one stats update per run of moves, the translation map
+written inline and checkpointed from its dirty set) must beat it by at
+least 1.25x.
+
 Timings are best-of-3 with the two variants interleaved, so a load spike on
 a shared CI runner hits both sides.
 """
 
 import heapq
 import time
+from bisect import bisect_left, insort
 from collections import Counter
 
 from benchmarks.bench_artifact import record_metric
@@ -83,6 +93,7 @@ def _assert_same_replay(fast, slow):
     assert vars(fast.stats) == vars(slow.stats)
     assert fast.blocked_checkpoints == slow.blocked_checkpoints
     assert dict(fast.space.items()) == dict(slow.space.items())
+    assert fast.translation._durable == slow.translation._durable
 
 
 def test_indexed_frozen_space_beats_linear_scan():
@@ -244,4 +255,100 @@ def test_phased_executor_beats_per_move_path():
     assert per_move >= 1.25 * executor, (
         f"the phased executor ({executor:.3f}s) is less than 1.25x faster than "
         f"the per-move path ({per_move:.3f}s); the checkpointed move path has regressed"
+    )
+
+
+class _RemoveInsortSpace(AddressSpace):
+    """The audited space before in-slot moves: every move walks both
+    neighbours with its own entry skipped, deletes that entry and
+    re-inserts it with ``insort``."""
+
+    def move(self, name, extent):
+        extents = self._extents
+        old = extents.get(name)
+        if old is None:
+            raise KeyError(f"object {name!r} is not placed")
+        clash = self._find_overlap(extent, ignore=name)
+        if clash is not None:
+            raise OverlapError(f"moving {name!r} to {extent} overlaps {clash!r}")
+        index = self._index
+        order = self._order[name]
+        start = extent.start
+        del index[bisect_left(index, (old.start, order))]
+        insort(index, (start, order, start + extent.length, name))
+        extents[name] = extent
+        self._volume += extent.length - old.length
+        return old
+
+
+class _FullCopyTranslation(BlockTranslationLayer):
+    """The translation layer before the dirty set: a checkpoint copies the
+    whole volatile map."""
+
+    def checkpoint(self):
+        self._durable = dict(self._volatile)
+        self._dirty.clear()
+        return self.checkpoints.checkpoint()
+
+
+class _ParentMovePath(DeamortizedReallocator):
+    """The deamortized reallocator before in-slot moves and per-run move
+    bookkeeping: ``_RemoveInsortSpace``, ``_FullCopyTranslation`` and a
+    phased executor that calls ``_relocate`` and ``record_move`` per move."""
+
+    def __init__(self):
+        super().__init__(0.25, translation=_FullCopyTranslation(), audit=True)
+        self.space = _RemoveInsortSpace()
+
+    def _run_items(self, items, index, budget):
+        lookup = self.space.get
+        record_move = self.translation.record_move
+        end = len(items)
+        moved_volume = move_count = 0
+        while index < end and moved_volume <= budget:
+            item = items[index]
+            index += 1
+            if item[0] == "checkpoint":
+                self.checkpoint()
+                continue
+            _tag, name, size, target, reason = item
+            old = lookup(name)
+            if old is None:
+                continue
+            start = old.start
+            if start == target:
+                continue
+            if target < start + size and start < target + size:
+                raise RuntimeError(f"moving {name!r} from {old} to {target} overlaps")
+            new_extent = Extent(target, size)
+            self._ensure_writable(new_extent, reason)
+            self._relocate(name, size, old, new_extent, reason)
+            record_move(name, new_extent)
+            self._record_write(name, new_extent, moved_from=old)
+            moved_volume += size
+            move_count += 1
+        return index, moved_volume, move_count
+
+
+def test_in_slot_move_path_beats_parent_move_path():
+    lean = parent = float("inf")
+    for _ in range(3):
+        elapsed, fast = _timed_replay(_deamortized())
+        lean = min(lean, elapsed)
+        elapsed, slow = _timed_replay(_ParentMovePath())
+        parent = min(parent, elapsed)
+    _assert_same_replay(fast, slow)
+    print(
+        f"\naudited deamortized replay ({len(CHURN)} requests, 2k live): "
+        f"in-slot={lean:.3f}s remove-insort={parent:.3f}s ({parent / lean:.2f}x)"
+    )
+    record_metric("checkpoints", "in_slot_move_path_seconds", round(lean, 6), "seconds")
+    record_metric("checkpoints", "remove_insort_move_path_seconds", round(parent, 6), "seconds")
+    record_metric(
+        "checkpoints", "remove_insort_over_in_slot_ratio", round(parent / lean, 2), "ratio"
+    )
+    assert parent >= 1.25 * lean, (
+        f"the in-slot move path ({lean:.3f}s) is less than 1.25x faster than "
+        f"the remove-and-insort path ({parent:.3f}s); the checkpointed move path "
+        f"has regressed"
     )

@@ -8,6 +8,11 @@ tenant's v3 trace and synced).  Both sides run on the same machine in the
 same invocation, so the ratio is hardware-independent; the absolute
 figures are recorded into ``BENCH_serve.json`` for the artifact.
 
+The two sides are measured in interleaved (serve, batch) rounds and each
+keeps its best round, so a load spike on a shared runner hits both sides
+rather than one lone measurement: the batch-replay baseline alone swings
+between about 50k and 83k req/s from run to run on a shared machine.
+
 The default load is 8 x 10k requests so CI stays fast; set
 ``REPRO_BENCH_FULL=1`` for the 8 x 50k acceptance run::
 
@@ -39,25 +44,25 @@ def workloads():
     return [load_pattern_trace("churn", REQUESTS, seed) for seed in range(CLIENTS)]
 
 
+#: Interleaved (serve, batch) rounds; each side keeps its best.
+ROUNDS = 3
+
+
 def _batch_replay_seconds(workloads):
     """Single-process baseline: plain engine runs, one per workload."""
-    best = float("inf")
-    for _ in range(2):
-        started = time.perf_counter()
-        total = 0
-        for trace in workloads:
-            total += EngineSession(FirstFitAllocator()).run(trace).requests
-        best = min(best, time.perf_counter() - started)
-        assert total == CLIENTS * REQUESTS
-    return best
+    started = time.perf_counter()
+    total = 0
+    for trace in workloads:
+        total += EngineSession(FirstFitAllocator()).run(trace).requests
+    assert total == CLIENTS * REQUESTS
+    return time.perf_counter() - started
 
 
-def test_serve_sustains_half_of_batch_replay_throughput(tmp_path, workloads):
-    baseline_seconds = _batch_replay_seconds(workloads)
-    baseline_rps = CLIENTS * REQUESTS / baseline_seconds
-
+def _serve_round(trace_dir):
+    """One served run of the whole load; returns the load report and the
+    server's per-tenant results."""
     handle = start_background(
-        ServeConfig(allocator="first_fit", trace_dir=str(tmp_path), label="bench")
+        ServeConfig(allocator="first_fit", trace_dir=str(trace_dir), label="bench")
     )
     try:
         report = run_load(
@@ -74,11 +79,20 @@ def test_serve_sustains_half_of_batch_replay_throughput(tmp_path, workloads):
         results = handle.stop()
     assert report.errors == 0
     assert report.applied == report.sent == CLIENTS * REQUESTS
+    return report, results
 
-    serve_rps = report.requests_per_second
+
+def test_serve_sustains_half_of_batch_replay_throughput(tmp_path, workloads):
+    serve_rps = baseline_rps = 0.0
+    for round_index in range(ROUNDS):
+        trace_dir = tmp_path / f"round-{round_index}"
+        trace_dir.mkdir()
+        report, results = _serve_round(trace_dir)
+        serve_rps = max(serve_rps, report.requests_per_second)
+        baseline_rps = max(baseline_rps, CLIENTS * REQUESTS / _batch_replay_seconds(workloads))
     ratio = serve_rps / baseline_rps
     print(
-        f"\n{CLIENTS} clients x {REQUESTS} requests: "
+        f"\n{CLIENTS} clients x {REQUESTS} requests, best of {ROUNDS} rounds: "
         f"batch replay={baseline_rps:,.0f} req/s, "
         f"serve={serve_rps:,.0f} req/s ({ratio:.2f}x)"
     )
@@ -93,13 +107,14 @@ def test_serve_sustains_half_of_batch_replay_throughput(tmp_path, workloads):
         f"path regressed past the {MIN_SERVE_RATIO:.0%} budget"
     )
 
-    # The throughput only counts if durability held: every session left a
-    # complete v3 trace that replays to the exact served state.
+    # The throughput only counts if durability held: every session of the
+    # last round left a complete v3 trace that replays to the exact served
+    # state.
     assert len(results) == CLIENTS
     for index, (workload, result) in enumerate(
         zip(workloads, sorted(results, key=lambda r: int(r["tenant"].split("-")[-1])))
     ):
-        path = tmp_path / f"bench-load-{index}.v3"
+        path = trace_dir / f"bench-load-{index}.v3"
         assert trace_info(path).requests == REQUESTS
         offline = FirstFitAllocator()
         offline.run(workload)

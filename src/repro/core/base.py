@@ -252,9 +252,7 @@ class Allocator(ABC):
         self.space.place(name, extent)
         if self._collect_events:
             move = MoveEvent(name=name, size=size, source=None, destination=extent, reason=reason)
-            self._current_moves.append(move)
-            for observer in self._observers:
-                observer.on_move(move)
+            self._note_move(move)
 
     def _size_lookup(self, name: Hashable) -> int:
         """Size of an object that still occupies space (overridable)."""
@@ -273,8 +271,8 @@ class Allocator(ABC):
     ) -> None:
         """Move ``name`` from ``old_extent`` to ``new_extent`` and record it.
 
-        The one copy of the move bookkeeping (space, stats, event); callers
-        have already looked up the size and both extents.
+        The move bookkeeping (space, stats, event); callers have already
+        looked up the size and both extents.
         """
         self.space.move(name, new_extent)
         self.stats.record_move(size)
@@ -283,9 +281,13 @@ class Allocator(ABC):
             move = MoveEvent(
                 name=name, size=size, source=old_extent, destination=new_extent, reason=reason
             )
-            self._current_moves.append(move)
-            for observer in self._observers:
-                observer.on_move(move)
+            self._note_move(move)
+
+    def _note_move(self, move: MoveEvent) -> None:
+        """Add a placement or move to the request's record; tell observers."""
+        self._current_moves.append(move)
+        for observer in self._observers:
+            observer.on_move(move)
 
     def _free_object(self, name: Hashable) -> Extent:
         """Remove ``name`` from the address space and return its old extent."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.events import FlushRecord
+from repro.core.events import FlushRecord, MoveEvent
 from repro.core.reallocator import BufferEntry, CostObliviousReallocator, FlushPlan
 from repro.core.size_classes import size_class_of
 from repro.storage.extent import Extent
@@ -302,40 +302,64 @@ class CheckpointedReallocator(CostObliviousReallocator):
 
         Every move of this reallocator runs here, under the Section 3
         rules: the destination must be disjoint from the source and, via
-        :meth:`_ensure_writable`, must not be frozen.  A move whose object
-        is already at its target or no longer occupies space is skipped and
-        costs nothing.  Returns ``(next_index, moved_volume, move_count)``.
+        :meth:`_ensure_writable` (called only when the destination is
+        frozen), must not be frozen.  A move whose object is already at its
+        target or no longer occupies space is skipped and costs nothing.
+        The stats take the whole run at once, also when a move raises.
+        Returns ``(next_index, moved_volume, move_count)``.
         """
         lookup = self.space.get
-        record_move = self.translation.record_move
+        move = self.space.move
+        is_writable = self.checkpoints.is_writable
+        record_free = self.checkpoints.record_free
+        # The translation map is updated inline, as record_move would; a
+        # checkpoint clears the dirty set in place, so these stay bound.
+        volatile = self.translation._volatile  # noqa: SLF001
+        dirty = self.translation._dirty  # noqa: SLF001
+        collect = self._collect_events
+        track_recovery = self.track_recovery
         end = len(items)
-        moved_volume = move_count = 0
-        while index < end and moved_volume <= budget:
-            item = items[index]
-            index += 1
-            if item[0] == "checkpoint":
-                self.checkpoint()
-                continue
-            _tag, name, size, target, reason = item
-            old = lookup(name)
-            if old is None:
-                continue
-            start = old.start
-            if start == target:
-                continue
-            if target < start + size and start < target + size:
-                raise RuntimeError(
-                    f"non-overlapping constraint violated: moving {name!r} from "
-                    f"{old} to {Extent(target, size)}"
-                )
-            new_extent = Extent(target, size)
-            self._ensure_writable(new_extent, reason)
-            self._relocate(name, size, old, new_extent, reason)
-            record_move(name, new_extent)
-            self._record_write(name, new_extent, moved_from=old)
-            moved_volume += size
-            move_count += 1
-        return index, moved_volume, move_count
+        sizes: List[int] = []
+        moved_volume = 0
+        try:
+            while index < end and moved_volume <= budget:
+                item = items[index]
+                index += 1
+                if item[0] == "checkpoint":
+                    self.checkpoint()
+                    continue
+                _tag, name, size, target, reason = item
+                old = lookup(name)
+                if old is None:
+                    continue
+                start = old.start
+                if start == target:
+                    continue
+                if target < start + size and start < target + size:
+                    raise RuntimeError(
+                        f"non-overlapping constraint violated: moving {name!r} from "
+                        f"{old} to {Extent(target, size)}"
+                    )
+                new_extent = Extent(target, size)
+                if not is_writable(new_extent):
+                    self._ensure_writable(new_extent, reason)
+                move(name, new_extent)
+                sizes.append(size)
+                moved_volume += size
+                if collect:
+                    self._note_move(MoveEvent(name, size, old, new_extent, reason))
+                mapped = volatile.get(name)
+                if mapped is not None:
+                    record_free(mapped)
+                volatile[name] = new_extent
+                dirty.add(name)
+                if track_recovery:
+                    self._record_write(name, new_extent, moved_from=old)
+        finally:
+            if sizes:
+                self.stats.record_moves(sizes, moved_volume)
+                self._current_moved_volume += moved_volume
+        return index, moved_volume, len(sizes)
 
     # ------------------------------------------------------- crash recovery
     def crash_and_recover(self) -> None:

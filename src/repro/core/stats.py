@@ -64,6 +64,12 @@ class AllocatorStats:
         self.total_moved_volume += size
         self.total_moves += 1
 
+    def record_moves(self, sizes: List[int], volume: int) -> None:
+        """Record a run of moves at once; ``volume`` is ``sum(sizes)``."""
+        self.moved_sizes.update(sizes)
+        self.total_moved_volume += volume
+        self.total_moves += len(sizes)
+
     def record_footprint(self, footprint: int, volume: int) -> None:
         if footprint > self.max_footprint:
             self.max_footprint = footprint

@@ -20,11 +20,15 @@ list of ``(start, order, end, name)`` entries.  Because the live extents
 are disjoint by construction, a placement can only clash with its nearest
 neighbours in address order — one bisect plus two neighbour probes,
 O(log n) per request instead of the pre-index scan over every live
-object.  The same index makes :meth:`free_gaps` and :meth:`verify_disjoint`
-single ordered walks with no sorting.  With ``validate=False`` the index is
-not maintained at all (overlapping extents would break its invariant), and
-the two queries fall back to sorting on demand, exactly like the pre-index
-implementation.
+object.  Most flush moves keep their rank: the new key still sorts
+between the entry's neighbours (the predecessor starting strictly before
+it), so the move overwrites the entry in place and probes just those
+two.  Other moves probe with their own entry skipped, then delete and
+re-insert it.  The same index makes :meth:`free_gaps` and
+:meth:`verify_disjoint` single ordered walks with no sorting.  With
+``validate=False`` the index is not maintained at all (overlapping
+extents would break its invariant), and the two queries fall back to
+sorting on demand, exactly like the pre-index implementation.
 """
 
 from __future__ import annotations
@@ -220,19 +224,40 @@ class AddressSpace:
         if old is None:
             raise KeyError(f"object {name!r} is not placed")
         if self._validate:
-            clash = self._find_overlap(extent, ignore=name)
-            if clash is not None:
-                raise OverlapError(
-                    f"moving {name!r} to {extent} overlaps {clash!r} at "
-                    f"{extents[clash]}"
-                )
             # The object keeps its order serial: it is unique among the
             # live names, which is all the bisection needs.
             index = self._index
             order = self._order[name]
             start = extent.start
-            del index[bisect_left(index, (old.start, order))]
-            insort(index, (start, order, start + extent.length, name))
+            end = start + extent.length
+            entry = (start, order, end, name)
+            pos = bisect_left(index, (old.start, order))
+            last = len(index) - 1
+            in_slot = (pos == 0 or index[pos - 1][0] < start) and (
+                pos == last or entry < index[pos + 1]
+            )
+            # In its slot, the two neighbours are the nearest predecessor
+            # and successor that _find_overlap would probe.
+            if not in_slot:
+                clash = self._find_overlap(extent, ignore=name)
+            elif pos and index[pos - 1][2] > start:
+                clash = index[pos - 1][3]
+            elif pos < last and index[pos + 1][0] < end:
+                clash = index[pos + 1][3]
+            else:
+                clash = None
+            if in_slot and self._c_probes is not None:
+                self._c_probes.value += 1
+            if clash is not None:
+                raise OverlapError(
+                    f"moving {name!r} to {extent} overlaps {clash!r} at "
+                    f"{extents[clash]}"
+                )
+            if in_slot:
+                index[pos] = entry
+            else:
+                del index[pos]
+                insort(index, entry)
         else:
             self._untrack_end(old.end)
             self._track_end(extent.end)

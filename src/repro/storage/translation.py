@@ -13,7 +13,7 @@ last checkpoint, the durable map always points at intact data, and
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, Optional
+from typing import Any, Dict, Hashable, Iterator, Optional, Set
 
 from repro.storage.checkpoint import CheckpointManager
 from repro.storage.extent import Extent
@@ -24,20 +24,34 @@ class RecoveryError(RuntimeError):
 
 
 class BlockTranslationLayer:
-    """Logical-name to physical-extent map with checkpointed durability."""
+    """Logical-name to physical-extent map with checkpointed durability.
+
+    A checkpoint writes only the names changed since the previous one (the
+    ``_dirty`` set) into the durable map, not a copy of the whole map.
+    """
 
     def __init__(self, checkpoints: Optional[CheckpointManager] = None) -> None:
         self.checkpoints = checkpoints if checkpoints is not None else CheckpointManager()
         self._volatile: Dict[Hashable, Extent] = {}
         self._durable: Dict[Hashable, Extent] = {}
-        #: Map updates (allocations, moves, frees) since the last checkpoint.
-        self.updates_since_checkpoint = 0
+        #: Names allocated, moved or freed since the last checkpoint.
+        self._dirty: Set[Hashable] = set()
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        """Unpickle, deriving the dirty set that a snapshot taken before it
+        existed lacks (that layout kept an update counter instead)."""
+        state.pop("updates_since_checkpoint", None)
+        self.__dict__.update(state)
+        if "_dirty" not in state:
+            volatile, durable = self._volatile, self._durable
+            names = volatile.keys() | durable.keys()
+            self._dirty = {n for n in names if volatile.get(n) != durable.get(n)}
 
     # ------------------------------------------------------------- volatile
     def record_allocation(self, name: Hashable, extent: Extent) -> None:
         """Record that ``name`` now lives at ``extent`` (new block)."""
         self._volatile[name] = extent
-        self.updates_since_checkpoint += 1
+        self._dirty.add(name)
 
     def record_move(self, name: Hashable, new_extent: Extent) -> None:
         """Record that ``name`` moved; its old extent is frozen until checkpoint."""
@@ -45,14 +59,14 @@ class BlockTranslationLayer:
         if old is not None:
             self.checkpoints.record_free(old)
         self._volatile[name] = new_extent
-        self.updates_since_checkpoint += 1
+        self._dirty.add(name)
 
     def record_free(self, name: Hashable) -> None:
         """Record that ``name`` was deleted; its space is frozen until checkpoint."""
         old = self._volatile.pop(name, None)
         if old is not None:
             self.checkpoints.record_free(old)
-        self.updates_since_checkpoint += 1
+        self._dirty.add(name)
 
     def lookup(self, name: Hashable) -> Extent:
         """Current (volatile) location of ``name``."""
@@ -70,8 +84,14 @@ class BlockTranslationLayer:
     # -------------------------------------------------------------- durable
     def checkpoint(self) -> int:
         """Persist the volatile map; freed space becomes reusable."""
-        self._durable = dict(self._volatile)
-        self.updates_since_checkpoint = 0
+        volatile, durable = self._volatile, self._durable
+        for name in self._dirty:
+            extent = volatile.get(name)
+            if extent is None:
+                durable.pop(name, None)
+            else:
+                durable[name] = extent
+        self._dirty.clear()
         return self.checkpoints.checkpoint()
 
     def durable_lookup(self, name: Hashable) -> Extent:
@@ -81,7 +101,7 @@ class BlockTranslationLayer:
     def crash(self) -> None:
         """Simulate a crash: the volatile map is lost, recovery reloads durable."""
         self._volatile = dict(self._durable)
-        self.updates_since_checkpoint = 0
+        self._dirty.clear()
         self.checkpoints.recover()
 
     def verify_recoverable(self, live_data: Dict[Hashable, Extent]) -> None:

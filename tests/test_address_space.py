@@ -1,8 +1,11 @@
 """Unit tests for the auditing address space."""
 
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.obs.telemetry import NullSink, Telemetry, use_telemetry
 from repro.storage.address_space import AddressSpace, OverlapError
 from repro.storage.extent import Extent
 
@@ -237,3 +240,170 @@ def test_audited_footprint_matches_naive_recomputation(steps):
         assert space.volume() == _naive_volume(mirror)
         assert space.snapshot() == mirror
     space.verify_disjoint()
+
+
+# ------------------------------------------------------------ in-slot moves
+def _parent_clash(mirror, name, extent):
+    """The object a move's audit names, computed on the naive model the way
+    the index probe finds it: the nearest other object starting before the
+    destination, then the nearest starting at or after it.  Live extents
+    are disjoint, so their starts are distinct and both are unique."""
+    others = [(other.start, other.end, other_name) for other_name, other in mirror.items()
+              if other_name != name]
+    before = [span for span in others if span[0] < extent.start]
+    after = [span for span in others if span[0] >= extent.start]
+    if before and max(before)[1] > extent.start:
+        return max(before)[2]
+    if after and min(after)[0] < extent.end:
+        return min(after)[2]
+    return None
+
+
+def _move_target(kind, mirror, name, offset):
+    """A destination ``Extent`` of the given kind for ``name``, relative to
+    its current neighbours in address order.  Only ``clash_both`` changes
+    the length: an object that keeps it cannot reach both neighbours from
+    its own slot."""
+    extent = mirror[name]
+    length = extent.length
+    others = sorted((other.start, other.end) for other_name, other in mirror.items()
+                    if other_name != name)
+    before = [span for span in others if span[0] < extent.start]
+    after = [span for span in others if span[0] >= extent.start]
+    pred = before[-1] if before else None
+    succ = after[0] if after else None
+    start = extent.start  # lands on its own start unless a kind applies
+    if kind == "in_slot":
+        low = pred[1] if pred else 0
+        high = succ[0] if succ else low + length + 40
+        room = high - low - length
+        if room >= 0:
+            start = low + offset % (room + 1)
+    elif kind == "past_successor" and succ:
+        start = succ[1] + offset % 20
+    elif kind == "past_predecessor" and pred:
+        start = max(0, pred[0] - length - offset % 20)
+    elif kind == "clash_predecessor" and pred:
+        start = max(0, pred[1] - 1 - offset % length)
+    elif kind == "clash_successor" and succ:
+        start = max(0, succ[0] - length + 1 + offset % length)
+    elif kind == "clash_both" and pred and succ:
+        start = pred[1] - 1
+        length = succ[0] - start + 1 + offset % 4
+    elif kind == "equal_start" and others:
+        start = others[offset % len(others)][0]
+    return Extent(start, length)
+
+
+_MOVE_KINDS = [
+    "in_slot", "past_successor", "past_predecessor",
+    "clash_predecessor", "clash_successor", "clash_both", "equal_start",
+]
+
+#: Placements to start from, then steps of an op, a name slot, an offset
+#: and a length (used by ``place`` only: moves keep the object's length).
+_SLOT_LAYOUT = st.lists(st.tuples(st.integers(0, 150), st.integers(1, 16)), min_size=2, max_size=10)
+_SLOT_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["place", "remove"] + _MOVE_KINDS * 3),
+        st.integers(0, 9),
+        st.integers(0, 150),
+        st.integers(1, 16),
+    ),
+    min_size=5,
+    max_size=60,
+)
+
+
+def _assert_index_matches(space, mirror):
+    keys = [(start, order) for start, order, _, _ in space._index]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert [(start, end, name) for start, _, end, name in space._index] == sorted(
+        (extent.start, extent.end, name) for name, extent in mirror.items()
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(layout=_SLOT_LAYOUT, steps=_SLOT_STEPS)
+def test_moves_in_and_out_of_their_slot_match_the_naive_model(layout, steps):
+    """Moves that keep their rank (rewritten in place), jump past a
+    neighbour, clash with either neighbour or land on an equal start: the
+    index stays sorted, ``OverlapError`` is raised exactly when the naive
+    model overlaps and names the object the index probe names, a raising
+    move changes nothing, and every move counts one audit probe."""
+    telemetry = Telemetry(enabled=True, sink=NullSink())
+    with use_telemetry(telemetry):
+        space = AddressSpace()
+    mirror = {}
+    requests = 0
+    layout_steps = [("place", slot, start, length) for slot, (start, length) in enumerate(layout)]
+    for op, slot, offset, length in layout_steps + steps:
+        if op == "place":
+            name = f"obj-{slot}"
+        elif mirror:  # moves and removes pick among the live objects
+            name = sorted(mirror)[slot % len(mirror)]
+        else:
+            continue
+        if op == "place":
+            extent = Extent(offset, length)
+            if name in mirror or _parent_clash(mirror, name, extent) is not None:
+                continue
+            space.place(name, extent)
+            mirror[name] = extent
+        elif op == "remove":
+            assert space.remove(name) == mirror.pop(name)
+        else:
+            extent = _move_target(op, mirror, name, offset)
+            naive = any(
+                extent.overlaps(other) for other_name, other in mirror.items()
+                if other_name != name
+            )
+            expected = _parent_clash(mirror, name, extent)
+            assert (expected is not None) == naive
+            before = (list(space._index), space.snapshot(), space.footprint(), space.volume())
+            if naive:
+                with pytest.raises(OverlapError, match=re.escape(f"overlaps {expected!r} at")):
+                    space.move(name, extent)
+                after = (list(space._index), space.snapshot(), space.footprint(), space.volume())
+                assert after == before
+            else:
+                assert space.move(name, extent) == mirror[name]
+                mirror[name] = extent
+        if op != "remove":
+            requests += 1
+        _assert_index_matches(space, mirror)
+        assert space.footprint() == _naive_footprint(mirror)
+        assert space.volume() == _naive_volume(mirror)
+    assert telemetry.counter("address_space.audit_probes").value == requests
+    space.verify_disjoint()
+
+
+class _ProbeCountingSpace(AddressSpace):
+    def __init__(self):
+        super().__init__()
+        self.walks = 0
+
+    def _find_overlap(self, extent, ignore=None):
+        self.walks += 1
+        return super()._find_overlap(extent, ignore)
+
+
+def test_a_move_that_keeps_its_rank_skips_the_index_walk():
+    space = _ProbeCountingSpace()
+    for name, start in (("a", 0), ("b", 20), ("c", 40)):
+        space.place(name, Extent(start, 5))
+    walks = space.walks
+    space.move("b", Extent(27, 5))  # still between a and c
+    space.move("a", Extent(2, 5))  # first entry, before b
+    space.move("c", Extent(60, 5))  # last entry, after b
+    assert space.walks == walks
+    with pytest.raises(OverlapError, match="overlaps 'c'"):
+        space.move("b", Extent(58, 5))  # keeps its rank, clashes with c
+    with pytest.raises(OverlapError, match="overlaps 'a'"):
+        space.move("b", Extent(6, 60))  # keeps its rank, clashes with a and c
+    assert space.walks == walks
+    with pytest.raises(OverlapError, match="overlaps 'c'"):
+        space.move("b", Extent(62, 5))  # jumps past c and clashes with it
+    space.move("b", Extent(70, 5))  # jumps past c
+    assert space.walks == walks + 2
+    assert [name for _, _, _, name in space._index] == ["a", "c", "b"]

@@ -10,6 +10,11 @@ that changes any decision, any move or any recorded figure fails here.
 
 To re-capture after a deliberate behaviour change, print
 ``_fingerprint(cls, epsilon, seed)`` for every case and paste the digests.
+
+The pins drive the traced path (``insert``/``delete`` build a record per
+request).  Benchmarks and the serve tier replay through ``run`` with nothing
+observing, which skips every event; the second test checks that this
+untraced path ends in the same state as the pinned traced one.
 """
 
 import hashlib
@@ -17,6 +22,7 @@ import hashlib
 import pytest
 
 from repro.core import CheckpointedReallocator, DeamortizedReallocator
+from repro.workloads.base import Request
 from tests.conftest import random_churn
 
 STEPS = 600
@@ -110,3 +116,44 @@ CLASSES = {cls.name: cls for cls in (CheckpointedReallocator, DeamortizedRealloc
 def test_checkpointed_runs_are_byte_identical_to_the_pins(case):
     name, epsilon, seed = case
     assert _fingerprint(CLASSES[name], epsilon, seed) == PINS[case]
+
+
+class _RequestRecorder:
+    """Stands in for an allocator to capture ``random_churn``'s requests."""
+
+    def __init__(self):
+        self.requests = []
+
+    def insert(self, name, size):
+        self.requests.append(Request.insert(name, size))
+
+    def delete(self, name):
+        self.requests.append(Request.delete(name))
+
+
+def _end_state(realloc):
+    finish = getattr(realloc, "finish_pending_work", None)
+    if finish is not None:
+        finish()
+    translation = realloc.translation
+    return (
+        dict(realloc.space.items()),
+        vars(realloc.stats),
+        realloc.blocked_checkpoints,
+        realloc.checkpoints.to_state(),
+        {name: translation.durable_lookup(name) for name in translation._durable},
+        {name: translation.lookup(name) for name in translation},
+    )
+
+
+@pytest.mark.parametrize("case", sorted(PINS), ids=lambda case: "-".join(map(str, case)))
+def test_untraced_runs_end_like_the_pinned_traced_runs(case):
+    name, epsilon, seed = case
+    recorder = _RequestRecorder()
+    random_churn(recorder, steps=STEPS, seed=seed, max_size=MAX_SIZE)
+    traced = CLASSES[name](epsilon=epsilon, trace=True)
+    random_churn(traced, steps=STEPS, seed=seed, max_size=MAX_SIZE)
+    untraced = CLASSES[name](epsilon=epsilon)
+    untraced.run(recorder.requests)
+    assert not untraced.history and untraced.stats.requests == len(recorder.requests)
+    assert _end_state(untraced) == _end_state(traced)

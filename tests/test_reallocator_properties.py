@@ -6,6 +6,8 @@ invariants (Invariant 2.2–2.4), the footprint bound, and disjointness of all
 placements.  These are the strongest correctness tests in the suite.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -15,7 +17,7 @@ from repro.core import (
     DeamortizedReallocator,
     check_invariants,
 )
-from tests.conftest import with_frozen_space_oracle
+from tests.conftest import random_churn, with_frozen_space_oracle
 
 # A request script is a list of (op_choice, size) pairs; op_choice picks
 # insert vs delete (deletes are ignored when nothing is live).
@@ -125,3 +127,54 @@ def test_all_variants_agree_on_the_live_set(script):
     counts = {realloc.num_objects for realloc in variants}
     assert len(volumes) == 1
     assert len(counts) == 1
+
+
+# ------------------------------------------------- at most two moves a flush
+_CHURNS = [(epsilon, seed) for epsilon in (0.1, 0.25, 0.5) for seed in range(4)]
+
+
+@pytest.mark.parametrize("epsilon,seed", _CHURNS)
+def test_amortized_flush_moves_each_object_at_most_twice(epsilon, seed):
+    """Section 2: a flush moves every object at most twice (out of the way,
+    then to its final slot), which is what charges a flush's cost to the
+    buffered updates.  Checked on every flushing request's moves."""
+    realloc = CostObliviousReallocator(epsilon=epsilon, trace=True)
+    random_churn(realloc, steps=800, seed=seed, max_size=80)
+    flushes = [record for record in realloc.history if record.flush is not None]
+    assert flushes
+    most = 0
+    for record in flushes:
+        moves = Counter(move.name for move in record.moves if move.is_reallocation)
+        most = max(most, max(moves.values(), default=0))
+    assert 0 < most <= 2
+
+
+def _plan_recording(cls):
+    class PlanRecording(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.plans = []
+
+        def _build_phased_items(self, plan, trigger_size):
+            items, overflow_end = super()._build_phased_items(plan, trigger_size)
+            self.plans.append(items)
+            return items, overflow_end
+
+    return PlanRecording
+
+
+@pytest.mark.parametrize("cls", [CheckpointedReallocator, DeamortizedReallocator],
+                         ids=lambda cls: cls.name)
+@pytest.mark.parametrize("epsilon,seed", _CHURNS)
+def test_phased_flush_plans_move_each_object_at_most_twice(cls, epsilon, seed):
+    """The Section 3 phased plan keeps the two-moves bound: every buffered
+    object goes to the overflow area and back, every payload object is
+    packed right and then unpacked, and nothing else is planned."""
+    realloc = _plan_recording(cls)(epsilon=epsilon)
+    random_churn(realloc, steps=800, seed=seed, max_size=80)
+    assert realloc.plans
+    most = 0
+    for items in realloc.plans:
+        moves = Counter(item[1] for item in items if item[0] == "move")
+        most = max(most, max(moves.values(), default=0))
+    assert 0 < most <= 2

@@ -172,3 +172,75 @@ def test_verify_recoverable_detects_clobbered_data():
     with pytest.raises(RecoveryError):
         layer.verify_recoverable({"a": Extent(50, 10)})
     layer.verify_recoverable({"a": Extent(0, 10)})
+
+
+#: One translation-layer operation: an op, a name slot and an address.
+_TRANSLATION_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["allocate", "move", "free", "checkpoint", "crash"]),
+        st.integers(0, 7),
+        st.integers(0, 200),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_TRANSLATION_OPS)
+def test_dirty_set_checkpoints_match_a_full_copy(ops):
+    """A checkpoint writes only the names changed since the previous one;
+    the durable map must still equal a full copy of the volatile map taken
+    at that checkpoint, and a crash must restore exactly that copy."""
+    layer = BlockTranslationLayer()
+    volatile, durable = {}, {}
+    for op, slot, address in ops:
+        name = f"block-{slot}"
+        if op == "allocate":
+            layer.record_allocation(name, Extent(address, 4))
+            volatile[name] = Extent(address, 4)
+        elif op == "move":
+            layer.record_move(name, Extent(address, 4))
+            volatile[name] = Extent(address, 4)
+        elif op == "free":
+            layer.record_free(name)
+            volatile.pop(name, None)
+        elif op == "checkpoint":
+            layer.checkpoint()
+            durable = dict(volatile)
+            for live in layer:
+                assert layer.durable_lookup(live) == layer.lookup(live)
+        else:
+            layer.crash()
+            volatile = dict(durable)
+            assert {live: layer.lookup(live) for live in layer} == durable
+        assert {live: layer.lookup(live) for live in layer} == volatile
+        for slot_name in (f"block-{index}" for index in range(8)):
+            if slot_name in durable:
+                assert layer.durable_lookup(slot_name) == durable[slot_name]
+            else:
+                with pytest.raises(KeyError):
+                    layer.durable_lookup(slot_name)
+
+
+def test_full_copy_translation_snapshot_restores_its_dirty_set():
+    """A pickled layer from before the dirty set carried an update counter;
+    unpickling derives the dirty names from the two maps."""
+    layer = BlockTranslationLayer()
+    layer.record_allocation("a", Extent(0, 4))
+    layer.record_allocation("b", Extent(4, 4))
+    layer.checkpoint()
+    layer.record_move("a", Extent(10, 4))
+    layer.record_free("b")
+    layer.record_allocation("c", Extent(20, 4))
+    state = dict(vars(layer))
+    del state["_dirty"]
+    state["updates_since_checkpoint"] = 3
+    restored = BlockTranslationLayer.__new__(BlockTranslationLayer)
+    restored.__setstate__(pickle.loads(pickle.dumps(state)))
+    assert restored._dirty == {"a", "b", "c"}
+    assert not hasattr(restored, "updates_since_checkpoint")
+    restored.checkpoint()
+    assert restored.durable_lookup("a") == Extent(10, 4)
+    assert restored.durable_lookup("c") == Extent(20, 4)
+    with pytest.raises(KeyError):
+        restored.durable_lookup("b")
