@@ -1,12 +1,15 @@
-"""Byte-identity pins for the checkpointed and deamortized reallocators.
+"""Byte-identity pins for the paper's three reallocators.
 
 Each case replays a traced random churn, drives any pending deamortized
 flush to completion, and hashes everything observable about the run: every
 request's move sequence, flush record, checkpoint count and footprint, the
 final layout, the aggregate stats, the blocked-checkpoint count and the
-checkpoint manager's state.  The digests were captured before the frozen
-space was indexed and the checkpointed move path was rebuilt, so a speed-up
-that changes any decision, any move or any recorded figure fails here.
+checkpoint manager's state (``None`` for the amortized reallocator, which
+has neither).  The checkpointed and deamortized digests were captured
+before the frozen space was indexed and the checkpointed move path was
+rebuilt, the amortized ones before its flush moved to the shared move-item
+pipeline, so a rewrite that changes any decision, any move or any recorded
+figure fails here.
 
 To re-capture after a deliberate behaviour change, print
 ``_fingerprint(cls, epsilon, seed)`` for every case and paste the digests.
@@ -21,7 +24,7 @@ import hashlib
 
 import pytest
 
-from repro.core import CheckpointedReallocator, DeamortizedReallocator
+from repro.core import CheckpointedReallocator, CostObliviousReallocator, DeamortizedReallocator
 from repro.workloads.base import Request
 from tests.conftest import random_churn
 
@@ -59,17 +62,18 @@ def _fingerprint(cls, epsilon, seed):
     stats = dict(vars(realloc.stats))
     stats["allocated_sizes"] = sorted(stats["allocated_sizes"].items())
     stats["moved_sizes"] = sorted(stats["moved_sizes"].items())
+    checkpoints = getattr(realloc, "checkpoints", None)
     payload = (
         history,
         sorted((name, _extent(extent)) for name, extent in realloc.space.items()),
         sorted(stats.items()),
-        realloc.blocked_checkpoints,
-        sorted(realloc.checkpoints.to_state().items()),
+        getattr(realloc, "blocked_checkpoints", None),
+        None if checkpoints is None else sorted(checkpoints.to_state().items()),
     )
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
-#: (class name, epsilon, seed) -> digest captured before the rewrite.
+#: (class name, epsilon, seed) -> digest captured before the rewrite it pins.
 PINS = {
     ('checkpointed', 0.1, 1): 'bb3abdbd3ae42d0e837aae5fd89a38368cbc2a18e177d4340319ea702847e265',
     ('checkpointed', 0.1, 2): 'd73df48ba89546dbe6d05a265123ad3ae66a0fd19f402fd838064788b4709f74',
@@ -89,6 +93,24 @@ PINS = {
     ('checkpointed', 0.5, 4): '5ed26daf6a79cc6cb26f44a5e97abc63f63eeecccfa4745c2d35065636fd1698',
     ('checkpointed', 0.5, 5): '8843495d20fd6f86ee0e19935f4b8cb07b6f8f01ed5d0bdc9bc425eb64802e67',
     ('checkpointed', 0.5, 6): '0eaf80cf5969b4fd65d346731d71537f153678bd1f1aab36e168bc6da6b7f444',
+    ('cost-oblivious', 0.1, 1): '5a65917d669aff325449233e14dc993bd22fcb0c59d65b9b7a98db5442109403',
+    ('cost-oblivious', 0.1, 2): '1e2f577c6711014e73787e8b3a844df91acd098de2e2e058ceb37d57a3ad54d0',
+    ('cost-oblivious', 0.1, 3): '834504c4432e6173d5617563ef959dce38b8ab5a610a83e8f50f71dceb3f3dc7',
+    ('cost-oblivious', 0.1, 4): '6fd5a500c6011f12d361ce452d8d2313aed13c449a4d89ad6c4e89da8b55fffe',
+    ('cost-oblivious', 0.1, 5): 'd5a0736a976d65c1ea6ec6d0aa70017e02bec4cbf64424c781f3715110d76f92',
+    ('cost-oblivious', 0.1, 6): 'cb43b6d584e9bb9faac3858a6a0eda1adefb425ee74cbca4a8588a15d8719261',
+    ('cost-oblivious', 0.25, 1): '88a80242f32202f43869abe80b9916de7d76274e877a99235f17d32a3b913abd',
+    ('cost-oblivious', 0.25, 2): 'ff205586c324a6217959467e0e82aa455ffb882c261487b62e379832f2165abc',
+    ('cost-oblivious', 0.25, 3): '108855e5118b2b0b7c33c8371ea5cb983bd8a2686f5b86cbc2d8270f68462065',
+    ('cost-oblivious', 0.25, 4): '33e080e8ce52bfbe9beecb60b9cd0af8630496ecd5fa984160daef6a804f7579',
+    ('cost-oblivious', 0.25, 5): '4bfb690ea9cc0f5d1ac96cf5b6cb583ea5a67ce639b6b83c2e52b3d7605feaa8',
+    ('cost-oblivious', 0.25, 6): '0ea5706454be8a6070c25898cae021014b0a00206791dcc454c6f8b8d87bdfbe',
+    ('cost-oblivious', 0.5, 1): 'd8f4ddede4293ea59ca66f176a2fb8d73fb63923288c509ba1ab98a51d5e3951',
+    ('cost-oblivious', 0.5, 2): 'bc8ba9a92e3b4f8bab64a2ffdd3174e35fb55ef29a440331c469bad6ff8b81f9',
+    ('cost-oblivious', 0.5, 3): '664234591c1ccc4835f2667336729b53bea930c0a0932c9fe1b1ce910b3688fb',
+    ('cost-oblivious', 0.5, 4): '770a8fecde4291160d3490a82040218e134a5eda5cff6f1549918eccddeecfd8',
+    ('cost-oblivious', 0.5, 5): 'e0811fd7696e18746cc36fe6ddbf13365e13822a32c65e5dbc69b9aafc9ae62a',
+    ('cost-oblivious', 0.5, 6): '27f5a85ce9f96ae5723a5b42c2794b4daf4ee3243d885747f79db5749fdb8c74',
     ('deamortized', 0.1, 1): '08137db9d7b0c3665d1174e37894b04245fd6c8ce59e50abb0468d67302d864f',
     ('deamortized', 0.1, 2): '4bba5e82a80ae0eb50f336ed65140e4b79e770aaaa8a39d843b79c241c37c83c',
     ('deamortized', 0.1, 3): 'efa0632369ca5afd8629502616cf64591bf9a7271e31006ae197554fc9154666',
@@ -109,7 +131,10 @@ PINS = {
     ('deamortized', 0.5, 6): '21cf95bbf628da3e8cd7db0c53b55550d8a49ac0dc711efd87ae396d68360046',
 }
 
-CLASSES = {cls.name: cls for cls in (CheckpointedReallocator, DeamortizedReallocator)}
+CLASSES = {
+    cls.name: cls
+    for cls in (CostObliviousReallocator, CheckpointedReallocator, DeamortizedReallocator)
+}
 
 
 @pytest.mark.parametrize("case", sorted(PINS), ids=lambda case: "-".join(map(str, case)))
@@ -135,10 +160,11 @@ def _end_state(realloc):
     finish = getattr(realloc, "finish_pending_work", None)
     if finish is not None:
         finish()
-    translation = realloc.translation
-    return (
-        dict(realloc.space.items()),
-        vars(realloc.stats),
+    state = (dict(realloc.space.items()), vars(realloc.stats))
+    translation = getattr(realloc, "translation", None)
+    if translation is None:
+        return state
+    return state + (
         realloc.blocked_checkpoints,
         realloc.checkpoints.to_state(),
         {name: translation.durable_lookup(name) for name in translation._durable},
