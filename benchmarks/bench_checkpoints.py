@@ -23,6 +23,11 @@ path (in-slot moves, one stats update per run of moves, the translation map
 written inline and checkpointed from its dirty set) must beat it by at
 least 1.25x.
 
+Both frozen move paths call ``_relocate``, the per-move bookkeeping step
+that every reallocator's moves went through before the flush moves ran as
+planned items through one ``_run_items`` loop; ``_ParentRelocate`` keeps it
+for them.
+
 Timings are best-of-3 with the two variants interleaved, so a load spike on
 a shared CI runner hits both sides.
 """
@@ -35,7 +40,7 @@ from collections import Counter
 from benchmarks.bench_artifact import record_metric
 from benchmarks.conftest import run_and_print
 from repro.core import DeamortizedReallocator
-from repro.core.events import FlushRecord
+from repro.core.events import MoveEvent
 from repro.storage import BlockTranslationLayer, CheckpointManager
 from repro.storage.address_space import AddressSpace, OverlapError
 from repro.storage.extent import Extent, coalesce
@@ -162,7 +167,22 @@ class _HeapTrackingSpace(AddressSpace):
         return -heap[0] if heap else 0
 
 
-class _PerMoveReference(DeamortizedReallocator):
+class _ParentRelocate:
+    """The per-move bookkeeping of the frozen move paths: space, stats and
+    event, for a move whose size and both extents are already known."""
+
+    def _relocate(self, name, size, old_extent, new_extent, reason):
+        self.space.move(name, new_extent)
+        self.stats.record_move(size)
+        self._current_moved_volume += size
+        if self._collect_events:
+            move = MoveEvent(
+                name=name, size=size, source=old_extent, destination=new_extent, reason=reason
+            )
+            self._note_move(move)
+
+
+class _PerMoveReference(_ParentRelocate, DeamortizedReallocator):
     """The deamortized reallocator before the phased executor: one
     ``_move_object`` call per planned move, over ``_HeapTrackingSpace``."""
 
@@ -207,21 +227,12 @@ class _PerMoveReference(DeamortizedReallocator):
         if pending.next_item < len(pending.items):
             return
         if not pending.installed:
-            self._install_plan(pending.plan)
+            self._install_plan(pending.plan, pending.moved_volume, pending.move_count, 0)
             pending.installed = True
             self._tail_capacity = pending.new_tail_capacity
             self._tail_entries = []
             self._tail_used = 0
             self._tail_start = self._structure_end()
-            self._note_flush(
-                FlushRecord(
-                    boundary_class=pending.plan.boundary,
-                    classes_flushed=tuple(pending.plan.flushed_indices),
-                    moved_volume=pending.moved_volume,
-                    move_count=pending.move_count,
-                    checkpoints=0,
-                )
-            )
         while pending.log and executed <= budget:
             entry = pending.log.popleft()
             executed += self._drain_entry(entry)
@@ -291,7 +302,7 @@ class _FullCopyTranslation(BlockTranslationLayer):
         return self.checkpoints.checkpoint()
 
 
-class _ParentMovePath(DeamortizedReallocator):
+class _ParentMovePath(_ParentRelocate, DeamortizedReallocator):
     """The deamortized reallocator before in-slot moves and per-run move
     bookkeeping: ``_RemoveInsortSpace``, ``_FullCopyTranslation`` and a
     phased executor that calls ``_relocate`` and ``record_move`` per move."""

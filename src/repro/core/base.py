@@ -17,12 +17,15 @@ with allocation/move histograms, and optional per-request tracing.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.events import FlushRecord, MoveEvent, RequestRecord
 from repro.core.stats import AllocatorStats
 from repro.storage.address_space import AddressSpace
 from repro.storage.extent import Extent
+
+#: The budget of a run that makes all its moves at once.
+UNBOUNDED = float("inf")
 
 
 class AllocationError(RuntimeError):
@@ -157,7 +160,10 @@ class Allocator(ABC):
         # of the new object) is rolled back if _do_insert raises, so the
         # failed insert can be retried instead of dying with "already
         # allocated".  Side effects on *other* objects (moves performed by a
-        # partially completed flush) are real work and stay recorded.
+        # partially completed flush) are real work and stay recorded.  The
+        # reallocators write a buffer slot only once its placement succeeded;
+        # not covered: a Section 3.2 overfill placed before a flush that then
+        # raises keeps its slot, as the flush may already have moved it.
         self._sizes[name] = size
         previous_delta = self._delta
         if size > self._delta:
@@ -259,29 +265,44 @@ class Allocator(ABC):
         return self._sizes[name]
 
     def _move_object(self, name: Hashable, new_address: int, reason: str = "move") -> None:
-        """Record a relocation of ``name`` to ``new_address``."""
-        size = self._size_lookup(name)
-        old_extent = self.space.extent_of(name)
-        if old_extent.start == new_address:
-            return
-        self._relocate(name, size, old_extent, Extent(new_address, size), reason)
+        """Record a relocation of ``name`` to ``new_address`` (a one-item run)."""
+        move = ("move", name, self._size_lookup(name), new_address, reason)
+        self._run_items((move,), 0, UNBOUNDED)
 
-    def _relocate(
-        self, name: Hashable, size: int, old_extent: Extent, new_extent: Extent, reason: str
-    ) -> None:
-        """Move ``name`` from ``old_extent`` to ``new_extent`` and record it.
+    def _run_items(self, items: Sequence[Tuple], index: int, budget: float) -> Tuple[int, int, int]:
+        """Run the planned moves from ``items[index]`` on, while the volume
+        moved by this call is at most ``budget``.
 
-        The move bookkeeping (space, stats, event); callers have already
-        looked up the size and both extents.
+        Each item is ``("move", name, size, target, reason)``.  A move whose
+        object no longer occupies space or already sits at its target is
+        skipped and costs nothing.  The stats take the whole run at once,
+        also when a move raises.  Returns ``(next_index, moved_volume,
+        move_count)``.
         """
-        self.space.move(name, new_extent)
-        self.stats.record_move(size)
-        self._current_moved_volume += size
-        if self._collect_events:
-            move = MoveEvent(
-                name=name, size=size, source=old_extent, destination=new_extent, reason=reason
-            )
-            self._note_move(move)
+        lookup = self.space.get
+        move = self.space.move
+        collect = self._collect_events
+        end = len(items)
+        sizes: List[int] = []
+        moved_volume = 0
+        try:
+            while index < end and moved_volume <= budget:
+                _tag, name, size, target, reason = items[index]
+                index += 1
+                old = lookup(name)
+                if old is None or old.start == target:
+                    continue
+                new_extent = Extent(target, size)
+                move(name, new_extent)
+                sizes.append(size)
+                moved_volume += size
+                if collect:
+                    self._note_move(MoveEvent(name, size, old, new_extent, reason))
+        finally:
+            if sizes:
+                self.stats.record_moves(sizes, moved_volume)
+                self._current_moved_volume += moved_volume
+        return index, moved_volume, len(sizes)
 
     def _note_move(self, move: MoveEvent) -> None:
         """Add a placement or move to the request's record; tell observers."""

@@ -27,14 +27,11 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.events import FlushRecord, MoveEvent
-from repro.core.reallocator import BufferEntry, CostObliviousReallocator, FlushPlan
+from repro.core.events import MoveEvent
+from repro.core.reallocator import CostObliviousReallocator, FlushPlan
 from repro.core.size_classes import size_class_of
 from repro.storage.extent import Extent
 from repro.storage.translation import BlockTranslationLayer
-
-#: The budget of a flush that runs all its moves at once.
-_UNBOUNDED = float("inf")
 
 
 class CheckpointedReallocator(CostObliviousReallocator):
@@ -122,10 +119,6 @@ class CheckpointedReallocator(CostObliviousReallocator):
         self.translation.record_allocation(name, extent)
         self._record_write(name, extent, moved_from=None)
 
-    def _move_object(self, name: Hashable, new_address: int, reason: str = "move") -> None:
-        move = ("move", name, self._size_lookup(name), new_address, reason)
-        self._run_items((move,), 0, _UNBOUNDED)
-
     def _free_object(self, name: Hashable) -> Extent:
         extent = super()._free_object(name)
         self.translation.record_free(name)
@@ -148,52 +141,10 @@ class CheckpointedReallocator(CostObliviousReallocator):
         # Place the object at the end of the *last* buffer segment, allowed
         # to exceed its capacity, then run the flush (Section 3.2): the
         # request is never deferred until after the flush.
-        last_index = indices[-1]
-        last = self._regions[last_index]
-        address = last.buffer_start + last.buffer_used
-        last.buffer.append(BufferEntry(name, size, cls))
-        last.buffer_used += size
-        self._placement[name] = ("buffer", last_index, len(last.buffer) - 1)
-        self._place_object(name, size, address, reason="insert:overfill")
-        self._flush_checkpointed(trigger_class=cls, trigger_size=size)
-
-    def _do_delete(self, name: Hashable, size: int) -> None:
-        placement = self._placement.pop(name)
-        if placement[0] == "buffer":
-            _, cls_index, slot = placement
-            region = self._regions[cls_index]
-            entry = region.buffer[slot]
-            region.buffer[slot] = BufferEntry(None, entry.size, entry.size_class)
-            self._free_object(name)
-            return
-        _, cls_index = placement
-        region = self._regions[cls_index]
-        del region.payload[name]
-        self._free_object(name)
-        cls = size_class_of(size)
-        if self._try_buffer_record(size, cls):
-            return
-        # "Trigger the flush without using space for the dummy delete request."
-        self._flush_checkpointed(trigger_class=cls, trigger_size=0)
+        self._place_in_buffer(self._regions[indices[-1]], name, size, cls, "insert:overfill")
+        self._flush(cls, trigger_size=size)
 
     # ------------------------------------------------------- phased flushing
-    def _flush_checkpointed(self, trigger_class: int, trigger_size: int) -> None:
-        plan = self._plan_flush(trigger_class, pending_insert=None)
-        checkpoints_before = self._current_checkpoints
-        items, overflow_end = self._build_phased_items(plan, trigger_size)
-        self._note_transient_footprint(overflow_end)
-        _index, moved_volume, move_count = self._run_items(items, 0, _UNBOUNDED)
-        self._install_plan(plan)
-        self._note_flush(
-            FlushRecord(
-                boundary_class=plan.boundary,
-                classes_flushed=tuple(plan.flushed_indices),
-                moved_volume=moved_volume,
-                move_count=move_count,
-                checkpoints=self._current_checkpoints - checkpoints_before,
-            )
-        )
-
     def _flush_offsets(self, plan: FlushPlan, trigger_size: int) -> Tuple[int, int]:
         """Compute the paper's ``B`` (flushed buffer space excluding the
         trigger) and the overflow base ``max(L, L') + B + Delta``.
@@ -218,9 +169,7 @@ class CheckpointedReallocator(CostObliviousReallocator):
         overflow_base = max(last_end, desired_end) + buffer_space + delta
         return buffer_space, overflow_base
 
-    def _build_phased_items(
-        self, plan: FlushPlan, trigger_size: int
-    ) -> Tuple[List[Tuple], int]:
+    def _flush_items(self, plan: FlushPlan, trigger_size: int) -> Tuple[List[Tuple], int]:
         """Plan the phased move sequence of Section 3.2 without executing it.
 
         Returns ``(items, overflow_end)`` where each item is either
@@ -300,12 +249,13 @@ class CheckpointedReallocator(CostObliviousReallocator):
         """Execute phased items from ``items[index]`` on, while the volume
         moved by this call is at most ``budget``.
 
-        Every move of this reallocator runs here, under the Section 3
-        rules: the destination must be disjoint from the source and, via
-        :meth:`_ensure_writable` (called only when the destination is
-        frozen), must not be frozen.  A move whose object is already at its
-        target or no longer occupies space is skipped and costs nothing.
-        The stats take the whole run at once, also when a move raises.
+        Overrides the base move loop: every move of this reallocator runs
+        here, under the Section 3 rules.  The destination must be disjoint
+        from the source and, via :meth:`_ensure_writable` (called only when
+        the destination is frozen), must not be frozen.  A move whose object
+        is already at its target or no longer occupies space is skipped and
+        costs nothing.  The stats take the whole run at once, also when a
+        move raises.
         Returns ``(next_index, moved_volume, move_count)``.
         """
         lookup = self.space.get
@@ -386,6 +336,3 @@ class CheckpointedReallocator(CostObliviousReallocator):
             if durable_extent in copies:
                 intact[name] = durable_extent
         self.translation.verify_recoverable(intact)
-
-    def describe(self) -> str:
-        return f"{self.name}(eps={self.epsilon:g})"

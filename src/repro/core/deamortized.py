@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.checkpointed import CheckpointedReallocator
-from repro.core.events import FlushRecord
 from repro.core.reallocator import BufferEntry, FlushPlan, Region
 from repro.core.size_classes import size_class_of
 from repro.storage.translation import BlockTranslationLayer
@@ -177,7 +176,9 @@ class DeamortizedReallocator(CheckpointedReallocator):
         if self._try_buffer_insert(name, size, cls):
             return
         fits_in_tail = self._tail_used + size <= self._tail_capacity
-        self._place_in_tail(name, size, cls)
+        # The slot is written only once the placement succeeded.
+        self._place_object(name, size, self._tail_slot(), reason="insert:tail")
+        self._append_tail(name, size, cls)
         if fits_in_tail:
             return
         # The tail buffer is (over)full: trigger a flush and immediately
@@ -190,44 +191,36 @@ class DeamortizedReallocator(CheckpointedReallocator):
             self._log_delete(name, size)
             self._advance(size)
             return
-        placement = self._placement.pop(name)
-        if placement[0] == "buffer":
-            _, cls_index, slot = placement
-            region = self._regions[cls_index]
-            entry = region.buffer[slot]
-            region.buffer[slot] = BufferEntry(None, entry.size, entry.size_class)
-            self._free_object(name)
+        if not self._release(name):
             return
-        if placement[0] == "tail":
-            slot = placement[1]
-            entry = self._tail_entries[slot]
-            self._tail_entries[slot] = BufferEntry(None, entry.size, entry.size_class)
-            self._free_object(name)
-            return
-        _, cls_index = placement
-        region = self._regions[cls_index]
-        del region.payload[name]
-        self._free_object(name)
         cls = size_class_of(size)
         if self._try_buffer_record(size, cls):
             return
         if self._tail_used + size <= self._tail_capacity:
-            self._tail_entries.append(BufferEntry(None, size, cls))
-            self._tail_used += size
+            self._append_tail(None, size, cls)
             return
         # Trigger the flush without consuming space for the dummy record.
         self._start_flush(trigger_class=cls)
         self._advance(size)
 
     # --------------------------------------------------------- tail and log
-    def _place_in_tail(self, name: Hashable, size: int, cls: int) -> None:
+    def _buffer_slots(self, placement: Tuple) -> List[BufferEntry]:
+        if placement[0] == "tail":
+            return self._tail_entries
+        return self._regions[placement[1]].buffer
+
+    def _tail_slot(self) -> int:
+        """Address of the next tail slot."""
         if not self._tail_entries:
             self._tail_start = max(self._tail_start, self._structure_end())
-        address = self._tail_start + self._tail_used
+        return self._tail_start + self._tail_used
+
+    def _append_tail(self, name: Optional[Hashable], size: int, cls: int) -> None:
+        """Take the next tail slot for ``name`` (None: a delete record)."""
+        if name is not None:
+            self._placement[name] = ("tail", len(self._tail_entries))
         self._tail_entries.append(BufferEntry(name, size, cls))
-        self._placement[name] = ("tail", len(self._tail_entries) - 1)
         self._tail_used += size
-        self._place_object(name, size, address, reason="insert:tail")
 
     def _log_insert(self, name: Hashable, size: int, cls: int) -> None:
         pending = self._pending
@@ -273,7 +266,7 @@ class DeamortizedReallocator(CheckpointedReallocator):
 
         volume_at_start = self.volume
         plan = self._plan_flush(trigger_class, pending_insert=None)
-        items, overflow_end = self._build_phased_items(plan, trigger_size=0)
+        items, overflow_end = self._flush_items(plan, trigger_size=0)
         self._note_transient_footprint(overflow_end)
         new_tail_capacity = self._buffer_fraction(volume_at_start)
         log_cursor = max(overflow_end, plan.new_end + new_tail_capacity)
@@ -303,21 +296,12 @@ class DeamortizedReallocator(CheckpointedReallocator):
 
         # Stage 2: install the rebuilt regions exactly once.
         if not pending.installed:
-            self._install_plan(pending.plan)
+            self._install_plan(pending.plan, pending.moved_volume, pending.move_count, 0)
             pending.installed = True
             self._tail_capacity = pending.new_tail_capacity
             self._tail_entries = []
             self._tail_used = 0
             self._tail_start = self._structure_end()
-            self._note_flush(
-                FlushRecord(
-                    boundary_class=pending.plan.boundary,
-                    classes_flushed=tuple(pending.plan.flushed_indices),
-                    moved_volume=pending.moved_volume,
-                    move_count=pending.move_count,
-                    checkpoints=0,
-                )
-            )
 
         # Stage 3: drain the log (re-insert / re-delete the updates that
         # arrived during the flush).
@@ -344,60 +328,33 @@ class DeamortizedReallocator(CheckpointedReallocator):
 
     def _drain_insert(self, name: Hashable, size: int, cls: int) -> None:
         """Move a logged object from the log area into a buffer or the tail."""
-        for index in self.region_indices():
-            if index < cls:
-                continue
-            region = self._regions[index]
-            if region.buffer_free >= size:
-                address = region.buffer_start + region.buffer_used
-                region.buffer.append(BufferEntry(name, size, cls))
-                region.buffer_used += size
-                self._placement[name] = ("buffer", index, len(region.buffer) - 1)
-                self._move_object(name, address, reason="drain:buffer")
-                return
+        region = self._buffer_with_room(size, cls)
+        if region is not None:
+            address = region.buffer_start + region.buffer_used
+            self._move_object(name, address, reason="drain:buffer")
+            self._append_to_buffer(region, name, size, cls)
+            return
         # Fall back to the tail buffer.  If even the tail is (over)full the
         # object simply stays where it is (in the log area) but is accounted
         # as a tail entry: the tail becomes overfull, which triggers the next
         # flush as soon as the drain finishes, and that flush pulls the
         # straggler back in.  Not moving it keeps the transient footprint
         # within the Lemma 3.5 working space instead of escalating it.
-        if not self._tail_entries:
-            self._tail_start = max(self._tail_start, self._structure_end())
-        self._tail_entries.append(BufferEntry(name, size, cls))
-        self._placement[name] = ("tail", len(self._tail_entries) - 1)
-        fits = self._tail_used + size <= self._tail_capacity
-        self._tail_used += size
-        if fits:
-            self._move_object(name, self._tail_start + self._tail_used - size, reason="drain:tail")
+        address = self._tail_slot()
+        if self._tail_used + size <= self._tail_capacity:
+            self._move_object(name, address, reason="drain:tail")
+        self._append_tail(name, size, cls)
 
     def _drain_delete(self, name: Hashable, size: int) -> None:
         """Apply a logged delete to the (now flushed) structure."""
         self._deferred_deletes.pop(name, None)
-        placement = self._placement.pop(name)
-        if placement[0] == "buffer":
-            _, cls_index, slot = placement
-            region = self._regions[cls_index]
-            old = region.buffer[slot]
-            region.buffer[slot] = BufferEntry(None, old.size, old.size_class)
-            self._free_object(name)
+        if not self._release(name):
             return
-        if placement[0] == "tail":
-            slot = placement[1]
-            old = self._tail_entries[slot]
-            self._tail_entries[slot] = BufferEntry(None, old.size, old.size_class)
-            self._free_object(name)
-            return
-        _, cls_index = placement
-        region = self._regions[cls_index]
-        del region.payload[name]
-        self._free_object(name)
         cls = size_class_of(size)
-        if self._try_buffer_record(size, cls):
-            return
-        # Record the deletion in the tail, overfilling it if necessary; a new
-        # flush starts once the drain completes.
-        self._tail_entries.append(BufferEntry(None, size, cls))
-        self._tail_used += size
+        if not self._try_buffer_record(size, cls):
+            # Record the deletion in the tail, overfilling it if necessary;
+            # a new flush starts once the drain completes.
+            self._append_tail(None, size, cls)
 
     # ----------------------------------------------------------- utilities
     def finish_pending_work(self, max_rounds: int = 1000) -> None:
@@ -412,6 +369,3 @@ class DeamortizedReallocator(CheckpointedReallocator):
                 if item[0] == "move"
             ) + self.log_volume() + 1
             self._advance(remaining)
-
-    def describe(self) -> str:
-        return f"{self.name}(eps={self.epsilon:g})"

@@ -21,10 +21,14 @@ function.  Concretely:
 The class below implements exactly that, mirroring every placement into an
 auditing :class:`~repro.storage.address_space.AddressSpace` and recording
 every physical move so executions can be charged under any cost function
-after the fact.  The flush is split into a *planning* step (pure computation
-of the new layout) and an *execution* step (the actual moves); the
-checkpointed (Section 3.2) and deamortized (Section 3.3) subclasses reuse the
-planner and substitute their own executors.
+after the fact.  All three of the paper's reallocators flush through one
+pipeline: :meth:`CostObliviousReallocator._plan_flush` computes the new
+layout, :meth:`~CostObliviousReallocator._flush_items` lists the moves as
+``("move", name, size, target, reason)`` items, and ``_run_items`` makes
+them.  The checkpointed (Section 3.2) subclass overrides ``_flush_items``
+with its phased, checkpointed plan and ``_run_items`` with the Section 3
+move rules; the deamortized (Section 3.3) subclass runs the same items a
+budgeted slice per update.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.core.base import Allocator
+from repro.core.base import UNBOUNDED, Allocator
 from repro.core.events import FlushRecord
 from repro.core.size_classes import size_class_of
 
@@ -98,16 +102,6 @@ class FlushPlan:
     final_address: Dict[Hashable, int] = field(default_factory=dict)
     #: Freshly built regions keyed by class, ready to be installed.
     new_regions: Dict[int, Region] = field(default_factory=dict)
-    #: The flush-triggering insert, if it is only placed after the flush.
-    pending_insert: Optional[Tuple[Hashable, int, int]] = None
-
-    @property
-    def payload_volume(self) -> int:
-        return sum(size for _, size, _ in self.payload_objects)
-
-    @property
-    def buffered_volume(self) -> int:
-        return sum(size for _, size, _ in self.buffered_objects)
 
 
 class CostObliviousReallocator(Allocator):
@@ -207,31 +201,40 @@ class CostObliviousReallocator(Allocator):
         # No buffer can hold the object: flush a suffix of the regions (the
         # new object is counted in the recomputed class volumes and placed at
         # the end of its payload segment once the flush completes).
-        self._flush(trigger_class=cls, pending_insert=(name, size, cls))
+        self._flush(cls, pending_insert=(name, size, cls))
 
     def _do_delete(self, name: Hashable, size: int) -> None:
-        placement = self._placement.pop(name)
-        if placement[0] == "buffer":
-            # The object never reached a payload segment; turn its buffer
-            # slot into a delete record so the space stays consumed until the
-            # next flush (keeps the Lemma 2.5 accounting intact).
-            _, cls_index, slot = placement
-            region = self._regions[cls_index]
-            entry = region.buffer[slot]
-            region.buffer[slot] = BufferEntry(None, entry.size, entry.size_class)
-            self._free_object(name)
+        if not self._release(name):
             return
-        _, cls_index = placement
-        region = self._regions[cls_index]
-        del region.payload[name]
-        self._free_object(name)
         cls = size_class_of(size)
-        if self._try_buffer_record(size, cls):
-            return
-        # The delete record does not fit anywhere: flush.  The deleted object
-        # is already excluded from the recomputed volumes, so no record is
-        # needed afterwards.
-        self._flush(trigger_class=cls, pending_insert=None)
+        if not self._try_buffer_record(size, cls):
+            # The delete record does not fit anywhere: flush.  The deleted
+            # object is already excluded from the recomputed volumes, so no
+            # record is needed afterwards.
+            self._flush(cls)
+
+    def _release(self, name: Hashable) -> bool:
+        """Free the placed object ``name``; True if it left a payload segment.
+
+        A buffered object's slot becomes a delete record, so the space stays
+        consumed until the next flush (keeps the Lemma 2.5 accounting
+        intact).  A payload object leaves a hole, and the caller must record
+        the delete in a buffer.
+        """
+        placement = self._placement.pop(name)
+        if placement[0] == "payload":
+            del self._regions[placement[1]].payload[name]
+        else:
+            slots = self._buffer_slots(placement)
+            slot = placement[-1]
+            entry = slots[slot]
+            slots[slot] = BufferEntry(None, entry.size, entry.size_class)
+        self._free_object(name)
+        return placement[0] == "payload"
+
+    def _buffer_slots(self, placement: Tuple) -> List[BufferEntry]:
+        """The slots a buffered ``placement`` indexes into."""
+        return self._regions[placement[1]].buffer
 
     # ----------------------------------------------------------- placement
     def _create_region_for(self, name: Hashable, size: int, cls: int) -> None:
@@ -248,32 +251,47 @@ class CostObliviousReallocator(Allocator):
         self._placement[name] = ("payload", cls)
         self._place_object(name, size, start, reason="insert:new-class")
 
+    def _buffer_with_room(self, size: int, cls: int) -> Optional[Region]:
+        """The earliest region of class >= ``cls`` whose buffer has room."""
+        for index in self.region_indices():
+            if index >= cls:
+                region = self._regions[index]
+                if region.buffer_free >= size:
+                    return region
+        return None
+
+    def _append_to_buffer(
+        self, region: Region, name: Optional[Hashable], size: int, cls: int
+    ) -> None:
+        """Take ``region``'s next buffer slot for ``name`` (None: a delete record)."""
+        if name is not None:
+            self._placement[name] = ("buffer", region.index, len(region.buffer))
+        region.buffer.append(BufferEntry(name, size, cls))
+        region.buffer_used += size
+
+    def _place_in_buffer(
+        self, region: Region, name: Hashable, size: int, cls: int, reason: str
+    ) -> None:
+        """Place the new object in ``region``'s next buffer slot; the slot is
+        written only once the placement succeeded."""
+        self._place_object(name, size, region.buffer_start + region.buffer_used, reason)
+        self._append_to_buffer(region, name, size, cls)
+
     def _try_buffer_insert(self, name: Hashable, size: int, cls: int) -> bool:
         """Append the object to the earliest buffer of class >= cls with room."""
-        for index in self.region_indices():
-            if index < cls:
-                continue
-            region = self._regions[index]
-            if region.buffer_free >= size:
-                address = region.buffer_start + region.buffer_used
-                region.buffer.append(BufferEntry(name, size, cls))
-                region.buffer_used += size
-                self._placement[name] = ("buffer", index, len(region.buffer) - 1)
-                self._place_object(name, size, address, reason="insert:buffer")
-                return True
-        return False
+        region = self._buffer_with_room(size, cls)
+        if region is None:
+            return False
+        self._place_in_buffer(region, name, size, cls, "insert:buffer")
+        return True
 
     def _try_buffer_record(self, size: int, cls: int) -> bool:
         """Append a delete record to the earliest buffer of class >= cls with room."""
-        for index in self.region_indices():
-            if index < cls:
-                continue
-            region = self._regions[index]
-            if region.buffer_free >= size:
-                region.buffer.append(BufferEntry(None, size, cls))
-                region.buffer_used += size
-                return True
-        return False
+        region = self._buffer_with_room(size, cls)
+        if region is None:
+            return False
+        self._append_to_buffer(region, None, size, cls)
+        return True
 
     # -------------------------------------------------------- flush planning
     def _boundary_class(self, trigger_class: int) -> int:
@@ -372,94 +390,91 @@ class CostObliviousReallocator(Allocator):
             new_end=cursor,
             final_address=final_address,
             new_regions=new_regions,
-            pending_insert=pending_insert,
         )
 
-    def _install_plan(self, plan: FlushPlan) -> None:
-        """Replace the flushed regions with the plan's new regions."""
+    def _install_plan(
+        self, plan: FlushPlan, moved_volume: int, move_count: int, checkpoints: int
+    ) -> None:
+        """Replace the flushed regions with the plan's new regions and record
+        the finished flush."""
         for index in plan.flushed_indices:
             del self._regions[index]
         for cls, region in plan.new_regions.items():
             self._regions[cls] = region
             for obj_name in region.payload:
                 self._placement[obj_name] = ("payload", cls)
-
-    # ------------------------------------------------------- flush execution
-    def _flush(
-        self,
-        trigger_class: int,
-        pending_insert: Optional[Tuple[Hashable, int, int]],
-    ) -> None:
-        plan = self._plan_flush(trigger_class, pending_insert)
-        moved_volume, move_count = self._execute_flush_moves(plan)
-        self._install_plan(plan)
-        if plan.pending_insert is not None:
-            pending_name, pending_size, _ = plan.pending_insert
-            self._place_object(
-                pending_name,
-                pending_size,
-                plan.final_address[pending_name],
-                reason="insert:flush",
-            )
         self._note_flush(
             FlushRecord(
                 boundary_class=plan.boundary,
                 classes_flushed=tuple(plan.flushed_indices),
                 moved_volume=moved_volume,
                 move_count=move_count,
-                checkpoints=0,
+                checkpoints=checkpoints,
             )
         )
 
-    def _execute_flush_moves(self, plan: FlushPlan) -> Tuple[int, int]:
-        """Perform the four-step flush move sequence of Section 2.
+    # ------------------------------------------------------- flush execution
+    def _flush(
+        self,
+        trigger_class: int,
+        pending_insert: Optional[Tuple[Hashable, int, int]] = None,
+        trigger_size: int = 0,
+    ) -> None:
+        """Run one whole buffer flush: plan it, make its moves, place the
+        pending insert (Section 2 places the triggering insert after the
+        flush, Section 3.2 before, passing its size as ``trigger_size``) and
+        install the rebuilt regions."""
+        plan = self._plan_flush(trigger_class, pending_insert)
+        checkpoints_before = self._current_checkpoints
+        items, overflow_end = self._flush_items(plan, trigger_size)
+        self._note_transient_footprint(overflow_end)
+        _index, moved_volume, move_count = self._run_items(items, 0, UNBOUNDED)
+        if pending_insert is not None:
+            name, size, _cls = pending_insert
+            self._place_object(name, size, plan.final_address[name], reason="insert:flush")
+        checkpoints = self._current_checkpoints - checkpoints_before
+        self._install_plan(plan, moved_volume, move_count, checkpoints)
 
-        Returns ``(moved_volume, move_count)``.  Each buffered object moves at
-        most twice (to the overflow segment and back), each payload object at
-        most twice (pack left, then unpack to its final slot) — matching the
-        "at most two moves per object" bound the paper uses.
+    def _flush_items(self, plan: FlushPlan, trigger_size: int) -> Tuple[List[Tuple], int]:
+        """Plan the four-step flush move sequence of Section 2.
+
+        Returns ``(items, overflow_end)``, each item a ``("move", name,
+        size, target, reason)`` for :meth:`_run_items`, which skips a move
+        whose object already sits at its target.  Each buffered object
+        moves at most twice (to the overflow segment and back), each payload
+        object at most twice (pack left, then unpack to its final slot) —
+        matching the "at most two moves per object" bound the paper uses.
         """
-        moved_volume = 0
-        move_count = 0
-        overflow_base = max(plan.old_end, plan.new_end)
-
-        def move(obj_name: Hashable, target: int, reason: str) -> None:
-            nonlocal moved_volume, move_count
-            current = self.space.extent_of(obj_name).start
-            if current == target:
-                return
-            self._move_object(obj_name, target, reason=reason)
-            moved_volume += self._sizes[obj_name]
-            move_count += 1
+        items: List[Tuple] = []
+        final_address = plan.final_address
 
         # Step 1: buffered objects out of the way, into the overflow segment.
-        overflow_cursor = overflow_base
+        overflow_cursor = max(plan.old_end, plan.new_end)
         for obj_name, obj_size, _cls in plan.buffered_objects:
-            move(obj_name, overflow_cursor, "flush:to-overflow")
+            items.append(("move", obj_name, obj_size, overflow_cursor, "flush:to-overflow"))
             overflow_cursor += obj_size
-        self._note_transient_footprint(overflow_cursor)
 
         # Step 2: pack surviving payload objects as far left as possible.
         pack_cursor = plan.base
         for obj_name, obj_size, _cls in sorted(
             plan.payload_objects, key=lambda item: self.space.extent_of(item[0]).start
         ):
-            move(obj_name, pack_cursor, "flush:pack")
+            items.append(("move", obj_name, obj_size, pack_cursor, "flush:pack"))
             pack_cursor += obj_size
 
         # Step 3: unpack payload objects to their final destinations, from the
         # largest destination down so moves never collide.
-        for obj_name, _obj_size, _cls in sorted(
-            plan.payload_objects, key=lambda item: plan.final_address[item[0]], reverse=True
+        for obj_name, obj_size, _cls in sorted(
+            plan.payload_objects, key=lambda item: final_address[item[0]], reverse=True
         ):
-            move(obj_name, plan.final_address[obj_name], "flush:unpack")
+            items.append(("move", obj_name, obj_size, final_address[obj_name], "flush:unpack"))
 
         # Step 4: buffered objects from the overflow segment to the end of
         # their class's payload segment.
-        for obj_name, _obj_size, _cls in plan.buffered_objects:
-            move(obj_name, plan.final_address[obj_name], "flush:place")
+        for obj_name, obj_size, _cls in plan.buffered_objects:
+            items.append(("move", obj_name, obj_size, final_address[obj_name], "flush:place"))
 
-        return moved_volume, move_count
+        return items, overflow_cursor
 
     def describe(self) -> str:
         return f"{self.name}(eps={self.epsilon:g})"

@@ -4,13 +4,16 @@ import pytest
 
 from repro.core import (
     AllocationError,
+    CheckpointedReallocator,
     CostObliviousReallocator,
+    DeamortizedReallocator,
     check_invariants,
     render_layout,
 )
 from repro.core.invariants import InvariantViolation
 from repro.core.size_classes import size_class_of
 from repro.costs import ConstantCost, LinearCost
+from repro.storage.address_space import OverlapError
 from tests.conftest import random_churn
 
 
@@ -207,3 +210,65 @@ def test_render_layout_mentions_every_region():
     picture = render_layout(realloc)
     for cls in realloc.region_indices():
         assert f"class {cls:>2}" in picture
+
+
+def _fail_placement_once(realloc, target):
+    """Make the next placement made for ``target`` raise, as an audit clash
+    (or a checkpoint fault on the way to the write) would."""
+    place = realloc._place_object
+
+    def failing(name, size, address, reason="place"):
+        if reason != target:
+            return place(name, size, address, reason)
+        del realloc._place_object
+        raise OverlapError(f"injected fault placing {name!r}")
+
+    realloc._place_object = failing
+
+
+@pytest.mark.parametrize(
+    "cls,reason",
+    [
+        (CostObliviousReallocator, "insert:buffer"),
+        (CheckpointedReallocator, "insert:buffer"),
+        (CheckpointedReallocator, "insert:overfill"),
+        (DeamortizedReallocator, "insert:buffer"),
+        (DeamortizedReallocator, "insert:tail"),
+    ],
+    ids=lambda value: getattr(value, "name", value),
+)
+def test_an_insert_whose_placement_raises_leaks_no_slot(cls, reason):
+    realloc = cls(epsilon=0.5)
+    realloc.insert("big", 200)
+    _fail_placement_once(realloc, reason)
+    for name in range(1000):
+        used = (realloc.buffered_volume(), getattr(realloc, "tail_used", 0))
+        try:
+            realloc.insert(name, 4)
+        except OverlapError:
+            break
+    else:
+        pytest.fail(f"no {reason} placement in 1000 inserts")
+    assert name not in realloc and name not in realloc._placement
+    assert (realloc.buffered_volume(), getattr(realloc, "tail_used", 0)) == used
+    check_invariants(realloc)
+    realloc.insert(name, 4)
+    assert realloc._placement[name]
+    check_invariants(realloc)
+
+
+def test_a_run_whose_move_raises_still_counts_the_moves_it_made():
+    """The shared move loop updates the stats once per run, also when a
+    move of the run raises: the moves before it happened and are charged."""
+    realloc = CostObliviousReallocator(epsilon=0.5)
+    realloc.insert("a", 8)
+    realloc.insert("b", 8)
+    b_start = realloc.address_of("b")
+    moves, volume = realloc.stats.total_moves, realloc.stats.total_moved_volume
+    far = realloc.footprint + 100
+    items = [("move", "a", 8, far, "test"), ("move", "b", 8, far + 4, "test")]
+    with pytest.raises(OverlapError):
+        realloc._run_items(items, 0, float("inf"))
+    assert realloc.address_of("a") == far and realloc.address_of("b") == b_start
+    assert realloc.stats.total_moves == moves + 1
+    assert realloc.stats.total_moved_volume == volume + 8

@@ -155,21 +155,25 @@ def _plan_recording(cls):
             super().__init__(*args, **kwargs)
             self.plans = []
 
-        def _build_phased_items(self, plan, trigger_size):
-            items, overflow_end = super()._build_phased_items(plan, trigger_size)
+        def _flush_items(self, plan, trigger_size):
+            items, overflow_end = super()._flush_items(plan, trigger_size)
             self.plans.append(items)
             return items, overflow_end
 
     return PlanRecording
 
 
-@pytest.mark.parametrize("cls", [CheckpointedReallocator, DeamortizedReallocator],
-                         ids=lambda cls: cls.name)
+@pytest.mark.parametrize(
+    "cls",
+    [CostObliviousReallocator, CheckpointedReallocator, DeamortizedReallocator],
+    ids=lambda cls: cls.name,
+)
 @pytest.mark.parametrize("epsilon,seed", _CHURNS)
 def test_phased_flush_plans_move_each_object_at_most_twice(cls, epsilon, seed):
-    """The Section 3 phased plan keeps the two-moves bound: every buffered
-    object goes to the overflow area and back, every payload object is
-    packed right and then unpacked, and nothing else is planned."""
+    """Every flush plan keeps the two-moves bound: every buffered object
+    goes to the overflow area and back, every payload object is packed (the
+    Section 3 plan packs it right) and then unpacked, and nothing else is
+    planned."""
     realloc = _plan_recording(cls)(epsilon=epsilon)
     random_churn(realloc, steps=800, seed=seed, max_size=80)
     assert realloc.plans
