@@ -1,6 +1,6 @@
 """Guards for the indexed address space: audited replays must stay fast.
 
-Two enforced assertions, both on first-fit churn replays:
+Two enforced assertions on first-fit churn replays:
 
 * **Index vs pre-index audit.**  ``_LegacyScanSpace`` reinstates the seed's
   audit — a linear scan over every live extent per placement — on top of the
@@ -12,6 +12,16 @@ Two enforced assertions, both on first-fit churn replays:
   than 2x the unaudited replay at scale (5k live by default, 50k with
   ``REPRO_BENCH_FULL=1``) — which is what lets benchmarks and campaign cells
   run audited by default.
+
+Two more guard the free-gap index itself:
+
+* **Size treap vs bisect list.**  Best/Worst Fit's size order must beat the
+  flat bisect list it replaced by 1.2x at 200k live gaps.
+* **In-place gap updates.**  A serve-scale first-fit replay (200 live,
+  sizes 1-64) must run at least 1.4x faster than the same replay over
+  ``_LegacyReinsertGapIndex``, a frozen copy of the earlier index that
+  deleted and re-inserted a gap in both treaps on every take and free, and
+  both must place every object at the same address.
 
 Timings are best-of-N with the two variants interleaved, so a load spike on
 a shared CI runner hits both sides.
@@ -28,7 +38,17 @@ from benchmarks.bench_artifact import record_metric
 from repro.allocators import FirstFitAllocator
 from repro.storage.address_space import AddressSpace
 from repro.storage.extent import Extent
-from repro.storage.gap_index import GapIndex, _Node, _delete, _insert
+from repro.storage.gap_index import (
+    GapIndex,
+    _Node,
+    _SizeNode,
+    _delete,
+    _insert,
+    _merge,
+    _pull,
+    _size_delete,
+    _size_insert,
+)
 from repro.workloads import UniformSizes, churn_trace
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") == "1"
@@ -217,3 +237,164 @@ def test_first_fit_replay_throughput(benchmark, mode):
 
     allocator = benchmark.pedantic(run_once, rounds=3, iterations=1)
     assert allocator.stats.requests == len(SCALE_TRACE)
+
+
+def _legacy_insert(root, node):
+    if root is None:
+        return node
+    if node.priority > root.priority:
+        node.left, node.right = _legacy_split(root, node.start)
+        return _pull(node)
+    if node.start < root.start:
+        root.left = _legacy_insert(root.left, node)
+    else:
+        root.right = _legacy_insert(root.right, node)
+    return _pull(root)
+
+
+def _legacy_split(root, start):
+    if root is None:
+        return None, None
+    if root.start < start:
+        left, right = _legacy_split(root.right, start)
+        root.right = left
+        return _pull(root), right
+    left, right = _legacy_split(root.left, start)
+    root.left = right
+    return left, _pull(root)
+
+
+def _legacy_delete(root, start):
+    if root.start == start:
+        return _merge(root.left, root.right)
+    if start < root.start:
+        root.left = _legacy_delete(root.left, start)
+    else:
+        root.right = _legacy_delete(root.right, start)
+    return _pull(root)
+
+
+class _LegacyReinsertGapIndex(GapIndex):
+    """The earlier gap updates, frozen: every take deletes the gap node and
+    inserts its remainder, every free absorbs both neighbours (up to two
+    deletes) and re-inserts the merged gap, both treaps are kept whatever
+    the policy, and the address treap inserts by recursive split and
+    deletes by recursive merge."""
+
+    def add(self, extent):
+        counter = self._c_adds
+        if counter is not None:
+            counter.value += 1
+        node = _Node(extent.start, extent.length, self._rng.getrandbits(62))
+        self._root = _legacy_insert(self._root, node)
+        size_node = _SizeNode((extent.length, extent.start), self._rng.getrandbits(62))
+        self._size_root = _size_insert(self._size_root, size_node)
+        self._total += extent.length
+
+    def _remove_known(self, start, length):
+        counter = self._c_removes
+        if counter is not None:
+            counter.value += 1
+        self._root = _legacy_delete(self._root, start)
+        self._size_root = _size_delete(self._size_root, (length, start))
+        self._total -= length
+
+    def take(self, start, size):
+        length = self.length_at(start)
+        if length is None:
+            raise KeyError(f"no gap starts at address {start}")
+        if length < size:
+            raise ValueError(f"gap {Extent(start, length)} is smaller than the request ({size})")
+        self._remove_known(start, length)
+        if length > size:
+            self.add(Extent(start + size, length - size))
+
+    def release(self, extent, high_water):
+        merged = self._absorb_adjacent(extent)
+        if merged.end == high_water:
+            return merged.start
+        self.add(merged)
+        return high_water
+
+    def _absorb_adjacent(self, extent):
+        counter = self._c_coalesces
+        if counter is not None:
+            counter.value += 1
+        start, end = extent.start, extent.end
+        predecessor = self._neighbor(extent.start, before=True)
+        if predecessor is not None and predecessor.end == start:
+            self._remove_known(predecessor.start, predecessor.length)
+            start = predecessor.start
+        successor = self._neighbor(extent.start, before=False)
+        if successor is not None and successor.start == end:
+            self._remove_known(successor.start, successor.length)
+            end = successor.end
+        return Extent(start, end - start)
+
+    def _neighbor(self, start, before):
+        node = self._root
+        found = None
+        while node is not None:
+            if (node.start < start) if before else (node.start > start):
+                found = node
+                node = node.right if before else node.left
+            else:
+                node = node.left if before else node.right
+        return Extent(found.start, found.length) if found is not None else None
+
+
+#: The serve-closed workload's per-tenant churn: ~200 live objects of
+#: sizes 1-64, deletes slightly less likely than inserts below that.
+SERVE_TRACE = churn_trace(
+    12_500, UniformSizes(1, 64), target_live=200, seed=2, delete_fraction=0.45
+)
+
+
+def _first_fit(legacy):
+    """An audited first-fit allocator, as served; ``legacy`` swaps in the
+    frozen remove-and-reinsert index."""
+    allocator = FirstFitAllocator()
+    if legacy:
+        allocator._gaps = _LegacyReinsertGapIndex()
+    return allocator
+
+
+def _timed_serve_replay(legacy):
+    allocator = _first_fit(legacy)
+    started = time.perf_counter()
+    allocator.run(SERVE_TRACE)
+    return time.perf_counter() - started
+
+
+def _placements(legacy):
+    allocator = _first_fit(legacy)
+    addresses = []
+    for request in SERVE_TRACE:
+        if request.is_insert:
+            allocator.insert(request.name, request.size)
+            addresses.append(allocator.address_of(request.name))
+        else:
+            allocator.delete(request.name)
+    return addresses, allocator.free_extents(), allocator.high_water
+
+
+def test_in_place_gap_updates_place_like_the_reinsert_path():
+    assert _placements(legacy=False) == _placements(legacy=True)
+
+
+def test_in_place_gap_updates_beat_the_reinsert_path_by_1_4x():
+    current = legacy = float("inf")
+    for _ in range(5):
+        current = min(current, _timed_serve_replay(legacy=False))
+        legacy = min(legacy, _timed_serve_replay(legacy=True))
+    print(
+        f"\nserve-scale first-fit replay ({len(SERVE_TRACE)} requests, 200 live): "
+        f"in-place={current:.3f}s reinsert={legacy:.3f}s ({legacy / current:.2f}x)"
+    )
+    record_metric("gap_index", "in_place_replay_seconds", round(current, 6), "seconds")
+    record_metric("gap_index", "reinsert_replay_seconds", round(legacy, 6), "seconds")
+    record_metric("gap_index", "reinsert_over_in_place_ratio", round(legacy / current, 2), "ratio")
+    assert legacy >= 1.4 * current, (
+        f"first-fit replay with in-place gap updates ({current:.3f}s) is less "
+        f"than 1.4x faster than the remove-and-reinsert path ({legacy:.3f}s)"
+    )

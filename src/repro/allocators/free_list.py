@@ -9,10 +9,13 @@ E3 demonstrates against the cost-oblivious reallocator.
 That lower bound is about footprint, not time: the gap *selection* itself is
 O(log n) per request here.  The gaps live in a
 :class:`~repro.storage.gap_index.GapIndex` — an address-ordered treap with
-subtree max lengths plus a size-ordered secondary index — so First Fit, Best
-Fit and Worst Fit are single index queries and coalescing on delete is a
-pair of neighbour probes, instead of the linear scans a flat list needs.
-Every policy's choice is identical to what the scan would have picked.
+subtree max lengths, plus a size-ordered treap that only Best Fit and Worst
+Fit keep (their :attr:`~FreeListAllocator.uses_size_order`) — so every
+policy is a single index query, instead of the linear scans a flat list
+needs.  An insert shrinks its gap in place and a delete grows or merges its
+neighbours in place, coalescing on the same descent; the high-water mark
+drops when a freed extent would end in a trailing gap.  Every policy's
+choice is identical to what the scan would have picked.
 """
 
 from __future__ import annotations
@@ -28,17 +31,20 @@ class FreeListAllocator(Allocator):
     """Base class for free-list policies; subclasses pick the gap.
 
     The free list holds maximal free extents *below* the high-water mark in
-    an address/size-indexed :class:`GapIndex`.  Inserts either reuse a gap
-    (per policy) or extend the high-water mark; deletes return the extent to
-    the index and coalesce with adjacent gaps.
+    a :class:`GapIndex`.  Inserts either reuse a gap (per policy) or extend
+    the high-water mark; deletes return the extent to the index, which
+    coalesces it with adjacent gaps.
     """
 
     name = "free-list"
     supports_reallocation = False
+    #: Whether :meth:`_select_gap` queries the gap index's size order; a
+    #: policy that does not leaves it unbuilt, so gap updates skip it.
+    uses_size_order = False
 
     def __init__(self, trace: bool = False, audit: bool = True) -> None:
         super().__init__(trace=trace, audit=audit)
-        self._gaps = GapIndex()
+        self._gaps = GapIndex(size_order=self.uses_size_order)
         self._high_water = 0
 
     # ----------------------------------------------------------- policy hook
@@ -64,23 +70,15 @@ class FreeListAllocator(Allocator):
             if extended:
                 self._high_water = address
             else:
-                self._release(Extent(address, size))
+                self._high_water = self._gaps.release(Extent(address, size), self._high_water)
             raise
 
     def _do_delete(self, name: Hashable, size: int) -> None:
-        extent = self._free_object(name)
-        self._release(extent)
+        # The index coalesces with adjacent gaps and lowers the high-water
+        # mark instead of keeping a trailing gap.
+        self._high_water = self._gaps.release(self._free_object(name), self._high_water)
 
     # ------------------------------------------------------------- free list
-    def _release(self, extent: Extent) -> None:
-        """Return ``extent`` to the free list, coalescing with neighbours."""
-        merged = self._gaps.absorb_adjacent(extent)
-        if merged.end == self._high_water:
-            # Shrink the high-water mark instead of keeping a trailing gap.
-            self._high_water = merged.start
-        else:
-            self._gaps.add(merged)
-
     def free_extents(self) -> List[Extent]:
         """The current gaps below the high-water mark, in address order."""
         return self._gaps.free_extents()
@@ -107,6 +105,7 @@ class BestFitAllocator(FreeListAllocator):
     """Use the smallest gap that fits (ties broken by address)."""
 
     name = "best-fit"
+    uses_size_order = True
 
     def _select_gap(self, size: int) -> Optional[int]:
         return self._gaps.best_fit(size)
@@ -116,6 +115,7 @@ class WorstFitAllocator(FreeListAllocator):
     """Use the largest gap that fits."""
 
     name = "worst-fit"
+    uses_size_order = True
 
     def _select_gap(self, size: int) -> Optional[int]:
         return self._gaps.worst_fit(size)

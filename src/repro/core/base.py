@@ -161,9 +161,9 @@ class Allocator(ABC):
         # failed insert can be retried instead of dying with "already
         # allocated".  Side effects on *other* objects (moves performed by a
         # partially completed flush) are real work and stay recorded.  The
-        # reallocators write a buffer slot only once its placement succeeded;
-        # not covered: a Section 3.2 overfill placed before a flush that then
-        # raises keeps its slot, as the flush may already have moved it.
+        # reallocators write a buffer slot only once its placement succeeded,
+        # and a Section 3.2 overfill whose flush raises frees itself as a
+        # delete would, leaving a delete record in its slot.
         self._sizes[name] = size
         previous_delta = self._delta
         if size > self._delta:

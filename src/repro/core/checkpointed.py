@@ -142,7 +142,14 @@ class CheckpointedReallocator(CostObliviousReallocator):
         # to exceed its capacity, then run the flush (Section 3.2): the
         # request is never deferred until after the flush.
         self._place_in_buffer(self._regions[indices[-1]], name, size, cls, "insert:overfill")
-        self._flush(cls, trigger_size=size)
+        try:
+            self._flush(cls, trigger_size=size)
+        except BaseException:
+            # Free the object wherever the flush left it, as a delete would:
+            # its slot becomes a delete record and its placement and
+            # translation entry go, so the failed insert leaks nothing.
+            self._do_delete(name, size)
+            raise
 
     # ------------------------------------------------------- phased flushing
     def _flush_offsets(self, plan: FlushPlan, trigger_size: int) -> Tuple[int, int]:
@@ -182,10 +189,12 @@ class CheckpointedReallocator(CostObliviousReallocator):
         # Close a phase once the volume moved in it exceeds the flushed
         # buffer space B (at least Delta, so a phase always makes progress).
         phase_limit = max(buffer_space, max(self.delta, 1))
+        extent_of = self.space.extent_of
         expected: Dict[Hashable, int] = {
-            name: self.space.extent_of(name).start
-            for name, _size, _cls in plan.payload_objects + plan.buffered_objects
+            name: start for name, _size, _cls, start in plan.payload_objects
         }
+        for name, _size, _cls in plan.buffered_objects:
+            expected[name] = extent_of(name).start
 
         def plan_move(obj_name: Hashable, obj_size: int, target: int, reason: str) -> int:
             if expected[obj_name] == target:
@@ -208,11 +217,7 @@ class CheckpointedReallocator(CostObliviousReallocator):
         # most B + Delta moved volume.
         pack_cursor = overflow_base
         phase_volume = 0
-        for obj_name, obj_size, _cls in sorted(
-            plan.payload_objects,
-            key=lambda item: self.space.extent_of(item[0]).start,
-            reverse=True,
-        ):
+        for obj_name, obj_size, _cls, _start in reversed(plan.payload_objects):
             if phase_volume > phase_limit:
                 items.append(("checkpoint",))
                 phase_volume = 0
@@ -224,7 +229,7 @@ class CheckpointedReallocator(CostObliviousReallocator):
         # Phase C: unpack payload segments to their final destinations,
         # smallest classes first, again in phases of at most B + Delta volume.
         phase_volume = 0
-        for obj_name, obj_size, _cls in sorted(
+        for obj_name, obj_size, _cls, _start in sorted(
             plan.payload_objects, key=lambda item: plan.final_address[item[0]]
         ):
             if phase_volume > phase_limit:

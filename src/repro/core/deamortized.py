@@ -54,6 +54,8 @@ class _PendingFlush:
     installed: bool = False
     moved_volume: int = 0
     move_count: int = 0
+    #: Checkpoints taken by this flush's item runs (phase and blocked ones).
+    checkpoints: int = 0
     log: Deque[_LogEntry] = field(default_factory=deque)
 
 
@@ -286,17 +288,21 @@ class DeamortizedReallocator(CheckpointedReallocator):
         budget = self.work_factor * update_size
 
         # Stage 1: the planned phased moves.
+        checkpoints_before = self._current_checkpoints
         pending.next_item, executed, moves = self._run_items(
             pending.items, pending.next_item, budget
         )
         pending.moved_volume += executed
         pending.move_count += moves
+        pending.checkpoints += self._current_checkpoints - checkpoints_before
         if pending.next_item < len(pending.items):
             return
 
         # Stage 2: install the rebuilt regions exactly once.
         if not pending.installed:
-            self._install_plan(pending.plan, pending.moved_volume, pending.move_count, 0)
+            self._install_plan(
+                pending.plan, pending.moved_volume, pending.move_count, pending.checkpoints
+            )
             pending.installed = True
             self._tail_capacity = pending.new_tail_capacity
             self._tail_entries = []

@@ -34,6 +34,7 @@ budgeted slice per update.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.base import UNBOUNDED, Allocator
@@ -86,8 +87,9 @@ class FlushPlan:
 
     boundary: int
     flushed_indices: List[int]
-    #: (name, size, class) for live payload objects of the flushed regions.
-    payload_objects: List[Tuple[Hashable, int, int]]
+    #: (name, size, class, start) for live payload objects of the flushed
+    #: regions, in address order (``start`` is read once, before any move).
+    payload_objects: List[Tuple[Hashable, int, int, int]]
     #: (name, size, class) for live buffered objects of the flushed regions.
     buffered_objects: List[Tuple[Hashable, int, int]]
     #: Per-class volume after the triggering request (the paper's ``V_t(i)``).
@@ -320,15 +322,16 @@ class CostObliviousReallocator(Allocator):
         boundary = self._boundary_class(trigger_class)
         flushed_indices = [i for i in self.region_indices() if i >= boundary]
 
+        extent_of = self.space.extent_of
         volumes: Dict[int, int] = {}
-        payload_objects: List[Tuple[Hashable, int, int]] = []
+        payload_objects: List[Tuple[Hashable, int, int, int]] = []
         buffered_objects: List[Tuple[Hashable, int, int]] = []
         for index in flushed_indices:
             region = self._regions[index]
             for obj_name in region.payload:
                 obj_size = self._sizes[obj_name]
                 volumes[index] = volumes.get(index, 0) + obj_size
-                payload_objects.append((obj_name, obj_size, index))
+                payload_objects.append((obj_name, obj_size, index, extent_of(obj_name).start))
             for entry in region.buffer:
                 if entry.name is not None:
                     volumes[entry.size_class] = (
@@ -350,10 +353,9 @@ class CostObliviousReallocator(Allocator):
         # Final destination of every object, grouped per class: surviving
         # payload objects first (in their current address order), then
         # buffered objects, then the flush-triggering insert.
+        payload_objects.sort(key=itemgetter(3))
         per_class: Dict[int, List[Tuple[Hashable, int]]] = {cls: [] for cls in new_classes}
-        for obj_name, obj_size, cls in sorted(
-            payload_objects, key=lambda item: self.space.extent_of(item[0]).start
-        ):
+        for obj_name, obj_size, cls, _start in payload_objects:
             per_class[cls].append((obj_name, obj_size))
         for obj_name, obj_size, cls in buffered_objects:
             per_class[cls].append((obj_name, obj_size))
@@ -454,17 +456,16 @@ class CostObliviousReallocator(Allocator):
             items.append(("move", obj_name, obj_size, overflow_cursor, "flush:to-overflow"))
             overflow_cursor += obj_size
 
-        # Step 2: pack surviving payload objects as far left as possible.
+        # Step 2: pack surviving payload objects as far left as possible, in
+        # their address order.
         pack_cursor = plan.base
-        for obj_name, obj_size, _cls in sorted(
-            plan.payload_objects, key=lambda item: self.space.extent_of(item[0]).start
-        ):
+        for obj_name, obj_size, _cls, _start in plan.payload_objects:
             items.append(("move", obj_name, obj_size, pack_cursor, "flush:pack"))
             pack_cursor += obj_size
 
         # Step 3: unpack payload objects to their final destinations, from the
         # largest destination down so moves never collide.
-        for obj_name, obj_size, _cls in sorted(
+        for obj_name, obj_size, _cls, _start in sorted(
             plan.payload_objects, key=lambda item: final_address[item[0]], reverse=True
         ):
             items.append(("move", obj_name, obj_size, final_address[obj_name], "flush:unpack"))

@@ -5,20 +5,28 @@ the maximal free extents below the high-water mark and, per insert, pick one
 by policy: First Fit wants the lowest-addressed fitting gap, Best Fit the
 tightest, Worst Fit the widest.  A flat address-ordered list answers each of
 those with a full scan; :class:`GapIndex` answers all three in O(log n) by
-maintaining the same gap set in two orders at once:
+keeping the same gap set in up to two orders:
 
 * an **address-ordered treap** whose nodes carry the maximum gap length in
   their subtree (for leftmost-fitting descent — exact First Fit) and subtree
-  sizes (for rank queries, which Next Fit's roving pointer needs), and whose
-  key order gives the predecessor/successor probes that make coalescing a
-  pair of O(log n) lookups;
+  sizes (for rank queries, which Next Fit's roving pointer needs);
 * a **size-ordered treap** over ``(length, start)`` keys, where the Best
   Fit answer is the ceiling of the request size and the Worst Fit answer is
   the lowest-addressed key of the maximum length — both O(log n) descents.
-  (Earlier revisions kept this order in a flat ``bisect``/``insort`` list,
-  which answers the queries in O(log n) but pays O(n) memmove per insert
-  and delete; with hundreds of thousands of live gaps the *mutations*
-  dominated, see ``benchmarks/bench_address_space.py``.)
+  Only an index built with ``size_order=True`` (the default) keeps it; the
+  free-list policies that never query it (First, Next Fit) build without
+  it, so their updates touch one treap.  (Earlier revisions kept this
+  order in a flat ``bisect``/``insort`` list, which pays O(n) memmove per
+  insert and delete; see ``benchmarks/bench_address_space.py``.)
+
+Gaps are updated **in place**.  :meth:`GapIndex.take` finds the gap with
+one descent that records its path; a partial take moves the node's start
+forward, which keeps its address rank, and re-pulls only the aggregates
+that change.  :meth:`GapIndex.release` meets both address neighbours on
+one descent: a free next to one gap grows that node, a free between two
+gaps unlinks the deeper one and grows the other, and only a free next to
+neither adds a node.  Nodes are created and deleted only when the gap set
+gains or loses a gap.
 
 Every policy answer is *identical* to the one the linear scans produce —
 the index changes the cost of a query, never its result.  A running total
@@ -68,31 +76,76 @@ def _pull(node: _Node) -> _Node:
     return node
 
 
-def _insert(root: Optional[_Node], node: _Node) -> _Node:
-    if root is None:
+def _descend(root: Optional[_Node], start: int) -> Tuple[List[_Node], Optional[_Node]]:
+    """The path of nodes from ``root`` towards ``start`` and the node keyed
+    ``start`` (None if absent: the path then ends where it would hang)."""
+    path: List[_Node] = []
+    node = root
+    while node is not None:
+        node_start = node.start
+        if start == node_start:
+            break
+        path.append(node)
+        node = node.left if start < node_start else node.right
+    return path, node
+
+
+def _attach(root: Optional[_Node], path: List[_Node], node: _Node) -> Optional[_Node]:
+    """Hang ``node`` where the descent ``path`` from ``root`` ended, rotate
+    it up past every ancestor of lower priority (the treap's unique shape
+    for these keys and priorities) and return the new root.  The ancestors
+    left above it gain one node and maybe a wider gap."""
+    start = node.start
+    priority = node.priority
+    while path and path[-1].priority < priority:
+        parent = path.pop()
+        if start < parent.start:
+            parent.left = node.right
+            node.right = parent
+        else:
+            parent.right = node.left
+            node.left = parent
+        _pull(parent)
+    _pull(node)
+    if not path:
         return node
-    if node.priority > root.priority:
-        # Rotate ``node`` to the top: split ``root`` around node.start.
-        node.left, node.right = _split(root, node.start)
-        return _pull(node)
-    if node.start < root.start:
-        root.left = _insert(root.left, node)
+    parent = path[-1]
+    if start < parent.start:
+        parent.left = node
     else:
-        root.right = _insert(root.right, node)
-    return _pull(root)
+        parent.right = node
+    length = node.length
+    for ancestor in path:
+        ancestor.count += 1
+        if ancestor.max_length < length:
+            ancestor.max_length = length
+    return root
 
 
-def _split(root: Optional[_Node], start: int) -> Tuple[Optional[_Node], Optional[_Node]]:
-    """Split into (< start, > start) subtrees; ``start`` itself must be absent."""
-    if root is None:
-        return None, None
-    if root.start < start:
-        left, right = _split(root.right, start)
-        root.right = left
-        return _pull(root), right
-    left, right = _split(root.left, start)
-    root.left = right
-    return left, _pull(root)
+def _unlink(root: _Node, path: List[_Node], node: _Node) -> Optional[_Node]:
+    """Replace ``node``, reached from ``root`` along ``path``, by the merge
+    of its children; re-pull the path and return the new root."""
+    replacement = _merge(node.left, node.right)
+    if not path:
+        return replacement
+    parent = path[-1]
+    if parent.left is node:
+        parent.left = replacement
+    else:
+        parent.right = replacement
+    for ancestor in reversed(path):
+        _pull(ancestor)
+    return root
+
+
+def _insert(root: Optional[_Node], node: _Node) -> Optional[_Node]:
+    return _attach(root, _descend(root, node.start)[0], node)
+
+
+def _delete(root: _Node, start: int) -> Optional[_Node]:
+    path, node = _descend(root, start)
+    assert node is not None, f"no gap at {start}"
+    return _unlink(root, path, node)
 
 
 def _merge(left: Optional[_Node], right: Optional[_Node]) -> Optional[_Node]:
@@ -105,6 +158,15 @@ def _merge(left: Optional[_Node], right: Optional[_Node]) -> Optional[_Node]:
         return _pull(left)
     right.left = _merge(left, right.left)
     return _pull(right)
+
+
+def _grow(path: List[_Node], length: int) -> None:
+    """Raise ``max_length`` along ``path`` (root first) after its last node
+    grew to ``length``; counts are unchanged, so stop where it already fits."""
+    for node in reversed(path):
+        if node.max_length >= length:
+            return
+        node.max_length = length
 
 
 def _fit_at_or_after(node: Optional[_Node], rank: int, size: int) -> Optional[Tuple[int, int]]:
@@ -233,23 +295,22 @@ def _size_max(root: _SizeNode) -> Tuple[int, int]:
     return root.key
 
 
-def _delete(root: _Node, start: int) -> Optional[_Node]:
-    if root.start == start:
-        return _merge(root.left, root.right)
-    if start < root.start:
-        assert root.left is not None, f"no gap at {start}"
-        root.left = _delete(root.left, start)
-    else:
-        assert root.right is not None, f"no gap at {start}"
-        root.right = _delete(root.right, start)
-    return _pull(root)
-
-
 class GapIndex:
-    """Address- and size-indexed set of disjoint, non-adjacent free gaps."""
+    """Address-indexed set of disjoint, non-adjacent free gaps, with an
+    optional size order for Best and Worst Fit.
 
-    def __init__(self) -> None:
+    ``size_order=False`` drops the ``(length, start)`` treap: every mutation
+    then touches the address treap only, and :meth:`best_fit` /
+    :meth:`worst_fit` raise.  First Fit and Next Fit never query it.
+    """
+
+    #: Class-level default, so an index pickled before the size order
+    #: became optional unpickles with it (and its size treap) intact.
+    _size_order = True
+
+    def __init__(self, size_order: bool = True) -> None:
         self._root: Optional[_Node] = None
+        self._size_order = size_order
         self._size_root: Optional[_SizeNode] = None
         self._total = 0
         self._rng = random.Random(0x9A95)
@@ -307,14 +368,20 @@ class GapIndex:
     # ----------------------------------------------------------- mutation
     def add(self, extent: Extent) -> None:
         """Insert a gap; the caller guarantees disjointness from existing gaps."""
+        self._root = _insert(self._root, self._new_node(extent.start, extent.length))
+
+    def _new_node(self, start: int, length: int) -> _Node:
+        """A node for a new gap, already entered in the size order and total."""
         counter = self._c_adds
         if counter is not None:
             counter.value += 1
-        node = _Node(extent.start, extent.length, self._rng.getrandbits(62))
-        self._root = _insert(self._root, node)
-        size_node = _SizeNode((extent.length, extent.start), self._rng.getrandbits(62))
-        self._size_root = _size_insert(self._size_root, size_node)
-        self._total += extent.length
+        node = _Node(start, length, self._rng.getrandbits(62))
+        if self._size_order:
+            self._size_root = _size_insert(
+                self._size_root, _SizeNode((length, start), self._rng.getrandbits(62))
+            )
+        self._total += length
+        return node
 
     def remove(self, start: int) -> Extent:
         """Remove and return the gap starting at ``start``."""
@@ -329,56 +396,136 @@ class GapIndex:
         if counter is not None:
             counter.value += 1
         self._root = _delete(self._root, start)
-        assert self._size_root is not None, f"no gap at {start}"
-        self._size_root = _size_delete(self._size_root, (length, start))
+        if self._size_order:
+            self._size_root = _size_delete(self._size_root, (length, start))
         self._total -= length
 
+    def _drop(self, path: List[_Node], node: _Node) -> None:
+        """Unlink ``node``, reached along ``path``, from the address treap."""
+        counter = self._c_removes
+        if counter is not None:
+            counter.value += 1
+        self._root = _unlink(self._root, path, node)
+
+    def _resize(self, old: Tuple[int, int], new: Optional[Tuple[int, int]]) -> None:
+        """Re-key a gap in the size order (``new`` None: the gap is gone)."""
+        self._size_root = _size_delete(self._size_root, old)
+        if new is not None:
+            self._size_root = _size_insert(
+                self._size_root, _SizeNode(new, self._rng.getrandbits(62))
+            )
+
     def take(self, start: int, size: int) -> None:
-        """Allocate ``size`` units from the front of the gap at ``start``."""
-        length = self.length_at(start)
-        if length is None:
+        """Allocate ``size`` units from the front of the gap at ``start``.
+
+        One descent records the path to the gap.  A partial take shrinks
+        the node in place: its new start stays between its neighbours, so
+        its address rank is unchanged and only ``max_length`` aggregates
+        can change.  An exact fit unlinks the node.
+        """
+        path, node = _descend(self._root, start)
+        if node is None:
             raise KeyError(f"no gap starts at address {start}")
+        length = node.length
         if length < size:
             # Raise before mutating: a failed insert must leave the free
             # list intact so the request can be retried.
             raise ValueError(
                 f"gap {Extent(start, length)} is smaller than the request ({size})"
             )
-        self._remove_known(start, length)
-        if length > size:
-            self.add(Extent(start + size, length - size))
+        self._total -= size
+        if length == size:
+            self._drop(path, node)
+            if self._size_order:
+                self._resize((length, start), None)
+            return
+        node.start = start + size
+        node.length = length - size
+        if self._size_order:
+            self._resize((length, start), (length - size, start + size))
+        if node.max_length == length:
+            # The gap may have been the widest below some ancestors: re-pull
+            # upwards until a ``max_length`` stops changing.
+            path.append(node)
+            for node in reversed(path):
+                widest = node.max_length
+                _pull(node)
+                if node.max_length == widest:
+                    break
 
-    def absorb_adjacent(self, extent: Extent) -> Extent:
-        """Remove gaps adjacent to ``extent`` and return the merged extent.
+    def release(self, extent: Extent, high_water: int) -> int:
+        """Return ``extent`` to the free set and the new high-water mark.
 
-        The merged extent is *not* inserted: the caller decides whether it
-        becomes a gap or shrinks the high-water mark.
+        One descent towards ``extent.start`` meets both address neighbours.
+        A free next to one gap grows that node in place; a free between two
+        gaps unlinks the deeper one and grows the other over all three; a
+        free next to neither adds a node.  A merged gap that would end at
+        ``high_water`` is dropped instead and lowers the mark.  The caller
+        guarantees ``extent`` is disjoint from every gap.
         """
         counter = self._c_coalesces
         if counter is not None:
             counter.value += 1
-        start, end = extent.start, extent.end
-        predecessor = self._neighbor(extent.start, before=True)
-        if predecessor is not None and predecessor.end == start:
-            self._remove_known(predecessor.start, predecessor.length)
-            start = predecessor.start
-        successor = self._neighbor(extent.start, before=False)
-        if successor is not None and successor.start == end:
-            self._remove_known(successor.start, successor.length)
-            end = successor.end
-        return Extent(start, end - start)
-
-    def _neighbor(self, start: int, before: bool) -> Optional[Extent]:
-        """Nearest gap strictly before/after ``start`` in address order."""
+        start = extent.start
+        length = extent.length
+        end = start + length
+        path: List[_Node] = []
+        pred = succ = None
+        pred_depth = succ_depth = 0
         node = self._root
-        found: Optional[_Node] = None
         while node is not None:
-            if (node.start < start) if before else (node.start > start):
-                found = node
-                node = node.right if before else node.left
+            path.append(node)
+            if node.start < start:
+                pred, pred_depth = node, len(path)
+                node = node.right
             else:
-                node = node.left if before else node.right
-        return Extent(found.start, found.length) if found is not None else None
+                succ, succ_depth = node, len(path)
+                node = node.left
+        if pred is not None and pred.start + pred.length != start:
+            pred = None
+        if succ is not None and succ.start != end:
+            succ = None
+
+        if pred is None and succ is None:
+            if end == high_water:
+                return start
+            self._root = _attach(self._root, path, self._new_node(start, length))
+            return high_water
+        if succ is None and end == high_water:
+            # The merged gap would be trailing: drop it, lower the mark.
+            self._drop(path[: pred_depth - 1], pred)
+            if self._size_order:
+                self._resize((pred.length, pred.start), None)
+            self._total -= pred.length
+            return pred.start
+        self._total += length
+        if succ is None:
+            if self._size_order:
+                self._resize((pred.length, pred.start), (pred.length + length, pred.start))
+            pred.length += length
+            _grow(path[:pred_depth], pred.length)
+        elif pred is None:
+            if self._size_order:
+                self._resize((succ.length, succ.start), (succ.length + length, start))
+            # Growing backwards keeps the rank: no gap lies in between.
+            succ.start = start
+            succ.length += length
+            _grow(path[:succ_depth], succ.length)
+        else:
+            # Both neighbours touch: the deeper one sits in the other's
+            # subtree, so unlinking it re-pulls a path through the other.
+            merged_length = pred.length + length + succ.length
+            if self._size_order:
+                self._resize((pred.length, pred.start), None)
+                self._resize((succ.length, succ.start), (merged_length, pred.start))
+            if pred_depth > succ_depth:
+                keep, drop, depth = succ, pred, pred_depth
+            else:
+                keep, drop, depth = pred, succ, succ_depth
+            keep.start = pred.start
+            keep.length = merged_length
+            self._drop(path[: depth - 1], drop)
+        return high_water
 
     # ------------------------------------------------------ policy queries
     def first_fit(self, size: int) -> Optional[int]:
@@ -399,9 +546,7 @@ class GapIndex:
 
     def best_fit(self, size: int) -> Optional[int]:
         """Start of the tightest fitting gap (address-lowest on ties)."""
-        counter = self._c_queries
-        if counter is not None:
-            counter.value += 1
+        self._size_query()
         found = _size_ceiling(self._size_root, (size,))
         if found is None:
             return None
@@ -409,9 +554,7 @@ class GapIndex:
 
     def worst_fit(self, size: int) -> Optional[int]:
         """Start of the widest gap (address-lowest on ties), if it fits."""
-        counter = self._c_queries
-        if counter is not None:
-            counter.value += 1
+        self._size_query()
         if self._size_root is None:
             return None
         widest = _size_max(self._size_root)[0]
@@ -420,6 +563,13 @@ class GapIndex:
         found = _size_ceiling(self._size_root, (widest,))
         assert found is not None  # the max key itself is >= (widest,)
         return found[1]
+
+    def _size_query(self) -> None:
+        if not self._size_order:
+            raise RuntimeError("this GapIndex keeps no size order (size_order=False)")
+        counter = self._c_queries
+        if counter is not None:
+            counter.value += 1
 
     def next_fit(self, size: int, rover: int) -> Optional[Tuple[int, int]]:
         """``(rank, start)`` of the gap Next Fit's cyclic probe picks.

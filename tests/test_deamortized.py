@@ -141,3 +141,48 @@ def test_blocked_checkpoints_are_rare_relative_to_flushes():
     # Blocking on the durability rule happens, but only a bounded number of
     # times per flush (it is part of the O(1/eps) checkpoint budget).
     assert realloc.blocked_checkpoints <= 5 * realloc.stats.flushes
+
+
+def test_flush_records_count_the_checkpoints_of_their_item_runs():
+    """Each flush record carries the checkpoints its phased item runs took
+    (phase and blocked ones), summed over the updates that advanced it."""
+
+    class _Counting(DeamortizedReallocator):
+        item_run_checkpoints = 0
+
+        def _run_items(self, items, index, budget):
+            pending = self._pending
+            before = self.stats.checkpoints
+            try:
+                return super()._run_items(items, index, budget)
+            finally:
+                if pending is not None and items is pending.items:
+                    self.item_run_checkpoints += self.stats.checkpoints - before
+
+    class _Flushes:
+        def __init__(self):
+            self.records = []
+
+        def on_request(self, record):
+            pass
+
+        def on_move(self, move):
+            pass
+
+        def on_flush(self, record):
+            self.records.append(record)
+
+        def on_checkpoint(self, count):
+            pass
+
+    realloc = _Counting(epsilon=0.25)
+    flushes = _Flushes()
+    realloc.attach_observer(flushes)
+    random_churn(realloc, steps=600, seed=1, max_size=80)
+    realloc.finish_pending_work()
+    assert len(flushes.records) == realloc.stats.flushes > 0
+    assert realloc.item_run_checkpoints > 0
+    assert sum(record.checkpoints for record in flushes.records) == realloc.item_run_checkpoints
+    # Drains also move objects and may block on frozen space, so the item
+    # runs account for some, not necessarily all, of the checkpoints.
+    assert realloc.item_run_checkpoints <= realloc.stats.checkpoints

@@ -7,10 +7,16 @@ Two oracles, both re-implementations of the pre-index code:
   :class:`GapIndex`-backed policy picks the *same gap on every request*;
 * a naive all-pairs overlap scan, used to check that the address-ordered
   index inside :class:`AddressSpace` detects exactly the same clashes.
+
+A Hypothesis state machine then drives :class:`GapIndex`'s in-place
+``take``/``release`` and every policy query, with and without the size
+order, against a plain address-sorted list, checking the treap's key order,
+heap order and aggregates after every step.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.allocators import (
     BestFitAllocator,
@@ -251,17 +257,41 @@ def test_gap_index_take_and_remove():
         gaps.take(99, 1)
 
 
-def test_gap_index_absorb_adjacent_merges_both_sides():
-    gaps = GapIndex()
+@pytest.mark.parametrize("size_order", [True, False])
+def test_gap_index_release_merges_both_sides_and_lowers_the_mark(size_order):
+    gaps = GapIndex(size_order=size_order)
     gaps.add(Extent(0, 5))
     gaps.add(Extent(8, 2))
-    merged = gaps.absorb_adjacent(Extent(5, 3))
-    assert merged == Extent(0, 10)
-    assert len(gaps) == 0  # both neighbours were consumed, nothing re-added
-    gaps.add(merged)
-    # Non-adjacent release touches nothing.
-    assert gaps.absorb_adjacent(Extent(20, 4)) == Extent(20, 4)
+    # Between two gaps: one node absorbs the other and the freed extent.
+    assert gaps.release(Extent(5, 3), high_water=40) == 40
+    assert list(gaps) == [Extent(0, 10)] and gaps.total_free == 10
+    # Next to neither: a new gap.
+    assert gaps.release(Extent(20, 4), high_water=40) == 40
+    assert list(gaps) == [Extent(0, 10), Extent(20, 4)]
+    # Growing a gap backwards and forwards in place.
+    assert gaps.release(Extent(18, 2), high_water=40) == 40
+    assert gaps.release(Extent(24, 6), high_water=40) == 40
+    assert list(gaps) == [Extent(0, 10), Extent(18, 12)] and gaps.total_free == 22
+    # A merged gap ending at the mark is dropped and lowers the mark.
+    assert gaps.release(Extent(30, 10), high_water=40) == 18
+    assert list(gaps) == [Extent(0, 10)] and gaps.total_free == 10
+    # A free at the mark next to no gap only lowers the mark.
+    assert gaps.release(Extent(14, 4), high_water=18) == 14
     assert list(gaps) == [Extent(0, 10)]
+    if size_order:
+        assert gaps.best_fit(1) == 0 and gaps.worst_fit(10) == 0
+    else:
+        with pytest.raises(RuntimeError):
+            gaps.best_fit(1)
+        with pytest.raises(RuntimeError):
+            gaps.worst_fit(1)
+
+
+def test_only_best_and_worst_fit_keep_a_size_order():
+    for policy, cls in POLICIES.items():
+        assert cls()._gaps._size_order == (policy in ("best", "worst")), policy
+    # A bare index keeps it, so the size-treap guard measures the same structure.
+    assert GapIndex()._size_order
 
 
 def test_failed_insert_restores_the_free_list_and_high_water():
@@ -388,3 +418,160 @@ def test_size_treap_best_and_worst_fit_agree_with_a_sorted_list(script, sizes):
                 expected_worst = oracle[bisect_left(oracle, (oracle[-1][0],))][1]
             assert gaps.worst_fit(size) == expected_worst, (size, oracle)
     assert gaps.total_free == sum(length for length, _ in oracle)
+
+
+# ------------------------------------------- in-place updates: state machine
+def _size_keys(node):
+    if node is None:
+        return []
+    return _size_keys(node.left) + [node.key] + _size_keys(node.right)
+
+
+def _check_treap(node, low, high):
+    """Key order, heap order and the ``count``/``max_length`` aggregates of
+    every node under ``node``; returns the subtree's (count, max_length)."""
+    if node is None:
+        return 0, 0
+    assert low < node.start < high, (low, node.start, high)
+    left_count, left_max = _check_treap(node.left, low, node.start)
+    right_count, right_max = _check_treap(node.right, node.start, high)
+    for child in (node.left, node.right):
+        assert child is None or child.priority <= node.priority
+    assert node.count == left_count + right_count + 1, node.start
+    assert node.max_length == max(node.length, left_max, right_max), node.start
+    return node.count, node.max_length
+
+
+class _GapIndexMachine(RuleBasedStateMachine):
+    """Drive ``take``/``release`` and every policy query against a naive
+    address-sorted ``[start, length]`` list with a high-water mark."""
+
+    size_order = True
+
+    def __init__(self):
+        super().__init__()
+        self.gaps = GapIndex(size_order=self.size_order)
+        self.model = []  # [start, length] pairs in address order
+        self.high_water = 0
+        self.allocated = []  # (start, length) extents owned by "objects"
+
+    @rule(size=st.integers(min_value=1, max_value=16))
+    def extend(self, size):
+        self.allocated.append((self.high_water, size))
+        self.high_water += size
+
+    @precondition(lambda self: self.model)
+    @rule(
+        pick=st.integers(min_value=0, max_value=10**6),
+        size=st.one_of(st.none(), st.integers(min_value=1, max_value=16)),
+    )
+    def take(self, pick, size):
+        """Take ``size`` units (None: the whole gap) from a gap's front."""
+        gap = self.model[pick % len(self.model)]
+        start, length = gap
+        if size is None:
+            size = length
+        if size > length:
+            with pytest.raises(ValueError):
+                self.gaps.take(start, size)
+            return
+        self.gaps.take(start, size)
+        self.allocated.append((start, size))
+        if size == length:
+            self.model.remove(gap)
+        else:
+            gap[0], gap[1] = start + size, length - size
+
+    @precondition(lambda self: self.allocated)
+    @rule(pick=st.integers(min_value=0, max_value=10**6))
+    def take_where_no_gap_starts(self, pick):
+        start, _length = self.allocated[pick % len(self.allocated)]
+        with pytest.raises(KeyError):
+            self.gaps.take(start, 1)
+
+    @precondition(lambda self: self.allocated)
+    @rule(pick=st.integers(min_value=0, max_value=10**6))
+    def release(self, pick):
+        start, length = self.allocated.pop(pick % len(self.allocated))
+        got = self.gaps.release(Extent(start, length), self.high_water)
+        end = start + length
+        before = [gap for gap in self.model if gap[0] + gap[1] == start]
+        after = [gap for gap in self.model if gap[0] == end]
+        for gap in before + after:
+            self.model.remove(gap)
+        if before:
+            start = before[0][0]
+        if after:
+            end = after[0][0] + after[0][1]
+        if end == self.high_water:
+            self.high_water = start
+        else:
+            self.model.append([start, end - start])
+            self.model.sort()
+        assert got == self.high_water
+
+    @rule(size=st.integers(min_value=1, max_value=40))
+    def first_fit(self, size):
+        expected = next((start for start, length in self.model if length >= size), None)
+        assert self.gaps.first_fit(size) == expected
+
+    @rule(size=st.integers(min_value=1, max_value=40), rover=st.integers(min_value=0, max_value=40))
+    def next_fit(self, size, rover):
+        expected = None
+        if self.model:
+            first = min(rover, len(self.model) - 1)
+            for offset in range(len(self.model)):
+                rank = (first + offset) % len(self.model)
+                if self.model[rank][1] >= size:
+                    expected = (rank, self.model[rank][0])
+                    break
+        assert self.gaps.next_fit(size, rover) == expected
+
+    @rule(size=st.integers(min_value=1, max_value=40))
+    def best_and_worst_fit(self, size):
+        if not self.size_order:
+            with pytest.raises(RuntimeError):
+                self.gaps.best_fit(size)
+            with pytest.raises(RuntimeError):
+                self.gaps.worst_fit(size)
+            return
+        fitting = sorted((length, start) for start, length in self.model if length >= size)
+        assert self.gaps.best_fit(size) == (fitting[0][1] if fitting else None)
+        widest = max((length for length, _ in fitting), default=None)
+        expected_worst = min((s for l, s in fitting if l == widest), default=None)
+        assert self.gaps.worst_fit(size) == expected_worst
+
+    @invariant()
+    def index_matches_the_model(self):
+        assert [[extent.start, extent.length] for extent in self.gaps] == self.model
+        assert len(self.gaps) == len(self.model)
+        assert self.gaps.total_free == sum(length for _, length in self.model)
+        _check_treap(self.gaps._root, -1, float("inf"))
+        if self.size_order:
+            assert _size_keys(self.gaps._size_root) == sorted(
+                (length, start) for start, length in self.model
+            )
+        else:
+            assert self.gaps._size_root is None
+        # Gaps are maximal and below the mark: disjoint, non-adjacent, and
+        # never trailing.
+        for (start, length), (next_start, _) in zip(self.model, self.model[1:]):
+            assert start + length < next_start
+        if self.model:
+            assert self.model[-1][0] + self.model[-1][1] < self.high_water
+
+
+class _UnorderedGapIndexMachine(_GapIndexMachine):
+    size_order = False
+
+
+_MACHINE_SETTINGS = settings(
+    max_examples=60,
+    stateful_step_count=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestGapIndexWithSizeOrder = _GapIndexMachine.TestCase
+TestGapIndexWithSizeOrder.settings = _MACHINE_SETTINGS
+TestGapIndexWithoutSizeOrder = _UnorderedGapIndexMachine.TestCase
+TestGapIndexWithoutSizeOrder.settings = _MACHINE_SETTINGS

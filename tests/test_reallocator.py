@@ -257,6 +257,48 @@ def test_an_insert_whose_placement_raises_leaks_no_slot(cls, reason):
     check_invariants(realloc)
 
 
+@pytest.mark.parametrize("after_trigger_moved", [False, True], ids=["first-move", "mid-flush"])
+def test_an_overfill_whose_flush_raises_leaves_a_delete_record(after_trigger_moved):
+    """A Section 3.2 overfill insert is placed and given its slot before its
+    flush; when that flush raises, the object is freed as a delete would
+    free it: its slot becomes a delete record, and its placement and
+    translation entry are dropped wherever the flush had moved it."""
+    realloc = CheckpointedReallocator(epsilon=0.5)
+    realloc.insert("big", 200)
+    move = realloc.space.move
+    inserting = []
+    trigger_moved = []
+
+    def failing(name, extent):
+        if trigger_moved or not after_trigger_moved:
+            del realloc.space.move
+            raise OverlapError(f"injected fault moving {name!r}")
+        if name == inserting[-1]:
+            trigger_moved.append(extent)
+        return move(name, extent)
+
+    realloc.space.move = failing
+    for name in range(1000):
+        used = realloc.buffered_volume()
+        inserting.append(name)
+        try:
+            realloc.insert(name, 4)
+        except OverlapError:
+            break
+    else:
+        pytest.fail("no flush in 1000 inserts")
+    assert bool(trigger_moved) == after_trigger_moved
+    assert name not in realloc and name not in realloc.space
+    assert name not in realloc._placement and name not in realloc.translation
+    record = realloc.region(realloc.region_indices()[-1]).buffer[-1]
+    assert record.is_delete_record and record.size == 4
+    # The record keeps the slot's space consumed until the next flush.
+    assert realloc.buffered_volume() == used + 4
+    realloc.insert(name, 4)
+    assert realloc._placement[name]
+    check_invariants(realloc)
+
+
 def test_a_run_whose_move_raises_still_counts_the_moves_it_made():
     """The shared move loop updates the stats once per run, also when a
     move of the run raises: the moves before it happened and are charged."""
