@@ -47,20 +47,27 @@ class FreeListAllocator(Allocator):
         self._gaps = GapIndex(size_order=self.uses_size_order)
         self._high_water = 0
 
-    # ----------------------------------------------------------- policy hook
+    # ---------------------------------------------------------- policy hooks
     def _select_gap(self, size: int) -> Optional[int]:
         """Return the start address of the gap to use, or None to extend."""
         raise NotImplementedError
 
+    def _take_gap(self, size: int) -> Optional[int]:
+        """Take ``size`` units from the gap the policy picks and return its
+        start, or None to extend.  First and Next Fit override this to take
+        on the query's own descent."""
+        address = self._select_gap(size)
+        if address is not None:
+            self._gaps.take(address, size)
+        return address
+
     # -------------------------------------------------------------- requests
     def _do_insert(self, name: Hashable, size: int) -> None:
-        address = self._select_gap(size)
+        address = self._take_gap(size)
         extended = address is None
         if extended:
             address = self._high_water
             self._high_water += size
-        else:
-            self._gaps.take(address, size)
         try:
             self._place_object(name, size, address, reason="insert")
         except BaseException:
@@ -97,8 +104,8 @@ class FirstFitAllocator(FreeListAllocator):
 
     name = "first-fit"
 
-    def _select_gap(self, size: int) -> Optional[int]:
-        return self._gaps.first_fit(size)
+    def _take_gap(self, size: int) -> Optional[int]:
+        return self._gaps.take_first_fit(size)
 
 
 class BestFitAllocator(FreeListAllocator):
@@ -127,7 +134,7 @@ class NextFitAllocator(FreeListAllocator):
     The rover is a *position* in the address-ordered gap list (exactly the
     index the flat-list implementation kept), so every placement matches
     the seed scan request for request — but the probe itself is a
-    rank-bounded :meth:`GapIndex.next_fit` query (O(log n), with one extra
+    rank-bounded :meth:`GapIndex.take_next_fit` (O(log n), with one extra
     descent on wrap-around) instead of a linear walk of the gap list.
     """
 
@@ -137,8 +144,8 @@ class NextFitAllocator(FreeListAllocator):
         super().__init__(trace=trace, audit=audit)
         self._rover = 0
 
-    def _select_gap(self, size: int) -> Optional[int]:
-        found = self._gaps.next_fit(size, self._rover)
+    def _take_gap(self, size: int) -> Optional[int]:
+        found = self._gaps.take_next_fit(size, self._rover)
         if found is None:
             return None
         self._rover, start = found

@@ -148,9 +148,9 @@ class MemorySink:
 class JsonlSink:
     """Writes one JSON object per line to ``path`` (created eagerly).
 
-    Threads may share one (the serve tier's tenant executor threads emit
-    concurrently): a line is encoded outside the lock and written whole
-    under it, so lines never interleave.  Disabled telemetry never reaches
+    Threads may share one (the serve tier's event loop and its snapshot
+    thread emit concurrently): a line is encoded outside the lock and
+    written whole under it, so lines never interleave.  Disabled telemetry never reaches
     a sink, so the lock costs nothing then.
     """
 
@@ -218,8 +218,8 @@ class Telemetry:
 
     A disabled instance (the default) is inert: no registry, no sink
     writes, shared no-op singletons from every factory method.  Each thread
-    keeps its own span stack, so concurrent spans (the serve tier's tenant
-    threads) never report each other as parent; counter and gauge updates
+    keeps its own span stack, so concurrent spans (the serve tier's loop and
+    snapshot threads) never report each other as parent; counter and gauge updates
     are not locked.
     """
 
@@ -291,6 +291,26 @@ class Telemetry:
         if not self.enabled:
             return NULL_SPAN
         return _Span(self, name, attrs)
+
+    def record_span(self, name: str, start: float, end: float, **attrs: Any) -> None:
+        """Emit a ``span`` for an interval timed outside a ``with`` block.
+
+        ``start`` and ``end`` are :func:`time.perf_counter` readings; the
+        span nests under the calling thread's open spans, as :meth:`span`
+        does.  A no-op while disabled.
+        """
+        if not self.enabled:
+            return
+        stack = self._stack
+        self.emit(
+            "span",
+            name,
+            path="/".join(stack + [name]),
+            depth=len(stack),
+            start=round(start - self._t0, 6),
+            dur=round(end - start, 6),
+            attrs=attrs or None,
+        )
 
     def event(self, name: str, **attrs: Any) -> None:
         """Emit a point-in-time ``event`` record."""

@@ -15,9 +15,10 @@ Connection handlers decode frames and ``await queue.put(...)`` — a full
 queue suspends the reader, which stops draining the socket, which is the
 backpressure (the kernel's TCP window does the rest).  The worker pulls
 items in order, *coalesces* consecutive batches up to ``max_batch``
-requests, and applies each coalesced batch through
-``loop.run_in_executor`` so the event loop keeps serving other tenants
-while the allocator (pure Python, GIL-bound but executor-offloaded) runs.
+requests, and runs each coalesced batch from apply to ack on the loop
+thread: the allocator is GIL-bound pure Python, so an executor hop buys
+no parallelism, only a thread wake-up per batch.  A large group holds
+the loop while it applies; only ``SNAPSHOT`` and close are offloaded.
 
 Durability contract: a batch is acked only after its applied prefix has
 been recorded to the tenant's block-indexed v3 trace *and* the writer was
@@ -39,10 +40,12 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.session import EngineSession
 from repro.faults import fault_point
+from repro.obs.telemetry import get_telemetry
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -52,10 +55,12 @@ from repro.serve.protocol import (
 )
 from repro.workloads import open_trace_writer, read_trace_tail
 
-#: Default cap on one coalesced batch fed to the allocator in one executor hop.
+#: Default cap on one coalesced batch, applied and synced at once on the loop.
 DEFAULT_MAX_BATCH = 4096
 #: Default per-tenant queue depth (items, not requests) before backpressure.
 DEFAULT_QUEUE_DEPTH = 32
+#: The spans a coalesced batch emits when telemetry is on, one per step.
+_BATCH_SPANS = ("serve.apply", "serve.record", "serve.sync", "serve.ack")
 #: Tenant name used by the single shared arena.
 SHARED_TENANT = "shared"
 
@@ -164,7 +169,7 @@ class TenantSession:
                     await self._control(item)
                     continue
                 # Coalesce consecutive batches (bounded by max_batch) into
-                # one executor hop; a control item ends the run and is
+                # one apply and one sync; a control item ends the run and is
                 # handled right after, preserving per-connection order.
                 group = [item]
                 total = len(item.requests)
@@ -192,16 +197,21 @@ class TenantSession:
                     file=sys.stderr,
                 )
 
-    def _apply_and_record(self, requests: List[Any]) -> Tuple[int, Optional[str]]:
+    def _apply_and_record(
+        self, requests: List[Any]
+    ) -> Tuple[int, Optional[str], Tuple[float, ...]]:
         """Apply ``requests`` and durably record the applied prefix.
 
-        Runs on an executor thread.  A mid-batch allocator failure rolls
+        Runs on the event-loop thread.  A mid-batch allocator failure rolls
         back only the failing request (``Allocator._serve_insert``), so
         the applied count is the stats delta and ``requests[:applied]``
         is exactly the prefix that took effect — which is what gets
-        recorded, keeping the trace replayable to the live state.
+        recorded, keeping the trace replayable to the live state.  Returns
+        that count, the error if one was raised, and the
+        ``perf_counter`` stamps that bound the apply, record and sync steps.
         """
         fault_point("serve.batch.apply")
+        started = perf_counter()
         error: Optional[str] = None
         before = self.session.requests_applied
         try:
@@ -209,20 +219,20 @@ class TenantSession:
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         applied = self.session.requests_applied - before
+        applied_at = recorded_at = perf_counter()
         if applied:
             fault_point("serve.record.sync")
             for request in requests[:applied]:
                 self.writer.write(request)
+            recorded_at = perf_counter()
             self.writer.sync()
-        return applied, error
+        return applied, error, (started, applied_at, recorded_at, perf_counter())
 
     async def _apply_group(self, group: List[_Batch]) -> None:
         requests: List[Any] = []
         for batch in group:
             requests.extend(batch.requests)
-        applied, error = await self.loop.run_in_executor(
-            None, self._apply_and_record, requests
-        )
+        applied, error, stamps = self._apply_and_record(requests)
         offset = 0
         for batch in group:
             want = len(batch.requests)
@@ -236,6 +246,11 @@ class TenantSession:
             if not response["ok"]:
                 response["error"] = error
             await batch.conn.send(response)
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            stamps += (perf_counter(),)
+            for name, start, end in zip(_BATCH_SPANS, stamps, stamps[1:]):
+                telemetry.record_span(name, start, end, requests=len(requests))
 
     def _snapshot_sync(self, path: str) -> Dict[str, Any]:
         fault_point("serve.snapshot")
@@ -265,7 +280,7 @@ class TenantSession:
                 return
             await conn.send({"ok": True, "seq": seq, "snapshot": described})
         elif item.op == "drain":
-            await self.loop.run_in_executor(None, self.writer.sync)
+            self.writer.sync()
             await conn.send(
                 {
                     "ok": True,

@@ -20,12 +20,14 @@ keeping the same gap set in up to two orders:
   insert and delete; see ``benchmarks/bench_address_space.py``.)
 
 Gaps are updated **in place**.  :meth:`GapIndex.take` finds the gap with
-one descent that records its path; a partial take moves the node's start
-forward, which keeps its address rank, and re-pulls only the aggregates
-that change.  :meth:`GapIndex.release` meets both address neighbours on
-one descent: a free next to one gap grows that node, a free between two
-gaps unlinks the deeper one and grows the other, and only a free next to
-neither adds a node.  Nodes are created and deleted only when the gap set
+one descent that records its path; :meth:`GapIndex.take_first_fit` and
+:meth:`GapIndex.take_next_fit` keep the path of the policy query itself,
+so First and Next Fit reuse a gap in one descent.  A partial take moves
+the node's start forward, which keeps its address rank, and re-pulls
+only the aggregates that change.  :meth:`GapIndex.release` meets both
+address neighbours on one descent: a free next to one gap grows that
+node, a free between two gaps unlinks the deeper one and grows the
+other, and only a free next to neither adds a node.  Nodes are created and deleted only when the gap set
 gains or loses a gap.
 
 Every policy answer is *identical* to the one the linear scans produce —
@@ -169,10 +171,14 @@ def _grow(path: List[_Node], length: int) -> None:
         node.max_length = length
 
 
-def _fit_at_or_after(node: Optional[_Node], rank: int, size: int) -> Optional[Tuple[int, int]]:
-    """``(rank, start)`` of the lowest-ranked gap with rank >= ``rank`` and
+def _fit_at_or_after(
+    node: Optional[_Node], rank: int, size: int, path: List[_Node]
+) -> Optional[Tuple[int, _Node]]:
+    """``(rank, node)`` of the lowest-ranked gap with rank >= ``rank`` and
     length >= ``size`` in ``node``'s subtree (ranks subtree-relative), or None.
 
+    On a hit ``path`` gains the gap's ancestors from ``node`` down, so a
+    take needs no second descent; on a miss it is left as it was.
     O(height): the recursion follows the single rank boundary path; every
     subtree fully inside the range is entered only when its ``max_length``
     guarantees a fit, in which case the plain leftmost-fit descent succeeds
@@ -187,23 +193,28 @@ def _fit_at_or_after(node: Optional[_Node], rank: int, size: int) -> Optional[Tu
             left = node.left
             left_count = left.count if left is not None else 0
             if left is not None and left.max_length >= size:
+                path.append(node)
                 node = left
             elif node.length >= size:
-                return base + left_count, node.start
+                return base + left_count, node
             else:
                 base += left_count + 1
+                path.append(node)
                 node = node.right  # guaranteed by the subtree max
     left = node.left
     left_count = left.count if left is not None else 0
+    path.append(node)
     if rank < left_count:
-        found = _fit_at_or_after(left, rank, size)
+        found = _fit_at_or_after(left, rank, size, path)
         if found is not None:
             return found
     if rank <= left_count and node.length >= size:
-        return left_count, node.start
-    found = _fit_at_or_after(node.right, rank - left_count - 1, size)
+        path.pop()
+        return left_count, node
+    found = _fit_at_or_after(node.right, rank - left_count - 1, size, path)
     if found is not None:
         return found[0] + left_count + 1, found[1]
+    path.pop()
     return None
 
 
@@ -418,21 +429,30 @@ class GapIndex:
     def take(self, start: int, size: int) -> None:
         """Allocate ``size`` units from the front of the gap at ``start``.
 
-        One descent records the path to the gap.  A partial take shrinks
-        the node in place: its new start stays between its neighbours, so
-        its address rank is unchanged and only ``max_length`` aggregates
-        can change.  An exact fit unlinks the node.
+        One descent records the path to the gap; :meth:`_cut` then shrinks
+        or unlinks the node.
         """
         path, node = _descend(self._root, start)
         if node is None:
             raise KeyError(f"no gap starts at address {start}")
-        length = node.length
-        if length < size:
+        if node.length < size:
             # Raise before mutating: a failed insert must leave the free
             # list intact so the request can be retried.
             raise ValueError(
-                f"gap {Extent(start, length)} is smaller than the request ({size})"
+                f"gap {Extent(start, node.length)} is smaller than the request ({size})"
             )
+        self._cut(path, node, size)
+
+    def _cut(self, path: List[_Node], node: _Node, size: int) -> None:
+        """Take ``size`` units from the front of ``node``, reached along
+        ``path``; its length is at least ``size``.
+
+        A partial take shrinks the node in place: its new start stays
+        between its neighbours, so its address rank is unchanged and only
+        ``max_length`` aggregates can change.  An exact fit unlinks it.
+        """
+        start = node.start
+        length = node.length
         self._total -= size
         if length == size:
             self._drop(path, node)
@@ -530,18 +550,40 @@ class GapIndex:
     # ------------------------------------------------------ policy queries
     def first_fit(self, size: int) -> Optional[int]:
         """Start of the lowest-addressed gap with length >= ``size``."""
+        node = self._first_fit(size)[1]
+        return None if node is None else node.start
+
+    def take_first_fit(self, size: int) -> Optional[int]:
+        """Take ``size`` units from the front of the gap :meth:`first_fit`
+        picks and return its start (None if no gap fits).
+
+        The descent that finds the gap keeps its path, so the take does
+        not search for the gap again.
+        """
+        path, node = self._first_fit(size)
+        if node is None:
+            return None
+        start = node.start
+        self._cut(path, node, size)
+        return start
+
+    def _first_fit(self, size: int) -> Tuple[List[_Node], Optional[_Node]]:
+        """The leftmost fitting node and the path of its ancestors."""
         counter = self._c_queries
         if counter is not None:
             counter.value += 1
+        path: List[_Node] = []
         node = self._root
         if node is None or node.max_length < size:
-            return None
+            return path, None
         while True:
             if node.left is not None and node.left.max_length >= size:
+                path.append(node)
                 node = node.left
             elif node.length >= size:
-                return node.start
+                return path, node
             else:
+                path.append(node)
                 node = node.right  # guaranteed by the subtree max
 
     def best_fit(self, size: int) -> Optional[int]:
@@ -580,19 +622,37 @@ class GapIndex:
         descent over ranks ``>= min(rover, len - 1)`` plus, on wrap-around,
         one plain leftmost-fit descent over the low ranks.
         """
+        found = self._next_fit(size, rover)[1]
+        return None if found is None else (found[0], found[1].start)
+
+    def take_next_fit(self, size: int, rover: int) -> Optional[Tuple[int, int]]:
+        """Take ``size`` units from the front of the gap :meth:`next_fit`
+        picks and return its ``(rank, start)``, on the descent's own path."""
+        path, found = self._next_fit(size, rover)
+        if found is None:
+            return None
+        rank, node = found
+        start = node.start
+        self._cut(path, node, size)
+        return rank, start
+
+    def _next_fit(
+        self, size: int, rover: int
+    ) -> Tuple[List[_Node], Optional[Tuple[int, _Node]]]:
         counter = self._c_queries
         if counter is not None:
             counter.value += 1
+        path: List[_Node] = []
         total = len(self)
         if total == 0:
-            return None
+            return path, None
         rank = min(rover, total - 1)
-        found = _fit_at_or_after(self._root, rank, size)
+        found = _fit_at_or_after(self._root, rank, size, path)
         if found is None and rank > 0:
             # Wrap around: the lowest-ranked fit overall necessarily sits
             # below ``rank`` (anything at or above it was just ruled out).
-            found = _fit_at_or_after(self._root, 0, size)
-        return found
+            found = _fit_at_or_after(self._root, 0, size, path)
+        return path, found
 
     def free_extents(self) -> List[Extent]:
         """The gaps as a list of extents in address order (an O(n) walk)."""

@@ -443,8 +443,9 @@ def _check_treap(node, low, high):
 
 
 class _GapIndexMachine(RuleBasedStateMachine):
-    """Drive ``take``/``release`` and every policy query against a naive
-    address-sorted ``[start, length]`` list with a high-water mark."""
+    """Drive ``take``/``release``, the First and Next Fit query-and-takes
+    and every policy query against a naive address-sorted
+    ``[start, length]`` list with a high-water mark."""
 
     size_order = True
 
@@ -476,11 +477,48 @@ class _GapIndexMachine(RuleBasedStateMachine):
                 self.gaps.take(start, size)
             return
         self.gaps.take(start, size)
+        self._model_take(gap, size)
+
+    def _model_take(self, gap, size):
+        start, length = gap
         self.allocated.append((start, size))
         if size == length:
             self.model.remove(gap)
         else:
             gap[0], gap[1] = start + size, length - size
+
+    @rule(size=st.integers(min_value=1, max_value=24))
+    def take_first_fit(self, size):
+        """The query-and-take picks the gap ``first_fit`` names."""
+        gap = next((gap for gap in self.model if gap[1] >= size), None)
+        taken = self.gaps.take_first_fit(size)
+        if gap is None:
+            assert taken is None
+            return
+        assert taken == gap[0]
+        self._model_take(gap, size)
+
+    @rule(
+        size=st.integers(min_value=1, max_value=24),
+        rover=st.integers(min_value=0, max_value=40),
+    )
+    def take_next_fit(self, size, rover):
+        """The query-and-take picks the ``(rank, start)`` Next Fit names."""
+        expected = None
+        if self.model:
+            first = min(rover, len(self.model) - 1)
+            for offset in range(len(self.model)):
+                rank = (first + offset) % len(self.model)
+                if self.model[rank][1] >= size:
+                    expected = rank
+                    break
+        taken = self.gaps.take_next_fit(size, rover)
+        if expected is None:
+            assert taken is None
+            return
+        gap = self.model[expected]
+        assert taken == (expected, gap[0])
+        self._model_take(gap, size)
 
     @precondition(lambda self: self.allocated)
     @rule(pick=st.integers(min_value=0, max_value=10**6))
@@ -489,10 +527,23 @@ class _GapIndexMachine(RuleBasedStateMachine):
         with pytest.raises(KeyError):
             self.gaps.take(start, 1)
 
+    @rule(sizes=st.lists(st.integers(min_value=1, max_value=16), min_size=2, max_size=12))
+    def fragment(self, sizes):
+        """Extend by ``sizes`` and free every other new object, from the
+        back, so the index holds many gaps (one at a time rarely does)."""
+        first = len(self.allocated)
+        for size in sizes:
+            self.extend(size)
+        for index in range(len(self.allocated) - 2, first - 1, -2):
+            self._release(index)
+
     @precondition(lambda self: self.allocated)
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def release(self, pick):
-        start, length = self.allocated.pop(pick % len(self.allocated))
+        self._release(pick % len(self.allocated))
+
+    def _release(self, index):
+        start, length = self.allocated.pop(index)
         got = self.gaps.release(Extent(start, length), self.high_water)
         end = start + length
         before = [gap for gap in self.model if gap[0] + gap[1] == start]

@@ -190,8 +190,8 @@ def test_jsonl_sink_round_trips_through_load_and_validate(tmp_path):
 
 @pytest.mark.parametrize("sink_kind", ["jsonl", "memory"])
 def test_sinks_keep_every_line_whole_under_concurrent_emitters(tmp_path, sink_kind):
-    """Threads emitting spans into one sink (the serve tier's tenant
-    executors) must never tear or lose a line."""
+    """Threads emitting spans into one sink (the serve tier's event loop
+    and snapshot thread) must never tear or lose a line."""
     threads, spans = 8, 300
     path = tmp_path / "threads.jsonl"
     sink = JsonlSink(path) if sink_kind == "jsonl" else MemorySink()

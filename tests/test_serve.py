@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -20,8 +21,11 @@ import pytest
 from repro.allocators import FirstFitAllocator
 from repro.campaign.spec import build_allocator
 from repro.cli import main
+from repro.core import check_invariants
+from repro.engine import EngineSession
 from repro.faults import CRASH_EXIT_CODE, FaultPlan, FaultRule
 from repro.metrics import run_trace
+from repro.obs import JsonlSink, Telemetry, load_events, use_telemetry, validate_events
 from repro.serve import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -37,6 +41,7 @@ from repro.serve import (
     run_load,
     start_background,
 )
+from repro.serve.server import TenantSession
 from repro.workloads import (
     Request,
     UniformSizes,
@@ -328,6 +333,100 @@ def test_snapshot_restore_matches_live_state(tmp_path, server):
     offline = FirstFitAllocator()
     offline.run(load_trace(tmp_path / "snap-s.v3"))
     assert layout(session.allocator) == layout(offline)
+
+
+# ------------------------------------------------------ the inline batch path
+def test_batches_apply_on_the_event_loop_thread(server, monkeypatch):
+    """Every coalesced batch is applied, recorded and synced on the
+    server's own event-loop thread: no executor thread starts for batches,
+    and SNAPSHOT (the one verb still offloaded) keeps working."""
+    threads = []
+    original = TenantSession._apply_and_record
+
+    def recording(self, requests):
+        threads.append(threading.get_ident())
+        return original(self, requests)
+
+    monkeypatch.setattr(TenantSession, "_apply_and_record", recording)
+    handle = server(label="loop")
+    trace = list(churn_trace(1000, UniformSizes(1, 32), target_live=50, seed=4))
+    with ServeClient(handle.host, handle.port, tenant="l") as client:
+        before = threading.active_count()
+        for i in range(0, 1000, 50):
+            assert client.apply(trace[i : i + 50])["ok"]
+        assert threading.active_count() <= before
+        assert client.snapshot()["requests_applied"] == 1000
+    handle.stop()
+    assert len(threads) == 20
+    assert set(threads) == {handle._thread.ident}
+
+
+def test_traced_batches_emit_one_span_per_step_that_obs_report_lists(
+    tmp_path, server, capsys
+):
+    log = tmp_path / "serve.jsonl"
+    telemetry = Telemetry(enabled=True, sink=JsonlSink(log))
+    trace = list(churn_trace(300, UniformSizes(1, 32), target_live=30, seed=6))
+    with use_telemetry(telemetry):
+        handle = server(label="spans")
+        with ServeClient(handle.host, handle.port, tenant="s") as client:
+            for i in range(0, 300, 50):
+                assert client.apply(trace[i : i + 50])["ok"]
+        handle.stop()
+    telemetry.close()
+    events = load_events(log)
+    assert validate_events(events) == []
+    spans = [e for e in events if e["ev"] == "span" and e["name"].startswith("serve.")]
+    steps = ["serve.apply", "serve.record", "serve.sync", "serve.ack"]
+    assert [span["name"] for span in spans] == steps * 6
+    assert all(span["attrs"] == {"requests": 50} for span in spans)
+    for span, following in zip(spans, spans[1:]):
+        # Each step starts where the one before it ended.
+        if following["name"] != "serve.apply":
+            assert following["start"] == pytest.approx(span["start"] + span["dur"], abs=2e-6)
+    assert main(["obs", "report", str(log)]) == 0
+    report = capsys.readouterr().out
+    for step in steps:
+        assert step in report
+
+
+@pytest.mark.parametrize("kind", ["cost_oblivious", "deamortized"])
+def test_paper_reallocators_serve_interleaved_tenants_replayably(tmp_path, server, kind):
+    """Two tenants of a moving reallocator interleave pipelined batches
+    (50 requests, window 2); each recorded trace replays offline to the
+    live session's footprint, volume and exact layout, and the offline
+    replay passes the paper's invariants."""
+    handle = server(allocator=kind, label=kind)
+    traces = [
+        list(churn_trace(2000, UniformSizes(1, 48), target_live=120, seed=seed))
+        for seed in (8, 9)
+    ]
+    clients = [ServeClient(handle.host, handle.port, tenant=f"p{i}") for i in range(2)]
+    for start in range(0, 2000, 50):
+        for client, trace in zip(clients, traces):
+            if client._inflight == 2:
+                assert client.drain_acks(1)[0]["ok"]
+            client.send_batch(trace[start : start + 50])
+    lives = []
+    for i, client in enumerate(clients):
+        assert all(ack["ok"] for ack in client.drain_acks())
+        lives.append(client.stats())
+        assert lives[i]["requests"] == lives[i]["recorded"] == 2000
+        # The snapshot pickles the live allocator: its layout is the live one.
+        client.snapshot(str(tmp_path / f"live-{i}.snap"))
+        client.close()
+    handle.stop()
+
+    for i, live in enumerate(lives):
+        snapshot = EngineSession.restore(tmp_path / f"live-{i}.snap").allocator
+        offline = build_allocator(kind)
+        offline.run(load_trace(tmp_path / f"{kind}-p{i}.v3"))
+        assert offline.stats.requests == 2000
+        assert offline.footprint == live["footprint"] == snapshot.footprint
+        assert offline.volume == live["volume"] == snapshot.volume
+        assert offline.stats.total_moves == live["moves"] > 0
+        assert dict(offline.space.items()) == dict(snapshot.space.items())
+        check_invariants(offline)
 
 
 # ------------------------------------------------------------------- chaos
