@@ -66,9 +66,29 @@ SCALE_TRACE = (
 
 
 class _LegacyScanSpace(AddressSpace):
-    """The pre-index audit: check a placement against every live extent."""
+    """The pre-index audit: check a placement against every live extent,
+    kept as ``Extent`` objects as the seed's space kept them."""
 
-    def _find_overlap(self, extent, ignore=None):
+    def __init__(self, validate=True):
+        super().__init__(validate)
+        self._extents = {}
+
+    def place(self, name, start, length):
+        super().place(name, start, length)
+        self._extents[name] = Extent(start, length)
+
+    def move(self, name, start):
+        old = super().move(name, start)
+        self._extents[name] = Extent(start, self._extents[name].length)
+        return old
+
+    def remove(self, name):
+        start = super().remove(name)
+        del self._extents[name]
+        return start
+
+    def _find_overlap(self, start, end, ignore=None):
+        extent = Extent(start, end - start)
         for name, existing in self._extents.items():
             if name == ignore:
                 continue
@@ -309,8 +329,8 @@ class _LegacyReinsertGapIndex(GapIndex):
         if length > size:
             self.add(Extent(start + size, length - size))
 
-    def release(self, extent, high_water):
-        merged = self._absorb_adjacent(extent)
+    def release(self, start, length, high_water):
+        merged = self._absorb_adjacent(Extent(start, length))
         if merged.end == high_water:
             return merged.start
         self.add(merged)

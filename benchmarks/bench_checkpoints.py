@@ -63,12 +63,13 @@ class _LegacyScanCheckpoints(CheckpointManager):
         super().__init__(enforce)
         self._frozen = []
 
-    def record_free(self, extent):
-        self._frozen.append(extent)
+    def record_free(self, start, end):
+        self._frozen.append(Extent(start, end - start))
         if len(self._frozen) > 64:
             self._frozen = coalesce(self._frozen)
 
-    def is_writable(self, extent):
+    def is_writable(self, start, end):
+        extent = Extent(start, end - start)
         return all(not extent.overlaps(frozen) for frozen in self._frozen)
 
     def checkpoint(self):
@@ -135,29 +136,35 @@ class _HeapTrackingSpace(AddressSpace):
         self._end_heap = []
         self._tracked_ends = 0
 
-    def place(self, name, extent):
-        super().place(name, extent)
-        self._track_end(extent.end)
+    def place(self, name, start, length):
+        super().place(name, start, length)
+        self._track_end(start + length)
 
-    def move(self, name, extent):
-        if name not in self._extents:
+    def move(self, name, start):
+        if name not in self._entries:
             raise KeyError(f"object {name!r} is not placed")
-        old = self._extents[name]
-        clash = self._find_overlap(extent, ignore=name)
+        old = self._entries[name]
+        old_start, _, old_end, _ = old
+        end = start + old_end - old_start
+        clash = self._find_overlap(start, end, ignore=name)
         if clash is not None:
-            raise OverlapError(f"moving {name!r} to {extent} overlaps {clash!r}")
-        self._index_remove(name, old)
-        self._index_add(name, extent)
-        self._extents[name] = extent
-        self._volume += extent.length - old.length
-        self._untrack_end(old.end)
-        self._track_end(extent.end)
-        return old
+            raise OverlapError(f"moving {name!r} to {start} overlaps {clash!r}")
+        # Remove the index entry, then re-add it under a fresh order serial.
+        index = self._index
+        del index[bisect_left(index, old)]
+        entry = (start, self._order_seq, end, name)
+        self._order_seq += 1
+        insort(index, entry)
+        self._entries[name] = entry
+        self._untrack_end(old_end)
+        self._track_end(end)
+        return old_start
 
     def remove(self, name):
-        extent = super().remove(name)
-        self._untrack_end(extent.end)
-        return extent
+        end = self._entries[name][2]
+        start = super().remove(name)
+        self._untrack_end(end)
+        return start
 
     def footprint(self):
         heap = self._end_heap
@@ -172,7 +179,7 @@ class _ParentRelocate:
     event, for a move whose size and both extents are already known."""
 
     def _relocate(self, name, size, old_extent, new_extent, reason):
-        self.space.move(name, new_extent)
+        self.space.move(name, new_extent.start)
         self.stats.record_move(size)
         self._current_moved_volume += size
         if self._collect_events:
@@ -198,10 +205,10 @@ class _PerMoveReference(_ParentRelocate, DeamortizedReallocator):
         new_extent = Extent(new_address, size)
         if new_extent.overlaps(old):
             raise RuntimeError(f"moving {name!r} from {old} to {new_extent} overlaps")
-        self._ensure_writable(new_extent, reason)
+        self._ensure_writable(new_extent.start, new_extent.end)
         self._relocate(name, size, old, new_extent, reason)
-        self.translation.record_move(name, new_extent)
-        self._record_write(name, new_extent, moved_from=old)
+        self.translation.record_move(name, new_extent.start, new_extent.end)
+        self._record_write(name, new_extent.start, size)
 
     def _advance(self, update_size):
         pending = self._pending
@@ -274,22 +281,22 @@ class _RemoveInsortSpace(AddressSpace):
     neighbours with its own entry skipped, deletes that entry and
     re-inserts it with ``insort``."""
 
-    def move(self, name, extent):
-        extents = self._extents
-        old = extents.get(name)
+    def move(self, name, start):
+        entries = self._entries
+        old = entries.get(name)
         if old is None:
             raise KeyError(f"object {name!r} is not placed")
-        clash = self._find_overlap(extent, ignore=name)
+        old_start, order, old_end, _ = old
+        end = start + old_end - old_start
+        clash = self._find_overlap(start, end, ignore=name)
         if clash is not None:
-            raise OverlapError(f"moving {name!r} to {extent} overlaps {clash!r}")
+            raise OverlapError(f"moving {name!r} to {start} overlaps {clash!r}")
         index = self._index
-        order = self._order[name]
-        start = extent.start
-        del index[bisect_left(index, (old.start, order))]
-        insort(index, (start, order, start + extent.length, name))
-        extents[name] = extent
-        self._volume += extent.length - old.length
-        return old
+        del index[bisect_left(index, old)]
+        entry = (start, order, end, name)
+        insort(index, entry)
+        entries[name] = entry
+        return old_start
 
 
 class _FullCopyTranslation(BlockTranslationLayer):
@@ -332,10 +339,10 @@ class _ParentMovePath(_ParentRelocate, DeamortizedReallocator):
             if target < start + size and start < target + size:
                 raise RuntimeError(f"moving {name!r} from {old} to {target} overlaps")
             new_extent = Extent(target, size)
-            self._ensure_writable(new_extent, reason)
+            self._ensure_writable(new_extent.start, new_extent.end)
             self._relocate(name, size, old, new_extent, reason)
-            record_move(name, new_extent)
-            self._record_write(name, new_extent, moved_from=old)
+            record_move(name, new_extent.start, new_extent.end)
+            self._record_write(name, target, size)
             moved_volume += size
             move_count += 1
         return index, moved_volume, move_count

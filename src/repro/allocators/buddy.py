@@ -105,6 +105,6 @@ class BuddyAllocator(Allocator):
         self._place_object(name, size, address, reason="insert")
 
     def _do_delete(self, name: Hashable, size: int) -> None:
-        extent = self._free_object(name)
+        start = self._free_object(name)
         order = self._orders.pop(name)
-        self._release_block(extent.start, order)
+        self._release_block(start, order)

@@ -77,13 +77,13 @@ class FreeListAllocator(Allocator):
             if extended:
                 self._high_water = address
             else:
-                self._high_water = self._gaps.release(Extent(address, size), self._high_water)
+                self._high_water = self._gaps.release(address, size, self._high_water)
             raise
 
     def _do_delete(self, name: Hashable, size: int) -> None:
         # The index coalesces with adjacent gaps and lowers the high-water
         # mark instead of keeping a trailing gap.
-        self._high_water = self._gaps.release(self._free_object(name), self._high_water)
+        self._high_water = self._gaps.release(self._free_object(name), size, self._high_water)
 
     # ------------------------------------------------------------- free list
     def free_extents(self) -> List[Extent]:

@@ -37,12 +37,13 @@ class IdealPackingReallocator(Allocator):
         removed = self._free_object(name)
         del self._order[name]
         # Slide every object that sat after the hole left by ``size`` units.
-        cursor = removed.start
+        cursor = removed
         for other in self._order:
-            extent = self.space.extent_of(other)
-            if extent.start > removed.start:
+            start = self.space.start_of(other)
+            length = self._sizes[other]
+            if start > removed:
                 self._move_object(other, cursor, reason="repack")
-                cursor += extent.length
+                cursor += length
             else:
-                cursor = max(cursor, extent.end)
+                cursor = max(cursor, start + length)
         self._end -= size

@@ -73,7 +73,7 @@ class SizeClassGapReallocator(Allocator):
         cls = _class_of(size)
         zone = self._zones[cls]
         index = zone.index(name)
-        extent = self.space.extent_of(name)
+        start = self.space.start_of(name)
         last = zone[-1]
         if last != name:
             # Keep the zone's slots contiguous: the last object backfills the
@@ -81,7 +81,7 @@ class SizeClassGapReallocator(Allocator):
             zone[index] = last
             zone.pop()
             self._free_object(name)
-            self._move_object(last, extent.start, reason="backfill")
+            self._move_object(last, start, reason="backfill")
         else:
             zone.pop()
             self._free_object(name)

@@ -396,8 +396,3 @@ def run_campaign(
             "profile_dir": profile_dir,
         },
     )
-
-
-def run_cells_serial(cells: List[CampaignCell]) -> List[Dict[str, Any]]:
-    """Run an explicit cell list serially (used by tests and benchmarks)."""
-    return [run_cell(cell.payload()) for cell in cells]

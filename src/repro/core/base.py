@@ -110,7 +110,10 @@ class Allocator(ABC):
 
     def address_of(self, name: Hashable) -> int:
         """Current starting address of the active object ``name``."""
-        return self.space.extent_of(name).start
+        start = self.space.start_of(name)
+        if start is None:
+            raise KeyError(name)
+        return start
 
     # ----------------------------------------------------------- observers
     def attach_observer(self, observer) -> None:
@@ -254,11 +257,9 @@ class Allocator(ABC):
 
     def _place_object(self, name: Hashable, size: int, address: int, reason: str = "place") -> None:
         """Record the first placement of ``name`` at ``address``."""
-        extent = Extent(address, size)
-        self.space.place(name, extent)
+        self.space.place(name, address, size)
         if self._collect_events:
-            move = MoveEvent(name=name, size=size, source=None, destination=extent, reason=reason)
-            self._note_move(move)
+            self._note_move(MoveEvent(name, size, None, Extent(address, size), reason))
 
     def _size_lookup(self, name: Hashable) -> int:
         """Size of an object that still occupies space (overridable)."""
@@ -279,7 +280,7 @@ class Allocator(ABC):
         also when a move raises.  Returns ``(next_index, moved_volume,
         move_count)``.
         """
-        lookup = self.space.get
+        start_of = self.space.start_of
         move = self.space.move
         collect = self._collect_events
         end = len(items)
@@ -289,15 +290,16 @@ class Allocator(ABC):
             while index < end and moved_volume <= budget:
                 _tag, name, size, target, reason = items[index]
                 index += 1
-                old = lookup(name)
-                if old is None or old.start == target:
+                start = start_of(name)
+                if start is None or start == target:
                     continue
-                new_extent = Extent(target, size)
-                move(name, new_extent)
+                move(name, target)
                 sizes.append(size)
                 moved_volume += size
                 if collect:
-                    self._note_move(MoveEvent(name, size, old, new_extent, reason))
+                    self._note_move(
+                        MoveEvent(name, size, Extent(start, size), Extent(target, size), reason)
+                    )
         finally:
             if sizes:
                 self.stats.record_moves(sizes, moved_volume)
@@ -310,8 +312,8 @@ class Allocator(ABC):
         for observer in self._observers:
             observer.on_move(move)
 
-    def _free_object(self, name: Hashable) -> Extent:
-        """Remove ``name`` from the address space and return its old extent."""
+    def _free_object(self, name: Hashable) -> int:
+        """Remove ``name`` from the address space and return its old start."""
         return self.space.remove(name)
 
     def _note_flush(self, record: FlushRecord) -> None:

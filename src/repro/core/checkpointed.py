@@ -91,43 +91,39 @@ class CheckpointedReallocator(CostObliviousReallocator):
                     del self._shadow[name]
         return count
 
-    def _ensure_writable(self, extent: Extent, reason: str) -> None:
-        """Block (i.e. checkpoint) if ``extent`` was freed since the last one."""
-        if self.checkpoints.is_writable(extent):
+    def _ensure_writable(self, start: int, end: int) -> None:
+        """Block (i.e. checkpoint) if ``[start, end)`` was freed since the last one."""
+        if self.checkpoints.is_writable(start, end):
             return
         self.blocked_checkpoints += 1
         self.checkpoint()
 
-    def _record_write(self, name: Hashable, extent: Extent, moved_from: Optional[Extent]) -> None:
+    def _record_write(self, name: Hashable, start: int, size: int) -> None:
         if not self.track_recovery:
             return
+        extent = Extent(start, size)
         # Writing to ``extent`` clobbers whatever data previously lived there.
         for other, copies in self._shadow.items():
-            if other == name:
-                continue
             self._shadow[other] = [c for c in copies if not c.overlaps(extent)]
-        copies = self._shadow.setdefault(name, [])
-        copies = [c for c in copies if not c.overlaps(extent)]
-        copies.append(extent)
-        self._shadow[name] = copies
+        self._shadow.setdefault(name, []).append(extent)
 
     # ---------------------------------------------------- placement plumbing
     def _place_object(self, name: Hashable, size: int, address: int, reason: str = "place") -> None:
-        extent = Extent(address, size)
-        self._ensure_writable(extent, reason)
+        end = address + size
+        self._ensure_writable(address, end)
         super()._place_object(name, size, address, reason)
-        self.translation.record_allocation(name, extent)
-        self._record_write(name, extent, moved_from=None)
+        self.translation.record_allocation(name, address, end)
+        self._record_write(name, address, size)
 
-    def _free_object(self, name: Hashable) -> Extent:
-        extent = super()._free_object(name)
+    def _free_object(self, name: Hashable) -> int:
+        start = super()._free_object(name)
         self.translation.record_free(name)
         # Note: the shadow copies of a deleted block are kept — its data is
         # still physically intact (freed space is frozen until the next
         # checkpoint) and the last checkpointed translation map may still
         # reference it, so recovery must be able to find it.  Stale shadows
         # are pruned at checkpoint time.
-        return extent
+        return start
 
     # -------------------------------------------------------------- requests
     def _do_insert(self, name: Hashable, size: int) -> None:
@@ -189,12 +185,12 @@ class CheckpointedReallocator(CostObliviousReallocator):
         # Close a phase once the volume moved in it exceeds the flushed
         # buffer space B (at least Delta, so a phase always makes progress).
         phase_limit = max(buffer_space, max(self.delta, 1))
-        extent_of = self.space.extent_of
+        start_of = self.space.start_of
         expected: Dict[Hashable, int] = {
             name: start for name, _size, _cls, start in plan.payload_objects
         }
         for name, _size, _cls in plan.buffered_objects:
-            expected[name] = extent_of(name).start
+            expected[name] = start_of(name)
 
         def plan_move(obj_name: Hashable, obj_size: int, target: int, reason: str) -> int:
             if expected[obj_name] == target:
@@ -263,7 +259,7 @@ class CheckpointedReallocator(CostObliviousReallocator):
         move raises.
         Returns ``(next_index, moved_volume, move_count)``.
         """
-        lookup = self.space.get
+        start_of = self.space.start_of
         move = self.space.move
         is_writable = self.checkpoints.is_writable
         record_free = self.checkpoints.record_free
@@ -284,32 +280,31 @@ class CheckpointedReallocator(CostObliviousReallocator):
                     self.checkpoint()
                     continue
                 _tag, name, size, target, reason = item
-                old = lookup(name)
-                if old is None:
+                start = start_of(name)
+                if start is None or start == target:
                     continue
-                start = old.start
-                if start == target:
-                    continue
-                if target < start + size and start < target + size:
+                target_end = target + size
+                if target < start + size and start < target_end:
                     raise RuntimeError(
                         f"non-overlapping constraint violated: moving {name!r} from "
-                        f"{old} to {Extent(target, size)}"
+                        f"{Extent(start, size)} to {Extent(target, size)}"
                     )
-                new_extent = Extent(target, size)
-                if not is_writable(new_extent):
-                    self._ensure_writable(new_extent, reason)
-                move(name, new_extent)
+                if not is_writable(target, target_end):
+                    self._ensure_writable(target, target_end)
+                move(name, target)
                 sizes.append(size)
                 moved_volume += size
                 if collect:
-                    self._note_move(MoveEvent(name, size, old, new_extent, reason))
+                    self._note_move(
+                        MoveEvent(name, size, Extent(start, size), Extent(target, size), reason)
+                    )
                 mapped = volatile.get(name)
                 if mapped is not None:
-                    record_free(mapped)
-                volatile[name] = new_extent
+                    record_free(mapped[0], mapped[1])
+                volatile[name] = (target, target_end)
                 dirty.add(name)
                 if track_recovery:
-                    self._record_write(name, new_extent, moved_from=old)
+                    self._record_write(name, target, size)
         finally:
             if sizes:
                 self.stats.record_moves(sizes, moved_volume)
@@ -336,7 +331,7 @@ class CheckpointedReallocator(CostObliviousReallocator):
             raise RuntimeError("construct with track_recovery=True to use crash_and_recover")
         intact: Dict[Hashable, Extent] = {}
         for name in self.translation._durable:  # noqa: SLF001 - deliberate white-box check
-            durable_extent = self.translation._durable[name]
+            durable_extent = self.translation.durable_lookup(name)
             copies = self._shadow.get(name, [])
             if durable_extent in copies:
                 intact[name] = durable_extent

@@ -113,10 +113,6 @@ class DeamortizedReallocator(CheckpointedReallocator):
         return self._pending is not None
 
     @property
-    def tail_capacity(self) -> int:
-        return self._tail_capacity
-
-    @property
     def tail_used(self) -> int:
         return self._tail_used
 

@@ -124,7 +124,7 @@ class Defragmenter:
         for name, size in sizes.items():
             if name not in allocation:
                 raise ValueError(f"object {name!r} has no starting address")
-            space.place(name, Extent(allocation[name], size))
+            space.place(name, allocation[name], size)
         initial_footprint = space.footprint()
         allowed = (1.0 + self.epsilon) * volume
         if initial_footprint > allowed + 1e-9:
@@ -142,14 +142,13 @@ class Defragmenter:
         def shift(name: Hashable, target: int, reason: str) -> None:
             nonlocal peak
             size = sizes[name]
-            old = space.extent_of(name)
-            if old.start == target:
+            old = space.start_of(name)
+            if old == target:
                 return
-            new = Extent(target, size)
-            space.move(name, new)
+            space.move(name, target)
             stats.record_move(size)
-            moves.append(MoveEvent(name, size, old, new, reason))
-            peak = max(peak, new.end)
+            moves.append(MoveEvent(name, size, Extent(old, size), Extent(target, size), reason))
+            peak = max(peak, target + size)
 
         suffix_end = max(int(self.epsilon * volume) + volume, initial_footprint)
         staging_start = suffix_end
@@ -157,7 +156,7 @@ class Defragmenter:
         # Phase 1: crunch every object into the rightmost V space, processing
         # from the rightmost object down so moves never collide.
         cursor = suffix_end
-        ordered = sorted(sizes, key=lambda n: space.extent_of(n).start, reverse=True)
+        ordered = sorted(sizes, key=space.start_of, reverse=True)
         for name in ordered:
             cursor -= sizes[name]
             shift(name, cursor, "defrag:crunch")
@@ -172,8 +171,7 @@ class Defragmenter:
             size = sizes[name]
             shift(name, staging_start, "defrag:stage")
             peak = max(peak, staging_start + size)
-            staging_extent = space.extent_of(name)
-            space.remove(name)
+            staging_extent = Extent(space.remove(name), size)
             record = realloc.insert(name, size)
             for event in record.moves:
                 if event.source is None:
@@ -195,7 +193,7 @@ class Defragmenter:
             # The theorem's key claim: the prefix never reaches the remaining
             # suffix objects.
             if position + 1 < len(suffix_names):
-                next_start = space.extent_of(suffix_names[position + 1]).start
+                next_start = space.start_of(suffix_names[position + 1])
                 min_gap = min(min_gap, next_start - realloc.reserved_space)
 
         # Phase 3: delete objects from the reallocator in reverse sorted order
@@ -211,10 +209,9 @@ class Defragmenter:
                     stats.record_move(event.size)
                     moves.append(event)
             cursor -= size
-            destination = Extent(cursor, size)
-            space.place(name, destination)
+            space.place(name, cursor, size)
             stats.record_move(size)
-            moves.append(MoveEvent(name, size, source, destination, "defrag:final"))
+            moves.append(MoveEvent(name, size, source, Extent(cursor, size), "defrag:final"))
             final_layout[name] = cursor
             peak = max(peak, space.footprint())
             min_gap = min(min_gap, cursor - realloc.reserved_space)

@@ -147,11 +147,6 @@ class CostObliviousReallocator(Allocator):
             for region in self._regions.values()
         )
 
-    @property
-    def footprint_bound(self) -> float:
-        """The reserved-space bound guaranteed after every request."""
-        return (1.0 + self.epsilon) * max(self.volume, 0)
-
     def bounded_space(self) -> int:
         """The space measured against the footprint guarantee.
 
@@ -322,7 +317,7 @@ class CostObliviousReallocator(Allocator):
         boundary = self._boundary_class(trigger_class)
         flushed_indices = [i for i in self.region_indices() if i >= boundary]
 
-        extent_of = self.space.extent_of
+        start_of = self.space.start_of
         volumes: Dict[int, int] = {}
         payload_objects: List[Tuple[Hashable, int, int, int]] = []
         buffered_objects: List[Tuple[Hashable, int, int]] = []
@@ -331,7 +326,7 @@ class CostObliviousReallocator(Allocator):
             for obj_name in region.payload:
                 obj_size = self._sizes[obj_name]
                 volumes[index] = volumes.get(index, 0) + obj_size
-                payload_objects.append((obj_name, obj_size, index, extent_of(obj_name).start))
+                payload_objects.append((obj_name, obj_size, index, start_of(obj_name)))
             for entry in region.buffer:
                 if entry.name is not None:
                     volumes[entry.size_class] = (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.costs.base import CostFunction
 
@@ -109,10 +109,6 @@ class AllocatorStats:
         if allocation == 0:
             return 0.0
         return self.reallocation_cost(cost_function) / allocation
-
-    def cost_report(self, cost_functions) -> Dict[str, float]:
-        """Cost ratio per cost-function name (for tables)."""
-        return {f.name: self.cost_ratio(f) for f in cost_functions}
 
     @property
     def mean_footprint_ratio(self) -> float:

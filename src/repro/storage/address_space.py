@@ -6,29 +6,27 @@ The reallocators in :mod:`repro.core` mirror every placement into an
 addresses — and to answer footprint queries (the paper's objective: the
 largest allocated address).
 
-Volume is a running counter.  Footprint comes from whichever structure the
-space keeps: while validation is on, the live extents are pairwise disjoint
-and the address index (below) is sorted by start, hence by end as well, so
-the footprint is the end of its last entry, read in O(1).  With
-``validate=False`` extents may overlap, so the space keeps a lazy max-heap
-of end addresses instead; that heap is compacted whenever lazily-deleted
-entries dominate, so its memory stays bounded by the live set even on
-delete-heavy traces.
+The space speaks plain integers.  :meth:`~AddressSpace.place` takes a start
+and a length and is the one place a span is validated; ``move`` takes a
+new start; ``remove`` and ``start_of`` return a start.  The name map holds
+each object's index entry ``(start, order, end, name)`` itself, ``order``
+being a unique serial so bisection never compares the (possibly
+uncomparable) names.  An :class:`~repro.storage.extent.Extent` is built only
+for a caller that asks for one: ``extent_of``, ``get``, ``items``,
+``snapshot`` and ``free_gaps``.
 
-Overlap auditing rides on the address-ordered index: a bisect-maintained
-list of ``(start, order, end, name)`` entries.  Because the live extents
-are disjoint by construction, a placement can only clash with its nearest
-neighbours in address order — one bisect plus two neighbour probes,
-O(log n) per request instead of the pre-index scan over every live
-object.  Most flush moves keep their rank: the new key still sorts
-between the entry's neighbours (the predecessor starting strictly before
-it), so the move overwrites the entry in place and probes just those
-two.  Other moves probe with their own entry skipped, then delete and
-re-insert it.  The same index makes :meth:`free_gaps` and
-:meth:`verify_disjoint` single ordered walks with no sorting.  With
-``validate=False`` the index is not maintained at all (overlapping
-extents would break its invariant), and the two queries fall back to
-sorting on demand, exactly like the pre-index implementation.
+Volume is a running counter.  While validation is on, the live extents are
+pairwise disjoint and the address index (a bisect-maintained list of the
+same entries) is sorted by start, hence by end as well, so the footprint is
+the end of its last entry.  A placement can only clash with its nearest
+neighbours in address order: one bisect plus two neighbour probes.  Most
+flush moves stay clear of both neighbours, so the entry keeps its rank and
+is overwritten in place; other moves probe with their own entry skipped,
+then delete and re-insert it.  The index also makes :meth:`free_gaps` and
+:meth:`verify_disjoint` single ordered walks.  With ``validate=False``
+extents may overlap, so the index is not maintained: the footprint comes
+from a lazy max-heap of end addresses, compacted whenever lazily-deleted
+entries dominate, and the two queries sort on demand.
 """
 
 from __future__ import annotations
@@ -43,6 +41,9 @@ from repro.storage.extent import Extent
 
 #: Below this many heap entries compaction is never worth the rebuild.
 _HEAP_COMPACT_MIN = 64
+
+#: An object's entry, in the name map and the address index alike.
+_Entry = Tuple[int, int, int, Hashable]
 
 
 class OverlapError(RuntimeError):
@@ -64,13 +65,10 @@ class AddressSpace:
 
     def __init__(self, validate: bool = True) -> None:
         self._validate = validate
-        self._extents: Dict[Hashable, Extent] = {}
+        #: name -> (start, order, end, name), the entry the index holds.
+        self._entries: Dict[Hashable, _Entry] = {}
         self._volume = 0
-        # Address-ordered index, maintained only while validating: entries
-        # are (start, order, end, name) where ``order`` is a unique serial
-        # so bisection never compares the (possibly uncomparable) names.
-        self._index: List[Tuple[int, int, int, Hashable]] = []
-        self._order: Dict[Hashable, int] = {}
+        self._index: List[_Entry] = []  # address order; only while validating
         self._order_seq = 0
         if not validate:
             # Overlapping extents break the index's end order, so an
@@ -89,14 +87,23 @@ class AddressSpace:
                 self._c_compactions = telemetry.counter("address_space.heap_compactions")
 
     def __setstate__(self, state: Dict) -> None:
-        """Unpickle, dropping the end-heap an older audited space carried.
+        """Unpickle, converting the layouts older snapshots carry.
 
-        Session and serve snapshots pickle whole allocators; before audited
-        spaces read their footprint from the index they also kept the heap.
+        Session and serve snapshots pickle whole allocators.  An audited
+        space that also kept the end-heap drops it.  A name map of extents
+        beside an ``_order`` serial map becomes a map of index entries.
         """
         if state.get("_validate", True):
             for stale in ("_end_heap", "_end_counts", "_tracked_ends"):
                 state.pop(stale, None)
+        extents = state.pop("_extents", None)
+        if extents is not None:
+            # An unaudited space kept no serials: number its names in order.
+            orders = state.pop("_order", None) or {name: i for i, name in enumerate(extents)}
+            state["_order_seq"] = max(state.get("_order_seq", 0), len(extents))
+            entries = {name: (e.start, orders[name], e.end, name) for name, e in extents.items()}
+            state["_entries"] = entries
+            state["_index"] = sorted(entries.values()) if state.get("_validate", True) else []
         self.__dict__.update(state)
 
     @property
@@ -105,54 +112,58 @@ class AddressSpace:
         return self._validate
 
     def __len__(self) -> int:
-        return len(self._extents)
+        return len(self._entries)
 
     def __contains__(self, name: Hashable) -> bool:
-        return name in self._extents
+        return name in self._entries
 
     def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._extents)
+        return iter(self._entries)
+
+    def start_of(self, name: Hashable) -> Optional[int]:
+        """The start address of ``name``, or None if it is not placed."""
+        return self._entries.get(name, (None,))[0]
 
     def extent_of(self, name: Hashable) -> Extent:
         """Return the extent occupied by ``name`` (KeyError if absent)."""
-        return self._extents[name]
+        start, _, end, _ = self._entries[name]
+        return Extent(start, end - start)
 
     def get(self, name: Hashable) -> Optional[Extent]:
         """The extent occupied by ``name``, or None if it is not placed."""
-        return self._extents.get(name)
+        return self.extent_of(name) if name in self._entries else None
 
     def items(self) -> Iterator[Tuple[Hashable, Extent]]:
-        return iter(self._extents.items())
+        for name, (start, _, end, _) in self._entries.items():
+            yield name, Extent(start, end - start)
 
     # -------------------------------------------------------------- internal
     def _find_overlap(
-        self, extent: Extent, ignore: Optional[Hashable] = None
+        self, start: int, end: int, ignore: Optional[Hashable] = None
     ) -> Optional[Hashable]:
-        """Nearest-neighbour overlap probe on the address-ordered index.
+        """Nearest-neighbour overlap probe of ``[start, end)`` on the index.
 
         Sound because the indexed extents (minus ``ignore``) are pairwise
         disjoint: sorted by start they are also sorted by end, so only the
-        closest non-ignored entry on each side can reach into ``extent``.
+        closest non-ignored entry on each side can reach into the span.
         """
         counter = self._c_probes
         if counter is not None:
             counter.value += 1
         index = self._index
-        start = extent.start
         pos = bisect_left(index, (start,))
         i = pos - 1
-        while i >= 0:  # nearest predecessor (start < extent.start)
-            _, _, end, name = index[i]
+        while i >= 0:  # nearest predecessor (start < the span's start)
+            _, _, before, name = index[i]
             if name == ignore:
                 i -= 1
                 continue
-            if end > start:
+            if before > start:
                 return name
             break
         i = pos
         size = len(index)
-        end = start + extent.length
-        while i < size:  # nearest successor (start >= extent.start)
+        while i < size:  # nearest successor (start >= the span's start)
             successor, _, _, name = index[i]
             if name == ignore:
                 i += 1
@@ -162,15 +173,11 @@ class AddressSpace:
             break
         return None
 
-    def _index_add(self, name: Hashable, extent: Extent) -> None:
-        order = self._order_seq
-        self._order_seq += 1
-        self._order[name] = order
-        insort(self._index, (extent.start, order, extent.end, name))
-
-    def _index_remove(self, name: Hashable, extent: Extent) -> None:
-        key = (extent.start, self._order.pop(name))
-        del self._index[bisect_left(self._index, key)]
+    def _clash(self, verb: str, name: Hashable, start: int, end: int, clash: Hashable):
+        return OverlapError(
+            f"{verb} {name!r} at {Extent(start, end - start)} overlaps {clash!r} at "
+            f"{self.extent_of(clash)}"
+        )
 
     def _track_end(self, end: int) -> None:
         self._end_counts[end] += 1
@@ -200,80 +207,87 @@ class AddressSpace:
             heapq.heapify(self._end_heap)
 
     # ------------------------------------------------------------ mutation
-    def place(self, name: Hashable, extent: Extent) -> None:
-        """Place a new object; raises if the name exists or addresses clash."""
-        if name in self._extents:
+    def place(self, name: Hashable, start: int, length: int) -> None:
+        """Place a new object at ``[start, start + length)``: the one place a
+        span enters, so ValueError unless ``start >= 0`` and ``length > 0``;
+        KeyError if the name exists, OverlapError if addresses clash."""
+        if start < 0:
+            raise ValueError(f"extent start must be nonnegative, got {start}")
+        if length <= 0:
+            raise ValueError(f"extent length must be positive, got {length}")
+        if name in self._entries:
             raise KeyError(f"object {name!r} is already placed")
+        end = start + length
+        entry = (start, self._order_seq, end, name)
         if self._validate:
-            clash = self._find_overlap(extent)
+            clash = self._find_overlap(start, end)
             if clash is not None:
-                raise OverlapError(
-                    f"placing {name!r} at {extent} overlaps {clash!r} at "
-                    f"{self._extents[clash]}"
-                )
-            self._index_add(name, extent)
+                raise self._clash("placing", name, start, end, clash)
+            insort(self._index, entry)
         else:
-            self._track_end(extent.end)
-        self._extents[name] = extent
-        self._volume += extent.length
+            self._track_end(end)
+        self._order_seq += 1
+        self._entries[name] = entry
+        self._volume += length
 
-    def move(self, name: Hashable, extent: Extent) -> Extent:
-        """Move an existing object to ``extent``; returns the old extent."""
-        extents = self._extents
-        old = extents.get(name)
+    def move(self, name: Hashable, start: int) -> int:
+        """Move an existing object to ``start``, keeping its length;
+        returns the old start."""
+        entries = self._entries
+        old = entries.get(name)
         if old is None:
             raise KeyError(f"object {name!r} is not placed")
+        if start < 0:
+            raise ValueError(f"extent start must be nonnegative, got {start}")
+        old_start, order, old_end, _ = old
+        end = start + old_end - old_start
+        # The object keeps its order serial: it is unique among the live
+        # names, which is all the bisection needs.
+        entry = (start, order, end, name)
         if self._validate:
-            # The object keeps its order serial: it is unique among the
-            # live names, which is all the bisection needs.
             index = self._index
-            order = self._order[name]
-            start = extent.start
-            end = start + extent.length
-            entry = (start, order, end, name)
-            pos = bisect_left(index, (old.start, order))
+            pos = bisect_left(index, old)
             last = len(index) - 1
-            in_slot = (pos == 0 or index[pos - 1][0] < start) and (
-                pos == last or entry < index[pos + 1]
-            )
-            # In its slot, the two neighbours are the nearest predecessor
-            # and successor that _find_overlap would probe.
-            if not in_slot:
-                clash = self._find_overlap(extent, ignore=name)
-            elif pos and index[pos - 1][2] > start:
-                clash = index[pos - 1][3]
-            elif pos < last and index[pos + 1][0] < end:
-                clash = index[pos + 1][3]
-            else:
-                clash = None
-            if in_slot and self._c_probes is not None:
-                self._c_probes.value += 1
-            if clash is not None:
-                raise OverlapError(
-                    f"moving {name!r} to {extent} overlaps {clash!r} at "
-                    f"{extents[clash]}"
-                )
-            if in_slot:
+            pred_clear = pos == 0 or index[pos - 1][2] <= start
+            succ_clear = pos == last or end <= index[pos + 1][0]
+            # Clear of both neighbours, the entry still sorts between them
+            # (disjoint spans sort alike by start and by end): overwrite it.
+            if pred_clear and succ_clear:
+                if self._c_probes is not None:
+                    self._c_probes.value += 1
                 index[pos] = entry
             else:
+                # In its slot, the two neighbours are the nearest
+                # predecessor and successor _find_overlap would probe.
+                if (pos == 0 or index[pos - 1][0] < start) and (
+                    pos == last or entry < index[pos + 1]
+                ):
+                    if self._c_probes is not None:
+                        self._c_probes.value += 1
+                    clash = index[pos + 1 if pred_clear else pos - 1][3]
+                else:
+                    clash = self._find_overlap(start, end, ignore=name)
+                if clash is not None:
+                    raise self._clash("moving", name, start, end, clash)
                 del index[pos]
                 insort(index, entry)
         else:
-            self._untrack_end(old.end)
-            self._track_end(extent.end)
-        extents[name] = extent
-        self._volume += extent.length - old.length
-        return old
+            self._untrack_end(old_end)
+            self._track_end(end)
+        entries[name] = entry
+        return old_start
 
-    def remove(self, name: Hashable) -> Extent:
-        """Remove an object and return the extent it used to occupy."""
-        extent = self._extents.pop(name)
+    def remove(self, name: Hashable) -> int:
+        """Remove an object and return the start it used to occupy."""
+        entry = self._entries.pop(name)
+        start, _, end, _ = entry
         if self._validate:
-            self._index_remove(name, extent)
+            index = self._index
+            del index[bisect_left(index, entry)]
         else:
-            self._untrack_end(extent.end)
-        self._volume -= extent.length
-        return extent
+            self._untrack_end(end)
+        self._volume -= end - start
+        return start
 
     # -------------------------------------------------------------- queries
     def footprint(self) -> int:
@@ -299,22 +313,15 @@ class AddressSpace:
             return 1.0
         return self._volume / footprint
 
-    def _ordered_spans(self) -> Iterator[Tuple[int, int, Hashable]]:
-        """Yield (start, end, name) in address order; sorts only if unindexed."""
-        if self._validate:
-            for start, _, end, name in self._index:
-                yield start, end, name
-        else:
-            for name, extent in sorted(
-                self._extents.items(), key=lambda item: item[1].start
-            ):
-                yield extent.start, extent.end, name
+    def _ordered(self) -> List[_Entry]:
+        """The entries in address order; sorts only if unindexed."""
+        return self._index if self._validate else sorted(self._entries.values())
 
     def free_gaps(self) -> List[Extent]:
         """Return the maximal free extents below the footprint."""
         gaps: List[Extent] = []
         cursor = 0
-        for start, end, _ in self._ordered_spans():
+        for start, _, end, _ in self._ordered():
             if start > cursor:
                 gaps.append(Extent(cursor, start - cursor))
             if end > cursor:
@@ -323,16 +330,16 @@ class AddressSpace:
 
     def verify_disjoint(self) -> None:
         """Exhaustively re-check that all live extents are pairwise disjoint."""
-        previous: Optional[Tuple[int, int, Hashable]] = None
-        for span in self._ordered_spans():
-            if previous is not None and previous[1] > span[0]:
-                name_a, name_b = previous[2], span[2]
+        previous: Optional[_Entry] = None
+        for entry in self._ordered():
+            if previous is not None and previous[2] > entry[0]:
+                name_a, name_b = previous[3], entry[3]
                 raise OverlapError(
-                    f"{name_a!r} at {self._extents[name_a]} overlaps "
-                    f"{name_b!r} at {self._extents[name_b]}"
+                    f"{name_a!r} at {self.extent_of(name_a)} overlaps "
+                    f"{name_b!r} at {self.extent_of(name_b)}"
                 )
-            previous = span
+            previous = entry
 
     def snapshot(self) -> Dict[Hashable, Extent]:
         """A copy of the current name -> extent mapping."""
-        return dict(self._extents)
+        return dict(self.items())

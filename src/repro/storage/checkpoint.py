@@ -42,6 +42,10 @@ class CheckpointManager:
     therefore O(log m) probes (plus the list insert or splice) in the
     number ``m`` of frozen runs.
 
+    Spans are plain half-open ``(start, end)`` integers, taken from
+    placements the address space validated; only :meth:`frozen_extents`
+    builds extents.
+
     Parameters
     ----------
     enforce:
@@ -70,18 +74,16 @@ class CheckpointManager:
         if frozen is not None:
             self._starts, self._ends = [], []
             for extent in frozen:
-                self.record_free(extent)
+                self.record_free(extent.start, extent.end)
 
     # ------------------------------------------------------------------ API
-    def record_free(self, extent: Extent) -> None:
-        """Mark ``extent`` as freed since the last checkpoint.
+    def record_free(self, start: int, end: int) -> None:
+        """Mark ``[start, end)`` as freed since the last checkpoint.
 
-        The extent is merged into the runs it overlaps or touches, exactly
+        The span is merged into the runs it overlaps or touches, exactly
         as :func:`~repro.storage.extent.coalesce` would merge them, so the
         frozen set is always stored coalesced.
         """
-        start = extent.start
-        end = start + extent.length
         starts, ends = self._starts, self._ends
         # Runs [lo, hi) are the ones with end >= start and start <= end.
         lo = bisect_left(ends, start)
@@ -103,23 +105,22 @@ class CheckpointManager:
         """
         return [Extent(start, end - start) for start, end in zip(self._starts, self._ends)]
 
-    def is_writable(self, extent: Extent) -> bool:
-        """True if ``extent`` does not intersect any frozen extent."""
-        start = extent.start
-        # The last run starting before the extent's end is the only
+    def is_writable(self, start: int, end: int) -> bool:
+        """True if ``[start, end)`` does not intersect any frozen run."""
+        # The last run starting before the span's end is the only
         # candidate: every earlier run also ends before that run starts.
-        index = bisect_left(self._starts, start + extent.length) - 1
+        index = bisect_left(self._starts, end) - 1
         return index < 0 or self._ends[index] <= start
 
-    def assert_writable(self, extent: Extent, context: Optional[str] = None) -> None:
-        """Raise :class:`FreedSpaceViolation` if ``extent`` is frozen."""
-        if self.is_writable(extent):
+    def assert_writable(self, start: int, end: int, context: Optional[str] = None) -> None:
+        """Raise :class:`FreedSpaceViolation` if ``[start, end)`` is frozen."""
+        if self.is_writable(start, end):
             return
         self.violations += 1
         if self.enforce:
             suffix = f" ({context})" if context else ""
             raise FreedSpaceViolation(
-                f"write to {extent} intersects space freed since the last "
+                f"write to [{start}, {end}) intersects space freed since the last "
                 f"checkpoint{suffix}"
             )
 
@@ -170,7 +171,8 @@ class CheckpointManager:
         """Rebuild a manager from a :meth:`to_state` dict."""
         manager = cls(enforce=bool(state.get("enforce", True)))
         for start, length in state.get("frozen", []):
-            manager.record_free(Extent(int(start), int(length)))
+            extent = Extent(int(start), int(length))  # validates the state
+            manager.record_free(extent.start, extent.end)
         manager.checkpoints_taken = int(state.get("checkpoints_taken", 0))
         manager.violations = int(state.get("violations", 0))
         return manager

@@ -473,21 +473,21 @@ class GapIndex:
                 if node.max_length == widest:
                     break
 
-    def release(self, extent: Extent, high_water: int) -> int:
-        """Return ``extent`` to the free set and the new high-water mark.
+    def release(self, start: int, length: int, high_water: int) -> int:
+        """Return ``[start, start + length)`` to the free set and the new
+        high-water mark.
 
-        One descent towards ``extent.start`` meets both address neighbours.
-        A free next to one gap grows that node in place; a free between two
-        gaps unlinks the deeper one and grows the other over all three; a
-        free next to neither adds a node.  A merged gap that would end at
+        One descent towards ``start`` meets both address neighbours.  A free
+        next to one gap grows that node in place; a free between two gaps
+        unlinks the deeper one and grows the other over all three; a free
+        next to neither adds a node.  A merged gap that would end at
         ``high_water`` is dropped instead and lowers the mark.  The caller
-        guarantees ``extent`` is disjoint from every gap.
+        guarantees the span is disjoint from every gap (it was a placed
+        object's, validated on placement).
         """
         counter = self._c_coalesces
         if counter is not None:
             counter.value += 1
-        start = extent.start
-        length = extent.length
         end = start + length
         path: List[_Node] = []
         pred = succ = None

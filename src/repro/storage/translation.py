@@ -13,7 +13,7 @@ last checkpoint, the durable map always points at intact data, and
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterator, Optional, Set
+from typing import Any, Dict, Hashable, Iterator, Optional, Set, Tuple
 
 from repro.storage.checkpoint import CheckpointManager
 from repro.storage.extent import Extent
@@ -26,21 +26,27 @@ class RecoveryError(RuntimeError):
 class BlockTranslationLayer:
     """Logical-name to physical-extent map with checkpointed durability.
 
+    Both maps hold plain half-open ``(start, end)`` spans, recorded from
+    integers; only :meth:`lookup` and :meth:`durable_lookup` build extents.
     A checkpoint writes only the names changed since the previous one (the
     ``_dirty`` set) into the durable map, not a copy of the whole map.
     """
 
     def __init__(self, checkpoints: Optional[CheckpointManager] = None) -> None:
         self.checkpoints = checkpoints if checkpoints is not None else CheckpointManager()
-        self._volatile: Dict[Hashable, Extent] = {}
-        self._durable: Dict[Hashable, Extent] = {}
+        self._volatile: Dict[Hashable, Tuple[int, int]] = {}
+        self._durable: Dict[Hashable, Tuple[int, int]] = {}
         #: Names allocated, moved or freed since the last checkpoint.
         self._dirty: Set[Hashable] = set()
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        """Unpickle, deriving the dirty set that a snapshot taken before it
-        existed lacks (that layout kept an update counter instead)."""
+        """Unpickle older layouts: maps of extents become maps of spans, and
+        a snapshot taken before the dirty set existed (that layout kept an
+        update counter instead) gets it derived."""
         state.pop("updates_since_checkpoint", None)
+        for key in ("_volatile", "_durable"):
+            spans = state[key].items()
+            state[key] = {n: (s.start, s.end) if isinstance(s, Extent) else s for n, s in spans}
         self.__dict__.update(state)
         if "_dirty" not in state:
             volatile, durable = self._volatile, self._durable
@@ -48,29 +54,30 @@ class BlockTranslationLayer:
             self._dirty = {n for n in names if volatile.get(n) != durable.get(n)}
 
     # ------------------------------------------------------------- volatile
-    def record_allocation(self, name: Hashable, extent: Extent) -> None:
-        """Record that ``name`` now lives at ``extent`` (new block)."""
-        self._volatile[name] = extent
+    def record_allocation(self, name: Hashable, start: int, end: int) -> None:
+        """Record that ``name`` now lives at ``[start, end)`` (new block)."""
+        self._volatile[name] = (start, end)
         self._dirty.add(name)
 
-    def record_move(self, name: Hashable, new_extent: Extent) -> None:
-        """Record that ``name`` moved; its old extent is frozen until checkpoint."""
+    def record_move(self, name: Hashable, start: int, end: int) -> None:
+        """Record that ``name`` moved to ``[start, end)``; its old span freezes."""
         old = self._volatile.get(name)
         if old is not None:
-            self.checkpoints.record_free(old)
-        self._volatile[name] = new_extent
+            self.checkpoints.record_free(*old)
+        self._volatile[name] = (start, end)
         self._dirty.add(name)
 
     def record_free(self, name: Hashable) -> None:
         """Record that ``name`` was deleted; its space is frozen until checkpoint."""
         old = self._volatile.pop(name, None)
         if old is not None:
-            self.checkpoints.record_free(old)
+            self.checkpoints.record_free(*old)
         self._dirty.add(name)
 
     def lookup(self, name: Hashable) -> Extent:
         """Current (volatile) location of ``name``."""
-        return self._volatile[name]
+        start, end = self._volatile[name]
+        return Extent(start, end - start)
 
     def __contains__(self, name: Hashable) -> bool:
         return name in self._volatile
@@ -86,17 +93,18 @@ class BlockTranslationLayer:
         """Persist the volatile map; freed space becomes reusable."""
         volatile, durable = self._volatile, self._durable
         for name in self._dirty:
-            extent = volatile.get(name)
-            if extent is None:
+            span = volatile.get(name)
+            if span is None:
                 durable.pop(name, None)
             else:
-                durable[name] = extent
+                durable[name] = span
         self._dirty.clear()
         return self.checkpoints.checkpoint()
 
     def durable_lookup(self, name: Hashable) -> Extent:
         """Location of ``name`` as of the last checkpoint."""
-        return self._durable[name]
+        start, end = self._durable[name]
+        return Extent(start, end - start)
 
     def crash(self) -> None:
         """Simulate a crash: the volatile map is lost, recovery reloads durable."""
@@ -112,7 +120,8 @@ class BlockTranslationLayer:
         occupied that has not been overwritten).  Raises
         :class:`RecoveryError` if a durable mapping points elsewhere.
         """
-        for name, durable_extent in self._durable.items():
+        for name in self._durable:
+            durable_extent = self.durable_lookup(name)
             intact = live_data.get(name)
             if intact is None or intact != durable_extent:
                 raise RecoveryError(

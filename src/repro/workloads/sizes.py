@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Sequence
 
 
 class SizeDistribution(ABC):
@@ -152,14 +151,3 @@ class DatabaseBlockSizes(SizeDistribution):
             return max(1, self.block // 4)
         # overflow / blob block
         return self.block * rng.randint(2, self.overflow_factor)
-
-
-def default_distributions() -> Sequence[SizeDistribution]:
-    """The distributions exercised by the benchmark suite."""
-    return (
-        UniformSizes(1, 64),
-        PowerOfTwoSizes(0, 8),
-        ZipfSizes(1.5, 512),
-        BimodalSizes(4, 512, 0.05),
-        DatabaseBlockSizes(64),
-    )

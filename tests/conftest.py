@@ -48,35 +48,38 @@ class _OracleSpace(AddressSpace):
     """Address space that checks every write against the oracle's frees.
 
     Every physical write (a placement or a move destination) is compared with
-    every extent freed (by a removal or a move away) since the owner's last
-    checkpoint, by brute force and without asking the checkpoint manager.
+    every span ``(start, end)`` freed (by a removal or a move away) since the
+    owner's last checkpoint, by brute force and without asking the
+    checkpoint manager.
     """
 
     def __init__(self, owner, validate):
         super().__init__(validate=validate)
         self._owner = owner
 
-    def _check(self, name, extent):
+    def _check(self, name, start, end):
         owner = self._owner
         owner.oracle_writes += 1
-        for freed in owner.oracle_freed:
-            if extent.start < freed.end and freed.start < extent.end:
-                owner.oracle_violations.append((name, extent, freed))
+        for freed_start, freed_end in owner.oracle_freed:
+            if start < freed_end and freed_start < end:
+                owner.oracle_violations.append((name, (start, end), (freed_start, freed_end)))
 
-    def place(self, name, extent):
-        self._check(name, extent)
-        super().place(name, extent)
+    def place(self, name, start, length):
+        self._check(name, start, start + length)
+        super().place(name, start, length)
 
-    def move(self, name, extent):
-        self._check(name, extent)
-        old = super().move(name, extent)
-        self._owner.oracle_freed.append(old)
-        return old
+    def move(self, name, start):
+        old = self.extent_of(name)
+        self._check(name, start, start + old.length)
+        old_start = super().move(name, start)
+        self._owner.oracle_freed.append((old.start, old.end))
+        return old_start
 
     def remove(self, name):
-        old = super().remove(name)
-        self._owner.oracle_freed.append(old)
-        return old
+        length = self.extent_of(name).length
+        start = super().remove(name)
+        self._owner.oracle_freed.append((start, start + length))
+        return start
 
 
 def with_frozen_space_oracle(cls):

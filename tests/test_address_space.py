@@ -1,6 +1,8 @@
 """Unit tests for the auditing address space."""
 
+import pickle
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,51 +14,66 @@ from repro.storage.extent import Extent
 
 def test_place_move_remove_roundtrip():
     space = AddressSpace()
-    space.place("a", Extent(0, 10))
-    space.place("b", Extent(10, 5))
+    space.place("a", 0, 10)
+    space.place("b", 10, 5)
     assert space.footprint() == 15
     assert space.volume() == 15
-    old = space.move("b", Extent(20, 5))
-    assert old == Extent(10, 5)
+    old = space.move("b", 20)
+    assert old == 10
+    assert space.extent_of("b") == Extent(20, 5)
+    assert space.start_of("b") == 20 and space.start_of("missing") is None
     assert space.footprint() == 25
     removed = space.remove("a")
-    assert removed == Extent(0, 10)
+    assert removed == 0
     assert space.volume() == 5
     assert "a" not in space and "b" in space
 
 
 def test_overlap_detection_on_place_and_move():
     space = AddressSpace()
-    space.place("a", Extent(0, 10))
+    space.place("a", 0, 10)
     with pytest.raises(OverlapError):
-        space.place("b", Extent(5, 2))
-    space.place("b", Extent(10, 10))
+        space.place("b", 5, 2)
+    space.place("b", 10, 10)
     with pytest.raises(OverlapError):
-        space.move("b", Extent(9, 5))
+        space.move("b", 9)
     # Moving over your own old position is allowed (Section 2 semantics).
-    space.move("b", Extent(15, 10))
+    space.move("b", 15)
     assert space.extent_of("b") == Extent(15, 10)
 
 
 def test_duplicate_and_missing_names():
     space = AddressSpace()
-    space.place("a", Extent(0, 1))
+    space.place("a", 0, 1)
     with pytest.raises(KeyError):
-        space.place("a", Extent(5, 1))
+        space.place("a", 5, 1)
     with pytest.raises(KeyError):
-        space.move("missing", Extent(0, 1))
+        space.move("missing", 0)
     with pytest.raises(KeyError):
         space.remove("missing")
 
 
+def test_place_validates_the_span_and_move_its_start():
+    space = AddressSpace()
+    with pytest.raises(ValueError, match="start must be nonnegative"):
+        space.place("a", -1, 4)
+    with pytest.raises(ValueError, match="length must be positive"):
+        space.place("a", 0, 0)
+    assert len(space) == 0 and space.volume() == 0
+    space.place("a", 0, 4)
+    with pytest.raises(ValueError, match="start must be nonnegative"):
+        space.move("a", -2)
+    assert space.extent_of("a") == Extent(0, 4)
+
+
 def test_footprint_shrinks_when_last_object_leaves():
     space = AddressSpace()
-    space.place("a", Extent(0, 10))
-    space.place("b", Extent(50, 10))
+    space.place("a", 0, 10)
+    space.place("b", 50, 10)
     assert space.footprint() == 60
     space.remove("b")
     assert space.footprint() == 10
-    space.move("a", Extent(100, 10))
+    space.move("a", 100)
     assert space.footprint() == 110
     space.remove("a")
     assert space.footprint() == 0
@@ -64,8 +81,8 @@ def test_footprint_shrinks_when_last_object_leaves():
 
 def test_unvalidated_space_skips_overlap_checks_but_keeps_accounting():
     space = AddressSpace(validate=False)
-    space.place("a", Extent(0, 10))
-    space.place("b", Extent(5, 10))  # no error in fast mode
+    space.place("a", 0, 10)
+    space.place("b", 5, 10)  # no error in fast mode
     assert space.volume() == 20
     with pytest.raises(OverlapError):
         space.verify_disjoint()
@@ -73,8 +90,8 @@ def test_unvalidated_space_skips_overlap_checks_but_keeps_accounting():
 
 def test_free_gaps_and_utilization():
     space = AddressSpace()
-    space.place("a", Extent(0, 5))
-    space.place("b", Extent(10, 5))
+    space.place("a", 0, 5)
+    space.place("b", 10, 5)
     gaps = space.free_gaps()
     assert gaps == [Extent(5, 5)]
     assert space.utilization() == pytest.approx(10 / 15)
@@ -83,7 +100,7 @@ def test_free_gaps_and_utilization():
 
 def test_snapshot_is_a_copy():
     space = AddressSpace()
-    space.place("a", Extent(0, 5))
+    space.place("a", 0, 5)
     snapshot = space.snapshot()
     snapshot["a"] = Extent(100, 5)
     assert space.extent_of("a") == Extent(0, 5)
@@ -99,15 +116,15 @@ def test_end_heap_is_compacted_on_delete_heavy_churn():
     for round_number in range(5000):
         # Two live objects at a time, with ever-changing end addresses so
         # every round pushes fresh heap entries and strands the old ones.
-        space.place("a", Extent(round_number, 1))
-        space.place("b", Extent(round_number + 5, 1))
+        space.place("a", round_number, 1)
+        space.place("b", round_number + 5, 1)
         assert space.footprint() == round_number + 6
         space.remove("a")
         space.remove("b")
     assert space.footprint() == 0
     assert len(space._end_heap) <= 128  # bounded, not the 10k pushes made
     # The compacted heap keeps answering correctly as objects come back.
-    space.place("c", Extent(7, 3))
+    space.place("c", 7, 3)
     assert space.footprint() == 10
 
 
@@ -116,10 +133,10 @@ def test_end_heap_compaction_preserves_duplicate_end_counts():
     the end stays in the heap until the last of them is removed."""
     space = AddressSpace(validate=False)
     for index in range(3):
-        space.place(("dup", index), Extent(90, 10))  # all end at 100
+        space.place(("dup", index), 90, 10)  # all end at 100
     # Churn enough distinct ends to trigger at least one compaction.
     for round_number in range(200):
-        space.place("tmp", Extent(200 + round_number, 5))
+        space.place("tmp", 200 + round_number, 5)
         space.remove("tmp")
     for index in range(3):
         assert space.footprint() == 100
@@ -155,17 +172,17 @@ def test_incremental_footprint_and_volume_match_naive_recomputation(seed):
             name = f"obj-{next_id}"
             next_id += 1
             extent = Extent(rng.randint(0, 500), rng.randint(1, 64))
-            space.place(name, extent)
+            space.place(name, extent.start, extent.length)
             mirror[name] = extent
         elif op == "move":
             name = rng.choice(list(mirror))
             extent = Extent(rng.randint(0, 500), mirror[name].length)
-            space.move(name, extent)
+            assert space.move(name, extent.start) == mirror[name].start
             mirror[name] = extent
         else:
             name = rng.choice(list(mirror))
             removed = space.remove(name)
-            assert removed == mirror.pop(name)
+            assert removed == mirror.pop(name).start
         assert space.footprint() == _naive_footprint(mirror), f"step {step}"
         assert space.volume() == _naive_volume(mirror), f"step {step}"
         assert len(space) == len(mirror)
@@ -179,7 +196,7 @@ def test_incremental_footprint_and_volume_match_naive_recomputation(seed):
 
 def test_audited_space_keeps_no_end_heap():
     space = AddressSpace()
-    space.place("a", Extent(0, 4))
+    space.place("a", 0, 4)
     assert not hasattr(space, "_end_heap") and not hasattr(space, "_end_counts")
     assert hasattr(AddressSpace(validate=False), "_end_heap")
 
@@ -219,19 +236,19 @@ def test_audited_footprint_matches_naive_recomputation(steps):
         if op == "place" and name not in mirror:
             if clash:
                 with pytest.raises(OverlapError):
-                    space.place(name, extent)
+                    space.place(name, address, length)
             else:
-                space.place(name, extent)
+                space.place(name, address, length)
                 mirror[name] = extent
         elif op == "move" and name in mirror:
             if clash:
                 with pytest.raises(OverlapError):
-                    space.move(name, extent)
+                    space.move(name, address)
             else:
-                assert space.move(name, extent) == mirror[name]
+                assert space.move(name, address) == mirror[name].start
                 mirror[name] = extent
         elif op == "remove" and name in mirror:
-            assert space.remove(name) == mirror.pop(name)
+            assert space.remove(name) == mirror.pop(name).start
         else:
             continue
         if clash:
@@ -261,9 +278,8 @@ def _parent_clash(mirror, name, extent):
 
 def _move_target(kind, mirror, name, offset):
     """A destination ``Extent`` of the given kind for ``name``, relative to
-    its current neighbours in address order.  Only ``clash_both`` changes
-    the length: an object that keeps it cannot reach both neighbours from
-    its own slot."""
+    its current neighbours in address order.  A move keeps the object's
+    length, so no move can reach both neighbours from its own slot."""
     extent = mirror[name]
     length = extent.length
     others = sorted((other.start, other.end) for other_name, other in mirror.items()
@@ -287,9 +303,6 @@ def _move_target(kind, mirror, name, offset):
         start = max(0, pred[1] - 1 - offset % length)
     elif kind == "clash_successor" and succ:
         start = max(0, succ[0] - length + 1 + offset % length)
-    elif kind == "clash_both" and pred and succ:
-        start = pred[1] - 1
-        length = succ[0] - start + 1 + offset % 4
     elif kind == "equal_start" and others:
         start = others[offset % len(others)][0]
     return Extent(start, length)
@@ -297,7 +310,7 @@ def _move_target(kind, mirror, name, offset):
 
 _MOVE_KINDS = [
     "in_slot", "past_successor", "past_predecessor",
-    "clash_predecessor", "clash_successor", "clash_both", "equal_start",
+    "clash_predecessor", "clash_successor", "equal_start",
 ]
 
 #: Placements to start from, then steps of an op, a name slot, an offset
@@ -348,10 +361,10 @@ def test_moves_in_and_out_of_their_slot_match_the_naive_model(layout, steps):
             extent = Extent(offset, length)
             if name in mirror or _parent_clash(mirror, name, extent) is not None:
                 continue
-            space.place(name, extent)
+            space.place(name, offset, length)
             mirror[name] = extent
         elif op == "remove":
-            assert space.remove(name) == mirror.pop(name)
+            assert space.remove(name) == mirror.pop(name).start
         else:
             extent = _move_target(op, mirror, name, offset)
             naive = any(
@@ -363,11 +376,11 @@ def test_moves_in_and_out_of_their_slot_match_the_naive_model(layout, steps):
             before = (list(space._index), space.snapshot(), space.footprint(), space.volume())
             if naive:
                 with pytest.raises(OverlapError, match=re.escape(f"overlaps {expected!r} at")):
-                    space.move(name, extent)
+                    space.move(name, extent.start)
                 after = (list(space._index), space.snapshot(), space.footprint(), space.volume())
                 assert after == before
             else:
-                assert space.move(name, extent) == mirror[name]
+                assert space.move(name, extent.start) == mirror[name].start
                 mirror[name] = extent
         if op != "remove":
             requests += 1
@@ -383,27 +396,64 @@ class _ProbeCountingSpace(AddressSpace):
         super().__init__()
         self.walks = 0
 
-    def _find_overlap(self, extent, ignore=None):
+    def _find_overlap(self, start, end, ignore=None):
         self.walks += 1
-        return super()._find_overlap(extent, ignore)
+        return super()._find_overlap(start, end, ignore)
 
 
 def test_a_move_that_keeps_its_rank_skips_the_index_walk():
     space = _ProbeCountingSpace()
     for name, start in (("a", 0), ("b", 20), ("c", 40)):
-        space.place(name, Extent(start, 5))
+        space.place(name, start, 5)
     walks = space.walks
-    space.move("b", Extent(27, 5))  # still between a and c
-    space.move("a", Extent(2, 5))  # first entry, before b
-    space.move("c", Extent(60, 5))  # last entry, after b
+    space.move("b", 27)  # still between a and c
+    space.move("a", 2)  # first entry, before b
+    space.move("c", 60)  # last entry, after b
     assert space.walks == walks
     with pytest.raises(OverlapError, match="overlaps 'c'"):
-        space.move("b", Extent(58, 5))  # keeps its rank, clashes with c
+        space.move("b", 58)  # keeps its rank, clashes with c
     with pytest.raises(OverlapError, match="overlaps 'a'"):
-        space.move("b", Extent(6, 60))  # keeps its rank, clashes with a and c
+        space.move("b", 6)  # keeps its rank, clashes with a
     assert space.walks == walks
     with pytest.raises(OverlapError, match="overlaps 'c'"):
-        space.move("b", Extent(62, 5))  # jumps past c and clashes with it
-    space.move("b", Extent(70, 5))  # jumps past c
+        space.move("b", 62)  # jumps past c and clashes with it
+    space.move("b", 70)  # jumps past c
     assert space.walks == walks + 2
     assert [name for _, _, _, name in space._index] == ["a", "c", "b"]
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_unpickles_the_layout_that_mapped_names_to_extents(validate):
+    """A pickle of the older layout (a name -> ``Extent`` map beside an
+    ``_order`` serial map, which an unaudited space left empty) comes back
+    as a map of index entries, in the same name order, that keeps working."""
+    extents = {"b": Extent(10, 5), "a": Extent(0, 4), "c": Extent(20, 2)}
+    legacy = AddressSpace.__new__(AddressSpace)
+    legacy.__dict__.update(
+        _validate=validate,
+        _extents=extents,
+        _volume=11,
+        _index=[],
+        _order={},
+        _order_seq=0,
+        _c_probes=None,
+        _c_compactions=None,
+    )
+    if validate:
+        legacy._order = {name: order for order, name in enumerate(extents)}
+        legacy._order_seq = 3
+        legacy._index = sorted(
+            (e.start, legacy._order[name], e.end, name) for name, e in extents.items()
+        )
+    else:
+        legacy.__dict__.update(
+            _end_counts=Counter({15: 1, 4: 1, 22: 1}), _end_heap=[-22, -15, -4], _tracked_ends=3
+        )
+    space = pickle.loads(pickle.dumps(legacy))
+    assert "_extents" not in vars(space) and "_order" not in vars(space)
+    assert list(space.items()) == list(extents.items())
+    assert space.footprint() == 22 and space.volume() == 11
+    assert space.move("a", 30) == 0
+    space.place("d", 0, 4)
+    assert space.start_of("a") == 30 and space.footprint() == 34
+    space.verify_disjoint()

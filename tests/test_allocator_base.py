@@ -6,7 +6,7 @@ from repro.core import CostObliviousReallocator
 from repro.core.events import MoveEvent, RequestRecord
 from repro.costs import LinearCost
 from repro.storage.extent import Extent
-from repro.workloads import Request, churn_trace
+from repro.workloads import Request, UniformSizes, churn_trace
 
 
 def test_request_records_expose_moves_and_footprint():
@@ -74,3 +74,31 @@ def test_describe_and_repr_do_not_crash():
     realloc = CostObliviousReallocator(epsilon=0.25)
     assert "0.25" in realloc.describe()
     assert "objects=0" in repr(realloc)
+
+
+@pytest.mark.parametrize("kind", ["cost_oblivious", "deamortized", "first_fit"])
+def test_untraced_audited_replays_build_no_extent(kind, monkeypatch):
+    """The storage core passes plain integers: an untraced audited replay
+    builds no ``Extent`` for any placement, move or delete.  Extents appear
+    only at the API edge, e.g. in the move events a traced request records."""
+    from repro.campaign.spec import build_allocator
+
+    built = []
+    original = Extent.__post_init__
+
+    def counting(self):
+        built.append((self.start, self.length))
+        original(self)
+
+    monkeypatch.setattr(Extent, "__post_init__", counting)
+    allocator = build_allocator(kind)
+    assert allocator.space.validate  # audited
+    trace = churn_trace(3000, UniformSizes(1, 64), target_live=400, seed=9)
+    allocator.run(trace)
+    stats = allocator.stats
+    assert stats.inserts > 0 and stats.deletes > 0 and stats.requests == len(trace)
+    if kind != "first_fit":
+        assert stats.total_moves > 1000 and stats.flushes > 0
+    assert built == []
+    record = allocator.insert("traced", 8)  # the API edge still builds them
+    assert built and record.moves[0].destination == allocator.space.extent_of("traced")

@@ -47,12 +47,31 @@ def test_brute_force_oracle_catches_unchecked_writes(cls):
     the writes that would have blocked on a checkpoint are flagged."""
 
     class Unchecked(with_frozen_space_oracle(cls)):
-        def _ensure_writable(self, extent, reason):
+        def _ensure_writable(self, start, end):
             pass
 
     realloc = Unchecked(epsilon=0.25)
     random_churn(realloc, steps=1200, seed=2, max_size=80)
     assert realloc.oracle_violations
+
+
+def test_a_log_insert_onto_frozen_space_blocks_for_a_checkpoint():
+    """A deamortized log insert can land on space that a move vacated since
+    the last checkpoint; this churn reaches that once.  The placement must
+    block for a checkpoint first, so the brute-force oracle sees no write
+    onto frozen space (it does when placements skip the check)."""
+    blocked = []
+
+    class Probe(with_frozen_space_oracle(DeamortizedReallocator)):
+        def _place_object(self, name, size, address, reason="place"):
+            if not self.checkpoints.is_writable(address, address + size):
+                blocked.append(reason)
+            super()._place_object(name, size, address, reason)
+
+    realloc = Probe(epsilon=0.1)
+    random_churn(realloc, steps=1500, seed=0, max_size=64)
+    assert blocked == ["insert:log"]
+    assert realloc.oracle_violations == [] and realloc.oracle_writes > 0
 
 
 def test_checkpoints_per_request_stay_bounded():

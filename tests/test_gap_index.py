@@ -188,24 +188,25 @@ def test_indexed_overlap_detection_agrees_with_all_pairs_scan(script):
             next_id += 1
             name = f"obj-{next_id}"
             if _naive_overlap(mirror, extent) is None:
-                space.place(name, extent)
+                space.place(name, address, length)
                 mirror[name] = extent
             else:
                 with pytest.raises(OverlapError):
-                    space.place(name, extent)
+                    space.place(name, address, length)
                 assert name not in space
-        elif op < 8:  # move an existing object
+        elif op < 8:  # move an existing object (moves keep its length)
             name = sorted(mirror)[address % len(mirror)]
+            extent = Extent(address, mirror[name].length)
             if _naive_overlap(mirror, extent, ignore=name) is None:
-                space.move(name, extent)
+                assert space.move(name, address) == mirror[name].start
                 mirror[name] = extent
             else:
                 with pytest.raises(OverlapError):
-                    space.move(name, extent)
+                    space.move(name, address)
                 assert space.extent_of(name) == mirror[name]
         else:  # remove
             name = sorted(mirror)[address % len(mirror)]
-            assert space.remove(name) == mirror.pop(name)
+            assert space.remove(name) == mirror.pop(name).start
         assert space.free_gaps() == _naive_gaps(mirror)
         assert space.volume() == sum(e.length for e in mirror.values())
     space.verify_disjoint()
@@ -263,20 +264,20 @@ def test_gap_index_release_merges_both_sides_and_lowers_the_mark(size_order):
     gaps.add(Extent(0, 5))
     gaps.add(Extent(8, 2))
     # Between two gaps: one node absorbs the other and the freed extent.
-    assert gaps.release(Extent(5, 3), high_water=40) == 40
+    assert gaps.release(5, 3, high_water=40) == 40
     assert list(gaps) == [Extent(0, 10)] and gaps.total_free == 10
     # Next to neither: a new gap.
-    assert gaps.release(Extent(20, 4), high_water=40) == 40
+    assert gaps.release(20, 4, high_water=40) == 40
     assert list(gaps) == [Extent(0, 10), Extent(20, 4)]
     # Growing a gap backwards and forwards in place.
-    assert gaps.release(Extent(18, 2), high_water=40) == 40
-    assert gaps.release(Extent(24, 6), high_water=40) == 40
+    assert gaps.release(18, 2, high_water=40) == 40
+    assert gaps.release(24, 6, high_water=40) == 40
     assert list(gaps) == [Extent(0, 10), Extent(18, 12)] and gaps.total_free == 22
     # A merged gap ending at the mark is dropped and lowers the mark.
-    assert gaps.release(Extent(30, 10), high_water=40) == 18
+    assert gaps.release(30, 10, high_water=40) == 18
     assert list(gaps) == [Extent(0, 10)] and gaps.total_free == 10
     # A free at the mark next to no gap only lowers the mark.
-    assert gaps.release(Extent(14, 4), high_water=18) == 14
+    assert gaps.release(14, 4, high_water=18) == 14
     assert list(gaps) == [Extent(0, 10)]
     if size_order:
         assert gaps.best_fit(1) == 0 and gaps.worst_fit(10) == 0
@@ -544,7 +545,7 @@ class _GapIndexMachine(RuleBasedStateMachine):
 
     def _release(self, index):
         start, length = self.allocated.pop(index)
-        got = self.gaps.release(Extent(start, length), self.high_water)
+        got = self.gaps.release(start, length, self.high_water)
         end = start + length
         before = [gap for gap in self.model if gap[0] + gap[1] == start]
         after = [gap for gap in self.model if gap[0] == end]

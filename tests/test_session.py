@@ -299,10 +299,10 @@ def test_session_stats_rps_is_json_safe_with_zero_elapsed():
 # ----------------------------------------- CheckpointManager state round-trip
 def test_checkpoint_manager_state_round_trip():
     manager = CheckpointManager(enforce=True)
-    manager.record_free(Extent(0, 4))
-    manager.record_free(Extent(4, 4))  # adjacent: coalesces to one extent
+    manager.record_free(0, 4)
+    manager.record_free(4, 8)  # adjacent: coalesces to one extent
     manager.checkpoint()
-    manager.record_free(Extent(20, 6))
+    manager.record_free(20, 26)
     state = manager.to_state()
     assert state == {
         "enforce": True,
@@ -312,30 +312,30 @@ def test_checkpoint_manager_state_round_trip():
     }
     clone = CheckpointManager.from_state(state)
     assert clone.to_state() == state
-    assert not clone.is_writable(Extent(22, 2))
-    assert clone.is_writable(Extent(0, 8))  # thawed by the checkpoint
+    assert not clone.is_writable(22, 24)
+    assert clone.is_writable(0, 8)  # thawed by the checkpoint
 
 
 def test_checkpoint_manager_state_survives_pickle():
     manager = CheckpointManager(enforce=False)
-    manager.record_free(Extent(10, 6))
-    manager.assert_writable(Extent(12, 2))  # counted, not raised (enforce off)
+    manager.record_free(10, 16)
+    manager.assert_writable(12, 14)  # counted, not raised (enforce off)
     state = pickle.loads(pickle.dumps(manager.to_state()))
     clone = CheckpointManager.from_state(state)
     assert clone.violations == manager.violations == 1
-    assert not clone.is_writable(Extent(10, 1))
+    assert not clone.is_writable(10, 11)
     assert not clone.enforce
     json.dumps(state)  # the state dict is JSON-safe by construction
 
 
 def test_checkpoint_recover_thaws_frozen_space_and_keeps_counters():
     manager = CheckpointManager(enforce=True)
-    manager.record_free(Extent(0, 4))
+    manager.record_free(0, 4)
     manager.checkpoint()
-    manager.record_free(Extent(8, 8))
-    assert not manager.is_writable(Extent(8, 1))
+    manager.record_free(8, 16)
+    assert not manager.is_writable(8, 9)
     manager.recover()
-    assert manager.is_writable(Extent(8, 1))
+    assert manager.is_writable(8, 9)
     assert manager.to_state()["frozen"] == []
     assert manager.checkpoints_taken == 1
 
@@ -365,9 +365,9 @@ def test_checkpoint_manager_unpickles_the_legacy_frozen_list():
         "checkpoints_taken": 3,
         "violations": 1,
     }
-    assert not clone.is_writable(Extent(41, 1))
-    assert clone.is_writable(Extent(8, 22))
-    clone.record_free(Extent(8, 22))
+    assert not clone.is_writable(41, 42)
+    assert clone.is_writable(8, 30)
+    clone.record_free(8, 30)
     assert clone.frozen_extents() == [Extent(0, 42)]
 
 

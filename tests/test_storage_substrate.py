@@ -22,28 +22,28 @@ from repro.storage.extent import coalesce
 # ------------------------------------------------------------- checkpoints
 def test_freed_space_is_unwritable_until_checkpoint():
     manager = CheckpointManager()
-    manager.record_free(Extent(10, 10))
-    assert not manager.is_writable(Extent(15, 2))
-    assert manager.is_writable(Extent(20, 5))
+    manager.record_free(10, 20)
+    assert not manager.is_writable(15, 17)
+    assert manager.is_writable(20, 25)
     with pytest.raises(FreedSpaceViolation):
-        manager.assert_writable(Extent(10, 1))
+        manager.assert_writable(10, 11)
     assert manager.violations == 1
     manager.checkpoint()
-    manager.assert_writable(Extent(10, 1))
+    manager.assert_writable(10, 11)
     assert manager.checkpoints_taken == 1
 
 
 def test_non_enforcing_manager_only_counts():
     manager = CheckpointManager(enforce=False)
-    manager.record_free(Extent(0, 5))
-    manager.assert_writable(Extent(0, 5))
+    manager.record_free(0, 5)
+    manager.assert_writable(0, 5)
     assert manager.violations == 1
 
 
 def test_frozen_extents_are_coalesced():
     manager = CheckpointManager()
     for start in range(0, 200, 2):
-        manager.record_free(Extent(start, 2))
+        manager.record_free(start, start + 2)
     assert manager.frozen_extents() == [Extent(0, 200)]
     manager.reset_counters()
     assert manager.checkpoints_taken == 0
@@ -71,7 +71,7 @@ def test_frozen_run_index_matches_brute_force(ops, queries):
     freed = []
     for op, extent in ops:
         if op == "free":
-            manager.record_free(extent)
+            manager.record_free(extent.start, extent.end)
             freed.append(extent)
         elif op in ("checkpoint", "recover"):
             getattr(manager, op)()
@@ -86,17 +86,17 @@ def test_frozen_run_index_matches_brute_force(ops, queries):
         assert all(left.end < right.start for left, right in zip(runs, runs[1:]))
         for query in queries:
             expected = not any(query.overlaps(extent) for extent in freed)
-            assert manager.is_writable(query) == expected
+            assert manager.is_writable(query.start, query.end) == expected
 
 
 def test_touching_frees_merge_into_one_run():
     manager = CheckpointManager()
-    manager.record_free(Extent(10, 5))
-    manager.record_free(Extent(20, 5))
-    manager.record_free(Extent(15, 5))  # touches both neighbours
+    manager.record_free(10, 15)
+    manager.record_free(20, 25)
+    manager.record_free(15, 20)  # touches both neighbours
     assert manager.frozen_extents() == [Extent(10, 15)]
-    assert manager.is_writable(Extent(25, 1)) and manager.is_writable(Extent(9, 1))
-    assert not manager.is_writable(Extent(0, 11))
+    assert manager.is_writable(25, 26) and manager.is_writable(9, 10)
+    assert not manager.is_writable(0, 11)
 
 
 # ------------------------------------------------------------------ devices
@@ -141,14 +141,14 @@ def test_disk_seek_dominates_small_transfers():
 # -------------------------------------------------------------- translation
 def test_translation_layer_checkpoint_and_crash():
     layer = BlockTranslationLayer()
-    layer.record_allocation("a", Extent(0, 10))
-    layer.record_allocation("b", Extent(10, 10))
+    layer.record_allocation("a", 0, 10)
+    layer.record_allocation("b", 10, 20)
     layer.checkpoint()
-    layer.record_move("a", Extent(30, 10))
+    layer.record_move("a", 30, 40)
     assert layer.lookup("a") == Extent(30, 10)
     assert layer.durable_lookup("a") == Extent(0, 10)
     # The old location of "a" is frozen until the next checkpoint.
-    assert not layer.checkpoints.is_writable(Extent(0, 10))
+    assert not layer.checkpoints.is_writable(0, 10)
     layer.crash()
     assert layer.lookup("a") == Extent(0, 10)
     assert "b" in layer and len(layer) == 2
@@ -156,18 +156,18 @@ def test_translation_layer_checkpoint_and_crash():
 
 def test_translation_layer_free_freezes_space():
     layer = BlockTranslationLayer()
-    layer.record_allocation("a", Extent(0, 10))
+    layer.record_allocation("a", 0, 10)
     layer.checkpoint()
     layer.record_free("a")
     assert "a" not in layer
-    assert not layer.checkpoints.is_writable(Extent(0, 10))
+    assert not layer.checkpoints.is_writable(0, 10)
     layer.checkpoint()
-    assert layer.checkpoints.is_writable(Extent(0, 10))
+    assert layer.checkpoints.is_writable(0, 10)
 
 
 def test_verify_recoverable_detects_clobbered_data():
     layer = BlockTranslationLayer()
-    layer.record_allocation("a", Extent(0, 10))
+    layer.record_allocation("a", 0, 10)
     layer.checkpoint()
     with pytest.raises(RecoveryError):
         layer.verify_recoverable({"a": Extent(50, 10)})
@@ -196,10 +196,10 @@ def test_dirty_set_checkpoints_match_a_full_copy(ops):
     for op, slot, address in ops:
         name = f"block-{slot}"
         if op == "allocate":
-            layer.record_allocation(name, Extent(address, 4))
+            layer.record_allocation(name, address, address + 4)
             volatile[name] = Extent(address, 4)
         elif op == "move":
-            layer.record_move(name, Extent(address, 4))
+            layer.record_move(name, address, address + 4)
             volatile[name] = Extent(address, 4)
         elif op == "free":
             layer.record_free(name)
@@ -226,18 +226,22 @@ def test_full_copy_translation_snapshot_restores_its_dirty_set():
     """A pickled layer from before the dirty set carried an update counter;
     unpickling derives the dirty names from the two maps."""
     layer = BlockTranslationLayer()
-    layer.record_allocation("a", Extent(0, 4))
-    layer.record_allocation("b", Extent(4, 4))
+    layer.record_allocation("a", 0, 4)
+    layer.record_allocation("b", 4, 8)
     layer.checkpoint()
-    layer.record_move("a", Extent(10, 4))
+    layer.record_move("a", 10, 14)
     layer.record_free("b")
-    layer.record_allocation("c", Extent(20, 4))
+    layer.record_allocation("c", 20, 24)
     state = dict(vars(layer))
+    # That layout also mapped names to extents, not (start, end) spans.
+    for key in ("_volatile", "_durable"):
+        state[key] = {name: Extent(start, end - start) for name, (start, end) in state[key].items()}
     del state["_dirty"]
     state["updates_since_checkpoint"] = 3
     restored = BlockTranslationLayer.__new__(BlockTranslationLayer)
     restored.__setstate__(pickle.loads(pickle.dumps(state)))
     assert restored._dirty == {"a", "b", "c"}
+    assert restored.lookup("a") == Extent(10, 4) and restored._volatile["a"] == (10, 14)
     assert not hasattr(restored, "updates_since_checkpoint")
     restored.checkpoint()
     assert restored.durable_lookup("a") == Extent(10, 4)
