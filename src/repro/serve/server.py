@@ -26,7 +26,10 @@ been recorded to the tenant's block-indexed v3 trace *and* the writer was
 On a crash, restore = :func:`restore_session` — unpickle the last
 ``SNAPSHOT`` and replay the recorded tail beyond its ``requests_applied``
 watermark.  Unacked requests may be lost; that is the contract (the
-client retries what it never got an ack for).
+client retries what it never got an ack for).  A record that fails after
+its apply leaves the session ahead of its trace: that group's batches and
+every later batch, ``SNAPSHOT`` and ``DRAIN`` get the error (``STATS``
+reports it), so nothing is recorded on top of the gap.
 
 Control verbs (``STATS`` / ``SNAPSHOT`` / ``DRAIN``) ride the same queue
 as batches, so their responses are barriers: a DRAIN ack proves every
@@ -156,6 +159,8 @@ class TenantSession:
         #: Live connections bound to this session (a tenant may reconnect,
         #: or hold several connections); finalize only when the last drops.
         self.connections = 0
+        #: The error that left the session ahead of its trace, once one has.
+        self.failed: Optional[str] = None
 
     # ------------------------------------------------------------- the worker
     async def _run(self) -> None:
@@ -209,23 +214,31 @@ class TenantSession:
         recorded, keeping the trace replayable to the live state.  Returns
         that count, the error if one was raised, and the
         ``perf_counter`` stamps that bound the apply, record and sync steps.
+        A failed record marks the tenant failed; a failed tenant applies
+        nothing and reports its error.
         """
-        fault_point("serve.batch.apply")
+        if self.failed is not None:
+            return 0, self.failed, ()
         started = perf_counter()
         error: Optional[str] = None
         before = self.session.requests_applied
         try:
+            fault_point("serve.batch.apply")
             self.session.apply(requests)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         applied = self.session.requests_applied - before
         applied_at = recorded_at = perf_counter()
         if applied:
-            fault_point("serve.record.sync")
-            for request in requests[:applied]:
-                self.writer.write(request)
-            recorded_at = perf_counter()
-            self.writer.sync()
+            try:
+                fault_point("serve.record.sync")
+                for request in requests[:applied]:
+                    self.writer.write(request)
+                recorded_at = perf_counter()
+                self.writer.sync()
+            except Exception as exc:
+                self.failed = f"trace record failed: {type(exc).__name__}: {exc}"
+                return 0, self.failed, ()
         return applied, error, (started, applied_at, recorded_at, perf_counter())
 
     async def _apply_group(self, group: List[_Batch]) -> None:
@@ -239,7 +252,7 @@ class TenantSession:
             got = max(0, min(applied - offset, want))
             offset += want
             response: Dict[str, Any] = {
-                "ok": error is None or got == want,
+                "ok": self.failed is None and (error is None or got == want),
                 "seq": batch.seq,
                 "applied": got,
             }
@@ -266,7 +279,10 @@ class TenantSession:
             stats = self.session.stats()
             stats["recorded"] = self.writer.count
             stats["trace"] = self.trace_path
+            stats["failed"] = self.failed
             await conn.send({"ok": True, "seq": seq, "stats": stats})
+        elif self.failed is not None:
+            await conn.send({"ok": False, "seq": seq, "error": self.failed})
         elif item.op == "snapshot":
             path = message.get("path") or self.snapshot_path()
             try:

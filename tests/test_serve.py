@@ -23,7 +23,7 @@ from repro.campaign.spec import build_allocator
 from repro.cli import main
 from repro.core import check_invariants
 from repro.engine import EngineSession
-from repro.faults import CRASH_EXIT_CODE, FaultPlan, FaultRule
+from repro.faults import CRASH_EXIT_CODE, FaultPlan, FaultRule, inject
 from repro.metrics import run_trace
 from repro.obs import JsonlSink, Telemetry, load_events, use_telemetry, validate_events
 from repro.serve import (
@@ -255,6 +255,41 @@ def test_mid_batch_allocator_error_acks_partial_and_session_survives(server):
         assert stats["recorded"] == 2  # ... and only that was recorded
     [result] = handle.stop()
     assert result["requests"] == 2
+
+
+def test_a_failed_record_fails_the_tenant_and_the_trace_keeps_the_acked_prefix(
+    tmp_path, server
+):
+    """A raise at ``serve.record.sync`` leaves the second batch applied but
+    unrecorded.  That batch gets an error reply, not a timeout; the tenant
+    then refuses later batches, ``SNAPSHOT`` and ``DRAIN`` with the same
+    error, ``STATS`` reports it, close still finalizes, and the trace
+    replays to exactly the acked first batch."""
+    handle = server(label="rec")
+    trace = list(churn_trace(300, UniformSizes(1, 32), target_live=40, seed=7))
+    plan = FaultPlan(rules=[FaultRule(site="serve.record.sync", action="raise", after=1)])
+    with inject(plan), ServeClient(handle.host, handle.port, tenant="p", timeout=20) as client:
+        first = client.apply(trace[:100])
+        assert first["ok"] is True and first["applied"] == 100
+        second = client.apply(trace[100:200])
+        assert second["ok"] is False and second["applied"] == 0
+        error = second["error"]
+        assert error.startswith("trace record failed: OSError") and "serve.record.sync" in error
+        third = client.apply(trace[200:300])
+        assert (third["ok"], third["applied"], third["error"]) == (False, 0, error)
+        stats = client.stats()
+        assert stats["failed"] == error
+        assert stats["recorded"] == 100
+        for refused in (client.snapshot, client.drain):
+            with pytest.raises(ServeClientError, match="trace record failed"):
+                refused()
+    [result] = handle.stop()
+    assert result["tenant"] == "p"
+    trace_path = tmp_path / "rec-p.v3"
+    recorded = [(r.op, r.name, r.size) for r in load_trace(trace_path)]
+    assert recorded == [(r.op, str(r.name), r.size) for r in trace[:100]]  # names travel as text
+    offline = run_trace(build_allocator("first_fit"), load_trace(trace_path))
+    assert offline.requests == 100
 
 
 def test_unknown_ops_and_bad_batches_get_error_responses(server):
