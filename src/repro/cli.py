@@ -235,10 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
     convert_parser.add_argument("output", help="destination trace file")
     convert_parser.add_argument(
         "--format",
-        choices=["v0", "v1", "v3"],
+        choices=["v1", "v3"],
         default="v3",
         help="output format version (default: v3, the block-indexed binary "
-        "format; legacy v2 inputs are read but never written)",
+        "format; legacy v0 and v2 inputs are read but never written)",
     )
     convert_parser.add_argument(
         "--compress",
@@ -985,19 +985,11 @@ def _cmd_trace_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_convert(args: argparse.Namespace) -> int:
-    import json
     import os
 
     from repro.workloads import TraceFileSource, open_trace_writer
 
     version = int(args.format[1:])
-    if args.compress and version != 3:
-        print(
-            f"repro trace convert: --compress is only supported by the binary "
-            f"format (v3), not {args.format}",
-            file=sys.stderr,
-        )
-        return 2
     if args.block_size is not None and version != 3:
         print(
             f"repro trace convert: --block-size only applies to the v3 "
@@ -1017,15 +1009,6 @@ def _cmd_trace_convert(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         print(f"repro trace convert: {error}", file=sys.stderr)
         return 2
-    metadata = source.metadata
-    if version == 0 and metadata:
-        # v0 has no metadata block; converting down drops it (say so).
-        print(
-            f"repro trace convert: note: the v0 format cannot carry metadata; "
-            f"dropping {json.dumps(metadata, sort_keys=True)}",
-            file=sys.stderr,
-        )
-        metadata = None
     writer_options = {}
     if args.block_size is not None:
         writer_options["block_records"] = args.block_size
@@ -1034,7 +1017,7 @@ def _cmd_trace_convert(args: argparse.Namespace) -> int:
             args.output,
             version=version,
             label=source.label,
-            metadata=metadata,
+            metadata=source.metadata,
             compress=args.compress,
             **writer_options,
         )

@@ -596,7 +596,7 @@ class TraceRecorderObserver(Observer):
 
     Attaching this observer to a live engine run records the workload it
     served — synthetic, adversarial, or generated on the fly — as a v3 (or
-    v0/v1; v2 is read-only) trace file via the same streaming
+    v1; v0 and v2 are read-only) trace file via the same streaming
     :func:`~repro.workloads.replay.open_trace_writer` path ``repro trace
     convert`` uses, so a multi-million-request run is captured without ever
     materialising it.  If the replay raises, the partial file is aborted and

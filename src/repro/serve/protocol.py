@@ -39,6 +39,7 @@ import json
 from typing import Any, BinaryIO, Dict, List, Optional, Sequence
 
 from repro.workloads.base import DELETE, INSERT, Request
+from repro.workloads.binary import encode_varint
 
 #: Protocol version spoken by this module (echoed in the hello exchange).
 PROTOCOL_VERSION = 1
@@ -54,18 +55,6 @@ class ProtocolError(ValueError):
 
 
 # ----------------------------------------------------------------- framing
-def _encode_varint(value: int) -> bytes:
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """Encode one message as a length-prefixed frame."""
     body = json.dumps(message, separators=(",", ":"), sort_keys=True).encode("utf-8")
@@ -73,7 +62,7 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
         raise ProtocolError(
             f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
         )
-    return _encode_varint(len(body)) + body
+    return encode_varint(len(body)) + body
 
 
 def _decode_body(body: bytes) -> Dict[str, Any]:

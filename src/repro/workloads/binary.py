@@ -883,7 +883,23 @@ def read_trace_tail(path: Union[str, os.PathLike]) -> TraceTail:
 
 
 # --------------------------------------------------------------------- writer
-class BinaryTraceWriter:
+class WriterContextMixin:
+    """``with open_trace_writer(...) as writer:`` support for every format:
+    a clean exit closes (committing the trailer/metadata), an exception
+    aborts so a partial file is left truncation-detectable, never silently
+    valid."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
+
+
+class BinaryTraceWriter(WriterContextMixin):
     """Streaming writer for the binary trace format (v3).
 
     Usable as a context manager; requests are encoded into the current
@@ -955,15 +971,6 @@ class BinaryTraceWriter:
             )
             self._worker.start()
         self._start_segment()
-
-    def __enter__(self) -> "BinaryTraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
 
     # ---------------------------------------------------------------- blocks
     def _start_segment(self) -> None:

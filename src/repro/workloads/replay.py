@@ -32,12 +32,10 @@ transparent gzip container around any of them):
   with no safe characters), so names containing whitespace, newlines, ``#``
   or ``%`` round-trip exactly.
 
-* **v0** (the historical format, still readable and writable) has no
+* **v0** (the historical text format, readable, no longer written) has no
   version header — just an optional leading ``# trace <label>`` comment and
-  raw ``I name size`` / ``D name`` lines split on whitespace.  Because
-  names are written raw, ``save_trace(..., version=0)`` refuses names or
-  labels containing whitespace with a clear error instead of silently
-  corrupting the file the way the original writer did.
+  raw ``I name size`` / ``D name`` lines split on whitespace.  Upgrade a v0
+  file with ``repro trace convert IN OUT``.
 
 Header lines (label / metadata) are recognised in the leading comment block
 of a text trace; later ``#`` lines are skipped as comments, except
@@ -79,6 +77,7 @@ from repro.workloads.binary import (
     DEFAULT_BLOCK_RECORDS,
     BinaryTraceWriter,
     TraceFormatError,
+    WriterContextMixin,
     iter_binary_records,
     read_binary_header,
     read_block_index,
@@ -95,63 +94,7 @@ _GZIP_MAGIC = b"\x1f\x8b"
 
 
 # -------------------------------------------------------------------- writers
-class _WriterContextMixin:
-    """``with open_trace_writer(...) as writer:`` support for every format:
-    a clean exit closes (committing the trailer/metadata), an exception
-    aborts so a partial file is left truncation-detectable, never silently
-    valid."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
-
-
-def _check_v0_token(token: str, what: str, path) -> str:
-    if token != token.strip() or any(ch.isspace() for ch in token):
-        raise ValueError(
-            f"cannot save {what} {token!r} to {path} in the v0 trace format: "
-            "it contains whitespace and would be misparsed on load; "
-            "save with version=1 (the default) instead"
-        )
-    if not token:
-        raise ValueError(f"cannot save an empty {what} to {path} in the v0 trace format")
-    return token
-
-
-class _TextTraceWriterV0(_WriterContextMixin):
-    """Streaming writer for the legacy headerless text format."""
-
-    def __init__(self, path, label: str = "trace", metadata: Optional[dict] = None) -> None:
-        if metadata:
-            raise ValueError("the v0 trace format cannot carry metadata; use version=1")
-        if "\n" in label or "\r" in label:
-            raise ValueError(f"cannot save label {label!r} with newlines in v0 format")
-        self.path = path
-        self.count = 0
-        self._handle = open(path, "w", encoding="utf-8")
-        self._handle.write(f"# trace {label}\n")
-
-    def write(self, request: Request) -> None:
-        name = _check_v0_token(str(request.name), "object name", self.path)
-        if request.is_insert:
-            self._handle.write(f"I {name} {request.size}\n")
-        else:
-            self._handle.write(f"D {name}\n")
-        self.count += 1
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def abort(self) -> None:
-        self._handle.close()
-
-
-class _TextTraceWriterV1(_WriterContextMixin):
+class _TextTraceWriterV1(WriterContextMixin):
     """Streaming writer for the percent-encoded v1 text format."""
 
     def __init__(self, path, label: str = "trace", metadata: Optional[dict] = None) -> None:
@@ -199,8 +142,13 @@ def open_trace_writer(
     seekable); pass ``compress="background"`` to run the zlib work on a
     writer thread that overlaps a CPU-bound producer (byte-identical output
     — see :class:`~repro.workloads.binary.BinaryTraceWriter`).
-    ``block_records`` sets the v3 block size.  v2 is read-only.
+    ``block_records`` sets the v3 block size.  v0 and v2 are read-only.
     """
+    if version == 0:
+        raise ValueError(
+            "the v0 text trace format is read-only; write version=1 or version=3 "
+            "instead (repro trace convert IN OUT upgrades v0 files)"
+        )
     if version == 2:
         raise ValueError(
             "the v2 binary trace format is read-only; write version=3 instead "
@@ -208,11 +156,9 @@ def open_trace_writer(
         )
     if compress and version != 3:
         raise ValueError(
-            f"compression is only supported by the binary format, not v{version}; "
+            f"compression is only supported by the binary format (v3), not v{version}; "
             "pass version=3 (or convert with --format v3 --compress)"
         )
-    if version == 0:
-        return _TextTraceWriterV0(path, label=label, metadata=metadata)
     if version == 1:
         return _TextTraceWriterV1(path, label=label, metadata=metadata)
     if version == 3:
@@ -224,7 +170,7 @@ def open_trace_writer(
             block_records=block_records,
         )
     raise ValueError(
-        f"unknown trace format version {version!r}; writable versions: 0, 1, 3"
+        f"unknown trace format version {version!r}; writable versions: 1, 3"
     )
 
 
@@ -239,18 +185,12 @@ def save_trace(
     """Write ``trace`` to ``path`` in the requested format version.
 
     ``metadata`` (JSON-serialisable dict) is merged over ``trace.metadata``
-    and stored in the v1/v3 header; requesting ``version=0`` with metadata
-    is an error since v0 has nowhere to put it.  ``compress=True`` (v3
-    only) zlib-compresses each block body, so the file stays seekable.
+    and stored in the v1/v3 header.  ``compress=True`` (v3 only)
+    zlib-compresses each block body, so the file stays seekable.
     """
     merged = dict(trace.metadata)
     if metadata:
         merged.update(metadata)
-    if version == 0 and trace.metadata and not metadata:
-        # v0 has no metadata block; a trace that merely *carries* metadata
-        # can still be saved (dropping it), but explicitly passing metadata
-        # to a v0 save is a caller error handled by the writer.
-        merged = {}
     writer = open_trace_writer(
         path,
         version=version,

@@ -9,6 +9,7 @@ exactly, including the rendered terminal tables.
 """
 
 from dataclasses import asdict
+from pathlib import Path
 
 import gzip
 
@@ -29,6 +30,8 @@ from repro.workloads import (
     load_trace,
     save_trace,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 # --------------------------------------------------------------- seed oracle
@@ -120,9 +123,11 @@ def _materialized_analyze(trace, death_buckets=10):
 
 # ---------------------------------------------------- format battery (seeded)
 def _save(trace, tmp_path, tag):
-    if tag == "v0":
-        path = tmp_path / "t.v0"
-        save_trace(trace, path, version=0)
+    if tag == "v0":  # read-only: the fixture the retired v0 writer saved
+        path = DATA / "legacy-churn.v0"
+        assert [(r.op, r.name, r.size) for r in load_trace(path)] == [
+            (r.op, str(r.name), r.size) for r in trace
+        ]
     elif tag == "v1":
         path = tmp_path / "t.v1"
         save_trace(trace, path, version=1)

@@ -86,12 +86,15 @@ def test_trace_convert_refuses_v2_output(v1_trace_file, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_trace_convert_to_v0_drops_metadata_with_note(v1_trace_file, tmp_path, capsys):
-    trace, path = v1_trace_file
+def test_trace_convert_refuses_v0_output(v1_trace_file, tmp_path, capsys):
+    """v0 is read-only: ``--format v0`` is not a choice (argparse exit 2)."""
+    _, path = v1_trace_file
     out = tmp_path / "t.v0"
-    assert main(["trace", "convert", str(path), str(out), "--format", "v0"]) == 0
-    assert "cannot carry metadata" in capsys.readouterr().err
-    assert load_trace(out).metadata == {}
+    with pytest.raises(SystemExit) as caught:
+        main(["trace", "convert", str(path), str(out), "--format", "v0"])
+    assert caught.value.code == 2
+    assert "invalid choice: 'v0'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trace_info_reports_format_and_counts(v1_trace_file, tmp_path, capsys):

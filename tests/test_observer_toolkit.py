@@ -413,13 +413,15 @@ def test_spec_validation_covers_the_new_kinds():
         ).validate()
 
 
-def test_recorder_writes_v3_by_default_and_refuses_v2(tmp_path):
+def test_recorder_writes_v3_by_default_and_refuses_read_only_versions(tmp_path):
     trace = churn_trace(100, target_live=10, seed=1)
     path = tmp_path / "rec.v3"
     recorder = TraceRecorderObserver(str(path))
     EngineSession(FirstFitAllocator(), [recorder]).run(trace)
     assert recorder.export()["version"] == 3
     assert trace_info(path).version == 3
-    legacy = TraceRecorderObserver(str(tmp_path / "rec.v2"), version=2)
-    with pytest.raises(ValueError, match="read-only.*version=3"):
-        EngineSession(FirstFitAllocator(), [legacy]).run(trace)
+    for version in (0, 2):
+        legacy = TraceRecorderObserver(str(tmp_path / f"rec.v{version}"), version=version)
+        with pytest.raises(ValueError, match="read-only.*version=3"):
+            EngineSession(FirstFitAllocator(), [legacy]).run(trace)
+        assert not (tmp_path / f"rec.v{version}").exists()

@@ -6,7 +6,9 @@ huge — through every coexisting format and checks that all loaders agree
 request-for-request, so the formats cannot drift apart silently.  The
 read-only legacy v2 format is written by the frozen encoder in
 :mod:`benchmarks.legacy_codec`, byte-for-byte what the retired v2 writer
-produced.
+produced.  The read-only v0 text format is read from the committed fixture
+``tests/data/legacy-churn.v0`` (written by the retired v0 writer) or from
+lines these tests format themselves.
 """
 
 import gzip
@@ -19,6 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from benchmarks.legacy_codec import save_legacy_trace
 from repro.workloads import (
     Request,
+    UniformSizes,
     Trace,
     TraceFileSource,
     TraceFormatError,
@@ -41,6 +44,15 @@ def save_any(trace, path, version, compress=False, metadata=None):
         save_legacy_trace(trace, path, metadata=metadata, compress=compress)
     else:
         save_trace(trace, path, version=version, compress=compress, metadata=metadata)
+
+
+def write_v0(trace, path):
+    """Format ``trace`` as a headerless v0 text file: an optional ``# trace``
+    label line, then raw ``I name size`` / ``D name`` lines."""
+    lines = [f"# trace {trace.label}"]
+    for r in trace:
+        lines.append(f"I {r.name} {r.size}" if r.is_insert else f"D {r.name}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def build_trace(names, sizes, shuffle_seed, label="t", metadata=None):
@@ -111,7 +123,7 @@ def test_v1_label_and_metadata_round_trip(tmp_path):
 @pytest.mark.parametrize("version", [0, 1])
 def test_empty_trace_round_trips(tmp_path, version):
     path = tmp_path / f"empty-v{version}.txt"
-    save_trace(Trace([], label="empty"), path, version=version)
+    (write_v0 if version == 0 else save_trace)(Trace([], label="empty"), path)
     loaded = load_trace(path)
     assert len(loaded) == 0
     assert loaded.label == "empty"
@@ -135,15 +147,17 @@ def test_v0_round_trip_safe_names(tmp_path_factory, names, data):
     sizes = [data.draw(st.integers(min_value=1, max_value=64)) for _ in names]
     trace = build_trace(names, sizes, shuffle_seed=data.draw(st.integers(0, 99)))
     path = tmp_path_factory.mktemp("v0") / "trace.txt"
-    save_trace(trace, path, version=0)
+    write_v0(trace, path)
     assert_round_trip(trace, load_trace(path))
 
 
-@pytest.mark.parametrize("name", ["a b", "tab\tname", "line\nbreak", ""])
-def test_v0_save_rejects_unsafe_names_with_clear_error(tmp_path, name):
-    trace = Trace([Request.insert(name, 1)])
-    with pytest.raises(ValueError, match="v0 trace format"):
-        save_trace(trace, tmp_path / "bad.txt", version=0)
+@pytest.mark.parametrize("compress", [False, True])
+def test_v0_writes_are_refused_naming_v1_and_v3(tmp_path, compress):
+    with pytest.raises(ValueError, match="v0 text trace format is read-only.*version=1 or version=3"):
+        open_trace_writer(tmp_path / "x.v0", version=0, compress=compress)
+    with pytest.raises(ValueError, match="read-only"):
+        save_trace(Trace([Request.insert("a", 1)]), tmp_path / "y.v0", version=0)
+    assert not (tmp_path / "x.v0").exists() and not (tmp_path / "y.v0").exists()
 
 
 def test_v0_legacy_file_still_loads(tmp_path):
@@ -280,33 +294,23 @@ def test_cross_format_loaders_agree(tmp_path, seed, requests):
         assert loaded.metadata == trace.metadata, tag
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_cross_format_v0_agrees_on_safe_names(tmp_path, seed):
-    """Traces restricted to v0-safe names round-trip identically through all
-    four formats, including the legacy one."""
-    rng = random.Random(seed)
-    live = {}
-    out = []
-    for _ in range(120):
-        if live and rng.random() < 0.4:
-            name = rng.choice(sorted(live))
-            live.pop(name)
-            out.append(Request.delete(name))
-        else:
-            name = f"n{rng.randint(0, 30)}"
-            if name in live:
-                continue
-            live[name] = rng.randint(1, 512)
-            out.append(Request.insert(name, live[name]))
-    trace = Trace(out, label=f"safe-{seed}")
+@pytest.mark.parametrize(
+    "version, compress", [(1, False), (2, False), (2, True), (3, False), (3, True)]
+)
+def test_cross_format_v0_agrees_on_safe_names(tmp_path, version, compress):
+    """The committed v0 fixture (v0-safe names) reads back as the trace it
+    was written from, and re-encoding it through each other format,
+    including the legacy v2, keeps it request-for-request."""
+    trace = churn_trace(1500, UniformSizes(1, 80), target_live=60, seed=21, label="battery")
     expected = [(r.op, str(r.name), r.size if r.is_insert else 0) for r in trace]
-    loads = {}
-    for version, compress in [(0, False), (1, False), (2, False), (2, True), (3, False)]:
-        path = tmp_path / f"t.v{version}{'z' if compress else ''}"
-        save_any(trace, path, version, compress=compress)
-        loads[path] = requests_of(load_trace(path))
-        assert loads[path] == expected, path
-        assert requests_of(iter_trace(path)) == expected, path
+    fixture = DATA / "legacy-churn.v0"
+    assert requests_of(load_trace(fixture)) == expected
+    assert requests_of(iter_trace(fixture)) == expected
+    path = tmp_path / f"t.v{version}{'z' if compress else ''}"
+    save_any(load_trace(fixture), path, version, compress=compress)
+    assert requests_of(load_trace(path)) == expected
+    assert requests_of(iter_trace(path)) == expected
+    assert load_trace(path).label == "battery"
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
