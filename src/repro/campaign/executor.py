@@ -10,9 +10,9 @@ parallel, and :func:`run_campaign` fans them out over a ``multiprocessing``
 pool when ``jobs > 1``.
 
 Resumption: ``run_campaign(..., completed=...)`` accepts records from an
-earlier run keyed by ``cell_id``; cells with a previous ``"ok"`` record are
+earlier run keyed by ``cell_id``; cells :func:`reusable_record` accepts are
 not re-executed — the old record is carried over (re-indexed, stamped
-``"resumed": true``) and only the missing or failed cells run.
+``"resumed": true``) and only the missing, failed or stale cells run.
 
 Crash safety: ``run_campaign(..., journal=...)`` appends every freshly
 executed record to a :class:`~repro.campaign.queue.CellJournal` the moment
@@ -86,6 +86,26 @@ class CampaignResult:
     @property
     def error_records(self) -> List[Dict[str, Any]]:
         return [r for r in self.records if r["status"] == "error"]
+
+
+def reusable_record(
+    completed: Optional[Dict[str, Dict[str, Any]]], cell: CampaignCell
+) -> Optional[Dict[str, Any]]:
+    """``cell``'s record from an earlier run (``completed`` maps ``cell_id``
+    to record), re-indexed and stamped ``"resumed": true``; ``None`` when
+    the cell must run again — no record, not ``"ok"``, or stale (another
+    derived seed, observer configuration or :data:`RECORD_VERSION`).  The
+    one reuse rule of both :func:`run_campaign` and the work queue."""
+    previous = (completed or {}).get(cell.cell_id)
+    if (
+        previous is None
+        or previous.get("status") != "ok"
+        or previous.get("seed") != cell.seed
+        or previous.get("observers", []) != list(cell.observers)
+        or previous.get("record_version") != RECORD_VERSION
+    ):
+        return None
+    return dict(previous, index=cell.index, resumed=True)
 
 
 def run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -277,14 +297,10 @@ def run_campaign(
 
     ``completed`` maps ``cell_id`` to a record from an earlier run of the
     same spec (see :func:`repro.campaign.artifacts.completed_records`).  A
-    cell is skipped only when its previous record is ``"ok"`` *and*
-    provably interchangeable — same derived seed, same observer
-    configuration, same :data:`RECORD_VERSION` — in which case the old
-    record is reused (re-indexed, stamped ``"resumed": true``) and only the
-    remaining cells execute; this is what ``repro sweep --resume`` uses to
-    finish a half-completed sweep.  Anything stale (different campaign
-    seed, changed observer parameters, records from an older release)
-    simply re-runs.
+    cell is skipped only when :func:`reusable_record` accepts its previous
+    record, which is carried into the result; only the remaining cells
+    execute.  This is what ``repro sweep --resume`` uses to finish a
+    half-completed sweep; anything stale simply re-runs.
 
     ``telemetry=True`` (or an enabled process-current telemetry session)
     makes every cell capture counter/span snapshots into its record; the
@@ -321,17 +337,8 @@ def run_campaign(
     payloads: List[Dict[str, Any]] = []
     reused: List[Dict[str, Any]] = []
     for cell in cells:
-        previous = completed.get(cell.cell_id) if completed else None
-        if (
-            previous is not None
-            and previous.get("status") == "ok"
-            and previous.get("seed") == cell.seed
-            and previous.get("observers", []) == list(cell.observers)
-            and previous.get("record_version") == RECORD_VERSION
-        ):
-            record = dict(previous)
-            record["index"] = cell.index
-            record["resumed"] = True
+        record = reusable_record(completed, cell)
+        if record is not None:
             reused.append(record)
         else:
             payload = cell.payload()

@@ -64,7 +64,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.artifacts import campaign_to_dict, load_results, write_results
-from repro.campaign.executor import RECORD_VERSION, CampaignResult, ProgressCallback, run_cell
+from repro.campaign.executor import (
+    RECORD_VERSION,
+    CampaignResult,
+    ProgressCallback,
+    reusable_record,
+    run_cell,
+)
 from repro.campaign.spec import CampaignSpec
 from repro.faults.clock import get_clock
 from repro.faults.injector import fault_point, fault_write
@@ -238,8 +244,11 @@ def enqueue_campaign(
 
     Writes ``spec.json`` plus one ``queue/cell-NNNN.json`` payload per cell.
     ``completed`` (``cell_id`` -> earlier ok record, see
-    :func:`~repro.campaign.artifacts.completed_records`) skips cells that
-    already have a durable result — the resume path for queues.  Returns
+    :func:`~repro.campaign.artifacts.completed_records`) skips the cells
+    whose record :func:`~repro.campaign.executor.reusable_record` accepts —
+    the resume path for queues.  The reused records go to the
+    ``journal/resumed.jsonl`` journal, so :func:`merge_queue` folds them in
+    like any worker's record, whichever directory they came from.  Returns
     the number of cells enqueued.  Re-enqueueing into a live queue is
     refused: pending payloads or leases mean another campaign (or a previous
     interrupted enqueue) still owns the directory.
@@ -265,9 +274,15 @@ def enqueue_campaign(
     with open(spec_path(directory), "w", encoding="utf-8") as handle:
         json.dump(spec.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
+    cells = spec.expand()
+    reused = [reusable_record(completed, cell) for cell in cells]
+    if any(reused):
+        with CellJournal(os.path.join(journal_dir(directory), "resumed.jsonl")) as journal:
+            for record in filter(None, reused):
+                journal.append(record)
     enqueued = 0
-    for cell in spec.expand():
-        if completed and completed.get(cell.cell_id, {}).get("status") == "ok":
+    for cell, record in zip(cells, reused):
+        if record is not None:
             continue
         payload = cell.payload()
         if telemetry:

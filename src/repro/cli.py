@@ -581,7 +581,7 @@ def _cmd_sweep_enqueue(args: argparse.Namespace) -> int:
     except (QueueError, OSError, ValueError) as error:
         print(f"repro sweep enqueue: {error}", file=sys.stderr)
         return 2
-    skipped = len(completed) if completed else 0
+    skipped = len(spec.expand()) - enqueued
     line = f"enqueued {enqueued} cell(s) into {directory}"
     if skipped:
         line += f" ({skipped} already complete in results.json)"
@@ -918,8 +918,11 @@ def _run_queue_mode(args: argparse.Namespace, spec, out_dir, completed, profile_
         return 2
     print(document_table(merged.document).to_text())
     print()
-    if completed:
-        print(f"resumed: {len(completed)} cell(s) reused from {args.resume}")
+    from repro.campaign.executor import reusable_record
+
+    resumed = sum(reusable_record(completed, cell) is not None for cell in spec.expand())
+    if resumed:
+        print(f"resumed: {resumed} cell(s) reused from {args.resume}")
     print(
         f"queue: {merged.from_journals} record(s) from {len(merged.workers)} worker(s)"
     )

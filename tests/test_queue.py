@@ -310,3 +310,56 @@ def test_cli_sweep_rejects_stray_positional(tmp_path, capsys):
     spec_path = write_spec(tmp_path)
     assert main(["sweep", str(spec_path), "extra"]) == 2
     assert "unexpected extra argument" in capsys.readouterr().err
+
+
+def _resume_point(tmp_path, spec_path, errors=(0, 1), stale=()):
+    """A finished sweep in ``A`` whose records at ``errors`` are marked
+    failed and whose records at ``stale`` carry an older record version."""
+    from repro.campaign.executor import RECORD_VERSION
+
+    source = tmp_path / "A"
+    assert main(["sweep", str(spec_path), "--out", str(source), "--quiet"]) == 0
+    document = json.loads((source / "results.json").read_text(encoding="utf-8"))
+    for index in errors:
+        document["records"][index]["status"] = "error"
+    for index in stale:
+        document["records"][index]["record_version"] = RECORD_VERSION - 1
+    (source / "results.json").write_text(json.dumps(document), encoding="utf-8")
+    return source
+
+
+def _resumed_artifact(tmp_path, spec_path, source, mode, capsys):
+    out = tmp_path / mode
+    flag = "--jobs" if mode == "jobs" else "--workers"
+    argv = ["sweep", str(spec_path), flag, "2", "--resume", str(source), "--out", str(out)]
+    assert main(argv + ["--quiet"]) == 0
+    capsys.readouterr()
+    document = load_results(out / "results.json")
+    assert "interrupted" not in document
+    timing = ("elapsed_seconds", "resources", "telemetry", "profile", "worker")
+    records = [{k: v for k, v in r.items() if k not in timing} for r in document["records"]]
+    return {k: document[k] for k in ("cells", "ok", "errors")}, records
+
+
+def test_resume_into_a_fresh_out_keeps_reused_cells_on_both_paths(tmp_path, capsys):
+    """A resumed sweep carries the reused records into a new ``--out`` the
+    same way whether it runs over a pool or a work queue."""
+    spec_path = write_spec(tmp_path)
+    source = _resume_point(tmp_path, spec_path)
+    pooled = _resumed_artifact(tmp_path, spec_path, source, "jobs", capsys)
+    queued = _resumed_artifact(tmp_path, spec_path, source, "workers", capsys)
+    assert pooled[0] == {"cells": 4, "ok": 4, "errors": 0}
+    assert queued == pooled
+    assert [bool(r.get("resumed")) for r in queued[1]] == [False, False, True, True]
+
+
+def test_resume_reruns_records_of_an_older_record_version_on_both_paths(tmp_path, capsys):
+    from repro.campaign.executor import RECORD_VERSION
+
+    spec_path = write_spec(tmp_path)
+    source = _resume_point(tmp_path, spec_path, errors=(0,), stale=(2,))
+    pooled = _resumed_artifact(tmp_path, spec_path, source, "jobs", capsys)
+    queued = _resumed_artifact(tmp_path, spec_path, source, "workers", capsys)
+    assert queued == pooled
+    assert [bool(r.get("resumed")) for r in queued[1]] == [False, True, False, True]
+    assert {r["record_version"] for r in queued[1]} == {RECORD_VERSION}
