@@ -900,6 +900,7 @@ def _journaled_records(directory: str, spec, completed):
 
 def _run_queue_mode(args: argparse.Namespace, spec, out_dir, completed, profile_dir) -> int:
     from repro.campaign import SpecError, document_table, run_queue_sweep
+    from repro.campaign.executor import reusable_record
     from repro.campaign.queue import DEFAULT_LEASE_TTL, QueueError
 
     try:
@@ -918,8 +919,6 @@ def _run_queue_mode(args: argparse.Namespace, spec, out_dir, completed, profile_
         return 2
     print(document_table(merged.document).to_text())
     print()
-    from repro.campaign.executor import reusable_record
-
     resumed = sum(reusable_record(completed, cell) is not None for cell in spec.expand())
     if resumed:
         print(f"resumed: {resumed} cell(s) reused from {args.resume}")
