@@ -1,10 +1,10 @@
 """Campaign engine: declarative sweep matrices over the reproduction harness.
 
 A *campaign* expands a declarative spec (workloads x allocators x cost
-functions x device models) into independent cells, runs them — serially or
-over a ``multiprocessing`` pool — with per-cell seeding and fault isolation,
-and writes structured artifacts (``results.json`` / ``results.csv``) plus
-the same ASCII tables the registered experiments print.  The companion
+functions x device models) into independent cells, drains them through a
+work queue — in-process or over worker processes — with per-cell seeding
+and fault isolation, and writes structured artifacts (``results.json`` /
+``results.csv``) plus the same ASCII tables the registered experiments print.  The companion
 :mod:`~repro.campaign.analyze` module characterises any trace (footprint
 profile, size/lifetime distributions, death-time grouping) before it is
 swept.
@@ -34,7 +34,7 @@ from repro.campaign.diff import (
     diff_table,
     parse_tolerances,
 )
-from repro.campaign.executor import CampaignResult, run_campaign, run_cell
+from repro.campaign.executor import CampaignResult, run_cell
 from repro.campaign.progress import ProgressReporter
 from repro.campaign.queue import (
     CellJournal,
@@ -44,7 +44,7 @@ from repro.campaign.queue import (
     enqueue_campaign,
     merge_queue,
     read_journal,
-    run_queue_sweep,
+    run_campaign,
     work_queue,
 )
 from repro.campaign.spec import (
@@ -102,7 +102,6 @@ __all__ = [
     "read_journal",
     "run_campaign",
     "run_cell",
-    "run_queue_sweep",
     "work_queue",
     "write_results",
 ]

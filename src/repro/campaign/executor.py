@@ -1,38 +1,30 @@
-"""Parallel campaign execution.
+"""Campaign cell execution.
 
 Each :class:`~repro.campaign.spec.CampaignCell` is an independent unit of
 work: build the trace from the cell seed, replay it on a freshly built
 allocator through :meth:`~repro.engine.EngineSession.run` (the device
 model rides along as a :class:`~repro.engine.DeviceObserver`, any observers
 requested by the spec are attached per cell), then charge the execution
-under the cell's cost function.  Cells are therefore embarrassingly
-parallel, and :func:`run_campaign` fans them out over a ``multiprocessing``
-pool when ``jobs > 1``.
+under the cell's cost function.  :func:`run_cell` does exactly that for one
+cell payload; :func:`repro.campaign.queue.run_campaign` drains a whole
+campaign through the work queue, in the calling process or over worker
+processes.
 
-Resumption: ``run_campaign(..., completed=...)`` accepts records from an
-earlier run keyed by ``cell_id``; cells :func:`reusable_record` accepts are
-not re-executed — the old record is carried over (re-indexed, stamped
-``"resumed": true``) and only the missing, failed or stale cells run.
+Resumption: :func:`reusable_record` is the one rule that decides whether a
+record from an earlier run is carried over (re-indexed, stamped
+``"resumed": true``) instead of re-running its cell; anything missing,
+failed or stale simply runs again.
 
-Crash safety: ``run_campaign(..., journal=...)`` appends every freshly
-executed record to a :class:`~repro.campaign.queue.CellJournal` the moment
-it completes, and a ``KeyboardInterrupt`` mid-run (serial or pooled) stops
-the sweep but *keeps* the records finished so far — the result is stamped
-``metadata["interrupted"] = True`` so the artifact writer marks it and a
-later ``--resume`` picks up the missing cells instead of restarting.
-
-Fault isolation: the worker traps *any* exception (unknown spec kinds, bad
-parameters, allocator bugs mid-trace) and returns an error record carrying
-the traceback, so one broken cell shows up in the artifact instead of
-killing the sweep.  Determinism: a cell's result depends only on its payload
-(the seed is derived in the spec layer), so a parallel run produces exactly
-the same records as a serial one, just possibly finishing out of order; the
-campaign reorders them by cell index before returning.
+Fault isolation: :func:`run_cell` traps *any* exception (unknown spec
+kinds, bad parameters, allocator bugs mid-trace) and returns an error
+record carrying the traceback, so one broken cell shows up in the artifact
+instead of killing the sweep.  Determinism: a cell's result depends only on
+its payload (the seed is derived in the spec layer), so any number of
+workers produces exactly the records of a serial run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import traceback
@@ -42,7 +34,6 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.campaign.spec import (
     CampaignCell,
     CampaignSpec,
-    SpecError,
     build_allocator,
     build_cost,
     build_device,
@@ -52,7 +43,7 @@ from repro.campaign.spec import (
 from repro.engine import DeviceObserver, Observer
 from repro.metrics.collector import run_trace
 from repro.obs.resources import resource_record, snapshot_resources
-from repro.obs.telemetry import MemorySink, Telemetry, get_telemetry, use_telemetry
+from repro.obs.telemetry import MemorySink, Telemetry, use_telemetry
 
 #: Called after each cell finishes: ``progress(done, total, record)``.
 ProgressCallback = Callable[[int, int, Dict[str, Any]], None]
@@ -95,7 +86,7 @@ def reusable_record(
     to record), re-indexed and stamped ``"resumed": true``; ``None`` when
     the cell must run again — no record, not ``"ok"``, or stale (another
     derived seed, observer configuration or :data:`RECORD_VERSION`).  The
-    one reuse rule of both :func:`run_campaign` and the work queue."""
+    one reuse rule of every resume and of the queue's merge."""
     previous = (completed or {}).get(cell.cell_id)
     if (
         previous is None
@@ -114,7 +105,7 @@ def run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     Every record carries a ``resources`` field (CPU time, peak RSS, GC
     deltas over the cell).  With ``payload["telemetry"]`` set, the cell runs
     under its own in-memory telemetry session — the process-current session
-    is swapped for the duration, so pool workers never write to a sink
+    is swapped for the duration, so worker processes never write to a sink
     inherited over ``fork`` — and its counter values and span events land in
     ``record["telemetry"]``.  ``payload["profile_dir"]`` additionally wraps
     the cell in ``cProfile`` and dumps ``cell-<index>.pstats`` there.
@@ -181,7 +172,7 @@ def _execute(payload: Dict[str, Any]) -> Dict[str, Any]:
     spec_observers = [build_observer(entry) for entry in payload.get("observers", [])]
     for observer in spec_observers:
         # Cell-aware observers (e.g. trace_recorder's "{cell}" path
-        # placeholder) learn which cell they instrument; parallel cells
+        # placeholder) learn which cell they instrument; concurrent cells
         # must never share an output path.
         bind = getattr(observer, "bind_cell", None)
         if callable(bind):
@@ -199,7 +190,7 @@ def _execute(payload: Dict[str, Any]) -> Dict[str, Any]:
         observers=observers,
         # Streaming replay workloads may request a sharded replay of their
         # block-indexed trace ("jobs": N in the spec entry); everything else
-        # replays serially.  Inside a pooled campaign worker the sharded
+        # replays serially.  Inside a campaign worker process the sharded
         # path falls back to serial on its own (no nested pools).
         jobs=int(getattr(trace, "replay_jobs", 1)),
     )
@@ -241,165 +232,3 @@ def _execute(payload: Dict[str, Any]) -> Dict[str, Any]:
         if key and callable(export):
             result[key] = export()
     return result
-
-
-def _emit_cell_telemetry(telemetry: Telemetry, record: Dict[str, Any]) -> None:
-    """Re-emit one finished cell's telemetry into the campaign-level sink.
-
-    Pool workers buffer their cell's events in memory (they cannot share
-    the parent's JSONL file handle); as each record arrives the parent
-    stamps the events with the cell id and forwards them, which is what
-    lets ``repro obs report`` render per-cell span trees from one log.
-    Cell counter values are per-cell totals, i.e. deltas of the whole log,
-    so the report's per-name summation stays correct.
-    """
-    if not telemetry.enabled:
-        return
-    cell_id = str(record.get("cell_id", "?"))
-    telemetry.event(
-        "cell.done",
-        cell=cell_id,
-        status=record.get("status"),
-        elapsed_seconds=record.get("elapsed_seconds"),
-        resumed=bool(record.get("resumed")),
-    )
-    resources = record.get("resources")
-    if isinstance(resources, dict):
-        telemetry.emit("resources", "cell", cell=cell_id, fields=resources)
-    cell_data = record.get("telemetry")
-    if not isinstance(cell_data, dict):
-        return
-    for span in cell_data.get("spans", []):
-        event = dict(span)
-        event["cell"] = cell_id
-        telemetry.ingest(event)
-    now = round(telemetry.now(), 6)
-    for name, value in cell_data.get("counters", {}).items():
-        if value:
-            telemetry.ingest({"ev": "counter", "name": name, "t": now, "value": value, "cell": cell_id})
-    for name, value in cell_data.get("gauges", {}).items():
-        telemetry.ingest({"ev": "gauge", "name": name, "t": now, "value": value, "cell": cell_id})
-
-
-def run_campaign(
-    spec: CampaignSpec,
-    jobs: int = 1,
-    progress: Optional[ProgressCallback] = None,
-    completed: Optional[Dict[str, Dict[str, Any]]] = None,
-    telemetry: bool = False,
-    profile_dir: Optional[str] = None,
-    journal: Optional[Any] = None,
-) -> CampaignResult:
-    """Run every cell of ``spec``, serially or over ``jobs`` processes.
-
-    ``jobs <= 0`` means one worker per available CPU.  The returned records
-    are ordered by cell index regardless of completion order.
-
-    ``completed`` maps ``cell_id`` to a record from an earlier run of the
-    same spec (see :func:`repro.campaign.artifacts.completed_records`).  A
-    cell is skipped only when :func:`reusable_record` accepts its previous
-    record, which is carried into the result; only the remaining cells
-    execute.  This is what ``repro sweep --resume`` uses to finish a
-    half-completed sweep; anything stale simply re-runs.
-
-    ``telemetry=True`` (or an enabled process-current telemetry session)
-    makes every cell capture counter/span snapshots into its record; the
-    campaign re-emits them — stamped with the cell id — into the current
-    session's sink.  ``profile_dir`` enables per-cell ``cProfile`` dumps.
-
-    ``journal`` (anything with an ``append(record)`` method, normally a
-    :class:`~repro.campaign.queue.CellJournal`) receives every freshly
-    executed record the moment it finishes, so completed work survives a
-    crash that never reaches the artifact writer.  A ``KeyboardInterrupt``
-    mid-run is trapped: the records completed so far are returned (and
-    journaled) and ``metadata["interrupted"]`` is set.
-    """
-    cells = spec.expand()
-    session = get_telemetry()
-    telemetry = bool(telemetry) or session.enabled
-    if profile_dir:
-        os.makedirs(profile_dir, exist_ok=True)
-    if len(cells) > 1:
-        # A recorder path without the {cell} placeholder would be opened
-        # (and truncated) by every cell: serially each cell destroys the
-        # previous recording, in parallel the interleaved writes corrupt
-        # the file — while every record still claims its own recording.
-        for entry in spec.observers:
-            if entry.get("kind") == "trace_recorder" and "{cell}" not in str(
-                entry.get("path", "")
-            ):
-                raise SpecError(
-                    f"trace_recorder path {entry.get('path')!r} is shared by "
-                    f"{len(cells)} cells; add a '{{cell}}' placeholder (replaced "
-                    "by the cell index) so cells do not clobber one another's "
-                    "recording"
-                )
-    payloads: List[Dict[str, Any]] = []
-    reused: List[Dict[str, Any]] = []
-    for cell in cells:
-        record = reusable_record(completed, cell)
-        if record is not None:
-            reused.append(record)
-        else:
-            payload = cell.payload()
-            if telemetry:
-                payload["telemetry"] = True
-            if profile_dir:
-                payload["profile_dir"] = profile_dir
-            payloads.append(payload)
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    jobs = min(jobs, max(1, len(payloads)))
-
-    started = time.perf_counter()
-    records: List[Dict[str, Any]] = list(reused)
-    done = 0
-    interrupted = False
-
-    def collect(record: Dict[str, Any]) -> None:
-        # Durability first: the record reaches the journal before anything
-        # that might raise (telemetry sinks, progress callbacks), so a
-        # Ctrl-C landing in either never loses a finished cell.
-        nonlocal done
-        records.append(record)
-        if journal is not None:
-            journal.append(record)
-        _emit_cell_telemetry(session, record)
-        done += 1
-        if progress is not None:
-            progress(done, len(payloads), record)
-
-    with session.span("sweep.run", campaign=spec.name, cells=len(cells), jobs=jobs):
-        try:
-            if jobs == 1:
-                for payload in payloads:
-                    collect(run_cell(payload))
-            else:
-                with multiprocessing.Pool(processes=jobs) as pool:
-                    for record in pool.imap_unordered(run_cell, payloads):
-                        collect(record)
-        except KeyboardInterrupt:
-            # The sweep stops here, but every completed record is already
-            # collected (and journaled): the caller writes a partial artifact
-            # stamped "interrupted" and --resume finishes the matrix later.
-            # The pool context manager terminates any still-running workers.
-            interrupted = True
-    session.flush()
-    records.sort(key=lambda r: r["index"])
-    elapsed = time.perf_counter() - started
-
-    return CampaignResult(
-        spec=spec,
-        records=records,
-        jobs=jobs,
-        elapsed_seconds=elapsed,
-        metadata={
-            "cells": len(records),
-            "ok": sum(1 for r in records if r["status"] == "ok"),
-            "errors": sum(1 for r in records if r["status"] == "error"),
-            "resumed": len(reused),
-            "interrupted": interrupted,
-            "telemetry": telemetry,
-            "profile_dir": profile_dir,
-        },
-    )

@@ -46,16 +46,21 @@ The protocol needs nothing but POSIX file semantics:
 :func:`merge_queue` folds every journal plus any previous ``results.json``
 into the canonical artifact (atomically, via
 :func:`~repro.campaign.artifacts.write_results`), reporting cells still
-pending; ``repro sweep SPEC --workers N`` wraps enqueue → N local workers →
-merge into one command.
+pending.  Every sweep runs this way: :func:`run_campaign` (``repro sweep
+SPEC --jobs N``) wraps enqueue → drain in-process or over N local workers →
+merge into one call.
 """
 
 from __future__ import annotations
 
 import errno
+import itertools
 import json
+import multiprocessing
 import os
+import queue as stdlib_queue
 import socket
+import tempfile
 import threading
 import time
 import traceback as _traceback
@@ -71,11 +76,12 @@ from repro.campaign.executor import (
     reusable_record,
     run_cell,
 )
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignCell, CampaignSpec, SpecError
+from repro.engine.parallel import SWEEP_WORKER_ENV
 from repro.faults.clock import get_clock
 from repro.faults.injector import fault_point, fault_write
 from repro.faults.retry import RetryPolicy
-from repro.obs.telemetry import get_telemetry
+from repro.obs.telemetry import Telemetry, get_telemetry, reset_telemetry
 
 #: Default lease time-to-live: a worker that has not finished a cell within
 #: this many seconds — heartbeats refresh the lease while a cell runs, see
@@ -97,6 +103,8 @@ MAX_CONSECUTIVE_WORKER_ERRORS = 3
 _QUEUE_SUBDIR = "queue"
 _LEASE_SUBDIR = "leases"
 _JOURNAL_SUBDIR = "journal"
+#: The journal :func:`enqueue_campaign` writes a resume's reused records to.
+_RESUMED_JOURNAL = "resumed"
 
 
 class QueueError(ValueError):
@@ -246,13 +254,30 @@ def enqueue_campaign(
     ``completed`` (``cell_id`` -> earlier ok record, see
     :func:`~repro.campaign.artifacts.completed_records`) skips the cells
     whose record :func:`~repro.campaign.executor.reusable_record` accepts —
-    the resume path for queues.  The reused records go to the
+    the resume path for queues.  The reused records replace the
     ``journal/resumed.jsonl`` journal, so :func:`merge_queue` folds them in
     like any worker's record, whichever directory they came from.  Returns
     the number of cells enqueued.  Re-enqueueing into a live queue is
     refused: pending payloads or leases mean another campaign (or a previous
-    interrupted enqueue) still owns the directory.
+    interrupted enqueue) still owns the directory.  So is a ``trace_recorder``
+    path that several cells would share, before anything is written.
     """
+    cells = spec.expand()
+    if len(cells) > 1:
+        # A recorder path without the {cell} placeholder would be opened
+        # (and truncated) by every cell: serially each cell destroys the
+        # previous recording, in parallel the interleaved writes corrupt
+        # the file — while every record still claims its own recording.
+        for entry in spec.observers:
+            if entry.get("kind") == "trace_recorder" and "{cell}" not in str(
+                entry.get("path", "")
+            ):
+                raise SpecError(
+                    f"trace_recorder path {entry.get('path')!r} is shared by "
+                    f"{len(cells)} cells; add a '{{cell}}' placeholder (replaced "
+                    "by the cell index) so cells do not clobber one another's "
+                    "recording"
+                )
     directory = os.fspath(directory)
     queue_dir = _queue_dir(directory)
     try:
@@ -274,10 +299,14 @@ def enqueue_campaign(
     with open(spec_path(directory), "w", encoding="utf-8") as handle:
         json.dump(spec.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
-    cells = spec.expand()
+    if profile_dir:
+        os.makedirs(profile_dir, exist_ok=True)
     reused = [reusable_record(completed, cell) for cell in cells]
+    resumed_path = os.path.join(journal_dir(directory), f"{_RESUMED_JOURNAL}.jsonl")
+    if os.path.exists(resumed_path):
+        os.unlink(resumed_path)  # an earlier enqueue's reuse, now in results.json
     if any(reused):
-        with CellJournal(os.path.join(journal_dir(directory), "resumed.jsonl")) as journal:
+        with CellJournal(resumed_path) as journal:
             for record in filter(None, reused):
                 journal.append(record)
     enqueued = 0
@@ -545,8 +574,6 @@ def _run_cell_with_timeout(payload: Dict[str, Any], timeout: float) -> Dict[str,
     fault, a segfault) becomes ``worker_crash``.  Either way the worker
     survives and moves on.
     """
-    import multiprocessing
-
     receiver, sender = multiprocessing.Pipe(duplex=False)
     process = multiprocessing.Process(target=_timeout_cell_entry, args=(payload, sender))
     process.start()
@@ -698,15 +725,13 @@ def work_queue(
     return executed
 
 
-def _preferred(old: Optional[Dict[str, Any]], new: Dict[str, Any]) -> Dict[str, Any]:
-    """Deduplicate two records for the same cell: an ok record always wins
-    (re-runs are deterministic, so two ok records are interchangeable — the
-    first seen is kept for stability)."""
-    if old is None:
-        return new
-    if old.get("status") != "ok" and new.get("status") == "ok":
-        return new
-    return old
+def _rank(record: Dict[str, Any], cell: Optional[CampaignCell], journaled: bool) -> Tuple[bool, ...]:
+    """How strongly the merge prefers ``record`` for its cell, highest
+    first: a record :func:`~repro.campaign.executor.reusable_record` accepts
+    for the current spec; then a journaled record (this queue's own run)
+    over the previous ``results.json``; then ok over error."""
+    reusable = cell is not None and reusable_record({cell.cell_id: record}, cell) is not None
+    return (reusable, journaled, record.get("status") == "ok")
 
 
 @dataclass
@@ -715,6 +740,7 @@ class MergeResult:
 
     document: Dict[str, Any]
     paths: Dict[str, str]
+    result: CampaignResult
     records: int = 0
     from_journals: int = 0
     from_previous: int = 0
@@ -724,49 +750,65 @@ class MergeResult:
     workers: List[str] = field(default_factory=list)
 
 
+def _journal_paths(directory: str) -> List[str]:
+    journals = journal_dir(directory)
+    names = sorted(os.listdir(journals)) if os.path.isdir(journals) else []
+    return [os.path.join(journals, name) for name in names if name.endswith(".jsonl")]
+
+
 def merge_queue(
     directory: Union[str, os.PathLike],
     lease_ttl: float = DEFAULT_LEASE_TTL,
     skew_tolerance: float = DEFAULT_SKEW_TOLERANCE,
+    jobs: Optional[int] = None,
+    elapsed_seconds: Optional[float] = None,
 ) -> MergeResult:
     """Fold worker journals (and any previous artifact) into ``results.json``.
 
     * Journal records and the records of an existing merged ``results.json``
-      are deduplicated by ``cell_id`` (ok preferred — see :func:`_preferred`),
-      re-indexed against the spec, and written atomically through
-      :func:`~repro.campaign.artifacts.write_results`.
+      are deduplicated by ``cell_id`` (see :func:`_rank`; a tie goes to the
+      record read last), re-indexed against the spec, and written atomically
+      through :func:`~repro.campaign.artifacts.write_results`.
     * Leases whose heartbeat exceeded ``lease_ttl`` are reclaimed (their
       workers are dead), so the cells they held become claimable again.
-    * Cells still queued without an ok record are reported as ``pending``
-      and the document is stamped ``"interrupted": true`` so resume flows
-      treat the artifact as incomplete.
+    * Cells still queued without a reusable record are reported as
+      ``pending`` and the document is stamped ``"interrupted": true`` so
+      resume flows treat the artifact as incomplete.
+    * ``jobs`` defaults to the worker journal count (``resumed.jsonl`` is
+      none), ``elapsed_seconds`` to the sum of the cell times.
     """
     directory = os.fspath(directory)
     spec = load_queue_spec(directory)
     session = get_telemetry()
+    cells = spec.expand()
+    cell_by_id = {cell.cell_id: cell for cell in cells}
+    chosen: Dict[str, Tuple[Tuple[bool, ...], Dict[str, Any]]] = {}
 
-    by_cell: Dict[str, Dict[str, Any]] = {}
+    def offer(record: Dict[str, Any], journaled: bool) -> None:
+        rank = _rank(record, cell_by_id.get(record["cell_id"]), journaled)
+        held = chosen.get(record["cell_id"])
+        if held is None or rank >= held[0]:
+            chosen[record["cell_id"]] = (rank, record)
+
     from_previous = 0
     previous_path = results_path(directory)
     if os.path.exists(previous_path):
         for record in load_results(previous_path).get("records", []):
-            by_cell[record["cell_id"]] = _preferred(by_cell.get(record["cell_id"]), record)
+            offer(record, journaled=False)
             from_previous += 1
 
     from_journals = 0
     skipped_lines = 0
     workers: List[str] = []
-    journals_dir = journal_dir(directory)
-    if os.path.isdir(journals_dir):
-        for name in sorted(os.listdir(journals_dir)):
-            if not name.endswith(".jsonl"):
-                continue
-            workers.append(name[: -len(".jsonl")])
-            records, skipped = read_journal(os.path.join(journals_dir, name))
-            skipped_lines += skipped
-            for record in records:
-                by_cell[record["cell_id"]] = _preferred(by_cell.get(record["cell_id"]), record)
-                from_journals += 1
+    for path in _journal_paths(directory):
+        name = os.path.basename(path)[: -len(".jsonl")]
+        if name != _RESUMED_JOURNAL:
+            workers.append(name)
+        records, skipped = read_journal(path)
+        skipped_lines += skipped
+        for record in records:
+            offer(record, journaled=True)
+            from_journals += 1
 
     # Reclaim expired leases so dead workers' cells are re-queued, and drop
     # leases/payloads for cells that already completed (a worker died in the
@@ -774,16 +816,11 @@ def merge_queue(
     reclaimed = 0
     lease_dir = _lease_dir(directory)
     queue_dir = _queue_dir(directory)
-    cell_files = {}
-    if os.path.isdir(queue_dir):
-        for name in sorted(os.listdir(queue_dir)):
-            if name.endswith(".json"):
-                cell_files[name[: -len(".json")]] = os.path.join(queue_dir, name)
-    done_ids = {cell_id for cell_id, record in by_cell.items() if record.get("status") == "ok"}
+    queued = sorted(os.listdir(queue_dir)) if os.path.isdir(queue_dir) else []
+    done_ids = {cell_id for cell_id, (rank, _record) in chosen.items() if rank[0]}
     pending: List[str] = []
-    cells = spec.expand()
     name_by_index = {f"cell-{cell.index:04d}": cell for cell in cells}
-    for cell_name, cell_file in cell_files.items():
+    for cell_name in (name[: -len(".json")] for name in queued if name.endswith(".json")):
         cell = name_by_index.get(cell_name)
         if cell is not None and cell.cell_id in done_ids:
             complete_cell(directory, cell_name)
@@ -799,20 +836,21 @@ def merge_queue(
     # no longer in the spec (a narrowed re-enqueue) are dropped.
     records: List[Dict[str, Any]] = []
     for cell in cells:
-        record = by_cell.get(cell.cell_id)
-        if record is not None:
-            record = dict(record)
+        held = chosen.get(cell.cell_id)
+        if held is not None:
+            record = dict(held[1])
             record["index"] = cell.index
             records.append(record)
 
-    elapsed = sum(float(r.get("elapsed_seconds", 0.0)) for r in records)
+    if elapsed_seconds is None:
+        elapsed_seconds = sum(float(r.get("elapsed_seconds", 0.0)) for r in records)
     result = CampaignResult(
         spec=spec,
         records=records,
-        jobs=max(1, len(workers)),
-        elapsed_seconds=elapsed,
+        jobs=jobs if jobs is not None else max(1, len(workers)),
+        elapsed_seconds=elapsed_seconds,
         metadata={
-            "resumed": from_previous,
+            "resumed": sum(1 for record in records if record.get("resumed")),
             "interrupted": bool(pending),
         },
     )
@@ -831,6 +869,7 @@ def merge_queue(
     return MergeResult(
         document=document,
         paths=paths,
+        result=result,
         records=len(records),
         from_journals=from_journals,
         from_previous=from_previous,
@@ -841,59 +880,207 @@ def merge_queue(
     )
 
 
-def _worker_entry(
-    directory: str, token: str, lease_ttl: float, cell_timeout: Optional[float] = None
+def _emit_cell_telemetry(telemetry: Telemetry, record: Dict[str, Any]) -> None:
+    """Re-emit one finished cell's telemetry into the campaign-level sink.
+
+    Cells buffer their events in memory (worker processes cannot share the
+    parent's JSONL file handle); as each record arrives the sweep stamps
+    the events with the cell id and forwards them, which is what lets
+    ``repro obs report`` render per-cell span trees from one log.  Cell
+    counter values are per-cell totals, i.e. deltas of the whole log, so
+    the report's per-name summation stays correct.
+    """
+    if not telemetry.enabled:
+        return
+    cell_id = str(record.get("cell_id", "?"))
+    telemetry.event(
+        "cell.done",
+        cell=cell_id,
+        status=record.get("status"),
+        elapsed_seconds=record.get("elapsed_seconds"),
+        resumed=bool(record.get("resumed")),
+    )
+    resources = record.get("resources")
+    if isinstance(resources, dict):
+        telemetry.emit("resources", "cell", cell=cell_id, fields=resources)
+    cell_data = record.get("telemetry")
+    if not isinstance(cell_data, dict):
+        return
+    for span in cell_data.get("spans", []):
+        event = dict(span)
+        event["cell"] = cell_id
+        telemetry.ingest(event)
+    now = round(telemetry.now(), 6)
+    for name, value in cell_data.get("counters", {}).items():
+        if value:
+            telemetry.ingest({"ev": "counter", "name": name, "t": now, "value": value, "cell": cell_id})
+    for name, value in cell_data.get("gauges", {}).items():
+        telemetry.ingest({"ev": "gauge", "name": name, "t": now, "value": value, "cell": cell_id})
+
+
+def _take_back_queue(directory: str, spec: CampaignSpec, lease_ttl: float) -> None:
+    """Drop the pending payloads an interrupted run of the same campaign
+    (name and seed) left in ``directory``, unless a live lease shows a worker
+    still draining them; :func:`enqueue_campaign` refuses any left over."""
+    queue_dir, lease_dir = _queue_dir(directory), _lease_dir(directory)
+    if not os.path.isdir(queue_dir) or not os.path.exists(spec_path(directory)):
+        return
+    queued = load_queue_spec(directory)
+    if (queued.name, queued.seed) != (spec.name, spec.seed):
+        return
+    for name in os.listdir(lease_dir) if os.path.isdir(lease_dir) else ():
+        age = _lease_age(os.path.join(lease_dir, name))
+        if age is not None and age <= lease_ttl + DEFAULT_SKEW_TOLERANCE:
+            return
+    for name in os.listdir(queue_dir):
+        if name.endswith(".json"):
+            os.unlink(os.path.join(queue_dir, name))
+
+
+def _release_leases(directory: str, token: str) -> None:
+    """Drop the leases stamped with ``token`` (every token of one sweep
+    starts with it): the cells it was running are claimable at once."""
+    lease_dir = _lease_dir(directory)
+    for name in os.listdir(lease_dir):
+        try:
+            with open(os.path.join(lease_dir, name), "r", encoding="utf-8") as handle:
+                owned = token in handle.read()
+        except OSError:
+            continue  # gone meanwhile; a torn stamp expires on its own
+        if owned and name.endswith(".lease"):
+            release_lease(directory, name[: -len(".lease")])
+
+
+def _sweep_worker(
+    directory: str, token: str, lease_ttl: float, cell_timeout: Optional[float], channel: Any
 ) -> None:
-    """Entry point for locally spawned worker processes."""
-    work_queue(directory, token=token, lease_ttl=lease_ttl, cell_timeout=cell_timeout)
+    """One :func:`run_campaign` worker process: drain the queue, sending
+    each finished record to the parent over ``channel``."""
+    os.environ[SWEEP_WORKER_ENV] = "1"  # this worker's replay cells stay serial
+    reset_telemetry()  # the parent re-emits each record's telemetry
+    try:
+        work_queue(
+            directory,
+            token=token,
+            lease_ttl=lease_ttl,
+            progress=lambda _done, _total, record: channel.put(record),
+            cell_timeout=cell_timeout,
+        )
+    except KeyboardInterrupt:
+        pass  # Ctrl-C reaches every worker; the parent reports it
 
 
-def run_queue_sweep(
+def run_campaign(
     spec: CampaignSpec,
-    directory: Union[str, os.PathLike],
-    workers: int,
+    jobs: int = 1,
+    progress: Optional[ProgressCallback] = None,
     completed: Optional[Dict[str, Dict[str, Any]]] = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
     telemetry: bool = False,
     profile_dir: Optional[str] = None,
+    directory: Optional[Union[str, os.PathLike]] = None,
+    lease_ttl: float = DEFAULT_LEASE_TTL,
     cell_timeout: Optional[float] = None,
-) -> MergeResult:
-    """Enqueue ``spec``, drain it with ``workers`` local processes, merge.
+) -> CampaignResult:
+    """Run every cell of ``spec``: enqueue into ``directory`` (a temporary
+    one when ``None``), drain — in this process when ``jobs == 1``, else
+    over ``jobs`` worker processes (``jobs <= 0``: one per CPU) — and merge.
 
-    This is ``repro sweep SPEC --workers N``: the local convenience wrapper
-    over the same queue protocol remote workers speak — the directory can be
-    drained by additional ``repro sweep work DIR`` processes on other hosts
-    at the same time.  ``workers <= 0`` means one per CPU.
+    Cells :func:`~repro.campaign.executor.reusable_record` accepts from
+    ``completed`` (``cell_id`` -> earlier record) or, when resuming, from
+    the journals of a hard-killed run in ``directory`` are reused; until
+    the merge the artifact holds them, stamped ``"interrupted"``.  Each
+    freshly run record reaches ``progress`` and (under ``telemetry``) the
+    session's sink in this process.  A ``KeyboardInterrupt`` releases the
+    sweep's leases and merges what finished, stamped ``"interrupted"``.
     """
-    import multiprocessing
-
-    if workers <= 0:
-        workers = os.cpu_count() or 1
+    if directory is None:
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as scratch:
+            return run_campaign(
+                spec, jobs, progress, completed, telemetry, profile_dir, scratch, lease_ttl,
+                cell_timeout,
+            )
     directory = os.fspath(directory)
+    session = get_telemetry()
+    telemetry = bool(telemetry) or session.enabled
+    cells = spec.expand()
+    _take_back_queue(directory, spec, lease_ttl)
+    # A previous run's journals are folded into this resume, or belong to
+    # the sweep this one replaces; they go once the enqueue has succeeded.
+    stale_journals = _journal_paths(directory)
+    cell_by_id = {cell.cell_id: cell for cell in cells}
+    for path in stale_journals if completed is not None else ():
+        for record in read_journal(path)[0]:
+            cell = cell_by_id.get(record["cell_id"])
+            if (
+                cell is not None
+                and reusable_record(completed, cell) is None
+                and reusable_record({cell.cell_id: record}, cell) is not None
+            ):
+                completed = dict(completed, **{cell.cell_id: record})
     enqueued = enqueue_campaign(
         spec, directory, completed=completed, telemetry=telemetry, profile_dir=profile_dir
     )
-    workers = min(workers, max(1, enqueued))
-    session = get_telemetry()
-    with session.span("queue.sweep", directory=directory, workers=workers, cells=enqueued):
-        processes = [
-            multiprocessing.Process(
-                target=_worker_entry,
-                args=(directory, f"{worker_token()}-w{rank}", lease_ttl, cell_timeout),
-            )
-            for rank in range(workers)
-        ]
-        for process in processes:
-            process.start()
+    for path in stale_journals:
+        if os.path.basename(path) != f"{_RESUMED_JOURNAL}.jsonl":  # enqueue rewrote it
+            os.unlink(path)
+    jobs = min(jobs if jobs > 0 else os.cpu_count() or 1, max(1, enqueued))
+    reused = [record for record in (reusable_record(completed, cell) for cell in cells) if record]
+    write_results(
+        CampaignResult(spec, reused, jobs, 0.0, {"resumed": len(reused), "interrupted": True}),
+        directory,
+    )
+
+    token = worker_token()
+    done = itertools.count(1)
+
+    def report(record: Dict[str, Any]) -> None:
+        _emit_cell_telemetry(session, record)
+        if progress is not None:
+            progress(next(done), enqueued, record)
+
+    started = time.perf_counter()
+    with session.span("sweep.run", campaign=spec.name, cells=len(cells), jobs=jobs):
         try:
-            for process in processes:
-                process.join()
+            if jobs == 1:
+                work_queue(
+                    directory,
+                    token=token,
+                    lease_ttl=lease_ttl,
+                    progress=lambda _done, _total, record: report(record),
+                    cell_timeout=cell_timeout,
+                )
+            else:
+                channel = multiprocessing.Queue()
+                processes = [
+                    multiprocessing.Process(
+                        target=_sweep_worker,
+                        args=(directory, f"{token}-w{rank}", lease_ttl, cell_timeout, channel),
+                    )
+                    for rank in range(jobs)
+                ]
+                try:
+                    for process in processes:
+                        process.start()
+                    while any(p.is_alive() for p in processes) or not channel.empty():
+                        try:
+                            report(channel.get(timeout=0.01))
+                        except stdlib_queue.Empty:
+                            pass
+                finally:  # on Ctrl-C, stop the rest; each loses one cell at most
+                    for process in processes:
+                        if process.is_alive():  # also reaps the exited ones
+                            process.terminate()
+                            process.join()
         except KeyboardInterrupt:
-            # Stop the fleet but keep everything already journaled: the merge
-            # below writes a partial artifact stamped "interrupted".
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            for process in processes:
-                process.join()
-    return merge_queue(directory, lease_ttl=lease_ttl)
+            pass  # every finished cell is journaled; the merge saves them
+    elapsed = time.perf_counter() - started
+    _release_leases(directory, token)
+    merged = merge_queue(directory, lease_ttl=lease_ttl, jobs=jobs, elapsed_seconds=elapsed)
+    # results.json now holds this run's journals; drop them so a later
+    # resume folds one copy, not two.
+    for path in _journal_paths(directory):
+        if os.path.basename(path).startswith((token, _RESUMED_JOURNAL)):
+            os.unlink(path)
+    result = merged.result
+    result.metadata.update(ok=len(result.ok_records), errors=len(result.error_records))
+    return result

@@ -109,16 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes in one pool (default 1 = serial; 0 = one per CPU)",
-    )
-    sweep_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
         help=(
-            "run the sweep through the file-backed work queue with N local "
-            "worker processes (0 = one per CPU), then merge; the queue "
+            "worker processes draining the sweep's file-backed work queue "
+            "(default 1 = in this process; 0 = one per CPU); the queue "
             "directory is <out>, and more 'repro sweep work <out>' workers "
             "may join from other hosts on a shared filesystem"
         ),
@@ -167,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "(work/merge/--workers) seconds before an unheartbeated lease is "
+            "(sweep/work/merge) seconds before an unheartbeated lease is "
             "presumed dead and its cell re-queued (default 300; must exceed "
             "the longest single cell)"
         ),
@@ -185,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "(work/--workers) run each cell in a watchdog subprocess and record "
+            "(sweep/work) run each cell in a watchdog subprocess and record "
             "a typed worker_timeout error instead of hanging if it overruns"
         ),
     )
@@ -742,8 +735,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         completed_records,
         load_results,
         run_campaign,
-        write_results,
     )
+    from repro.campaign.queue import DEFAULT_LEASE_TTL, QueueError, results_path
 
     try:
         spec = CampaignSpec.from_json(args.spec)
@@ -752,9 +745,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     completed = None
     if args.resume is not None:
-        results_path = os.path.join(args.resume, "results.json")
         try:
-            document = load_results(results_path)
+            document = load_results(results_path(args.resume))
         except (OSError, ValueError) as error:
             print(f"repro sweep: cannot resume from {args.resume!r}: {error}", file=sys.stderr)
             return 2
@@ -779,10 +771,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         else:
             completed = completed_records(document)
-            # Crash-safe journals may hold records the (possibly interrupted)
-            # artifact never received — fold them in so finished work is
-            # never re-run.
-            completed.update(_journaled_records(args.resume, spec, completed))
     # The artifact directory is settled before the run so the default
     # telemetry log and the per-cell profile dumps can live inside it.
     out_dir = args.out
@@ -806,21 +794,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             return 2
     profile_dir = os.path.join(out_dir, "profiles") if args.profile else None
-
-    if args.workers is not None:
-        code = _run_queue_mode(args, spec, out_dir, completed, profile_dir)
-        if telemetry_session is not None:
-            telemetry_session.close()
-            from repro.obs import reset_telemetry
-
-            reset_telemetry()
-        return code
-
     reporter = None if args.quiet else ProgressReporter()
-    from repro.campaign import CellJournal
-    from repro.campaign.queue import journal_dir, worker_token
-
-    journal = CellJournal(os.path.join(journal_dir(out_dir), f"{worker_token()}.jsonl"))
     try:
         result = run_campaign(
             spec,
@@ -829,16 +803,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             completed=completed,
             telemetry=args.telemetry is not None,
             profile_dir=profile_dir,
-            journal=journal,
+            directory=out_dir,
+            lease_ttl=args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL,
+            cell_timeout=args.cell_timeout,
         )
-    except SpecError as error:
+    except (QueueError, SpecError) as error:
         # Matrix-level spec problems (e.g. a trace_recorder path shared by
-        # every cell) are caught before any cell runs; per-cell problems
-        # still land as error records instead of aborting the sweep.
+        # every cell) and a queue another sweep owns are refused before any
+        # cell runs; per-cell problems land as error records instead.
         print(f"repro sweep: {error}", file=sys.stderr)
         return 2
     finally:
-        journal.close()
         if telemetry_session is not None:
             telemetry_session.close()
             reset_telemetry()
@@ -846,16 +821,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         reporter.summary(len(result.records), result.elapsed_seconds)
     if result.metadata.get("resumed"):
         print(f"resumed: {result.metadata['resumed']} cell(s) reused from {args.resume}")
-    paths = write_results(result, out_dir)
-    # The artifact now holds everything the journal does; drop the journal
-    # so a later --resume folds one copy, not two.
-    try:
-        os.unlink(journal.path)
-    except OSError:
-        pass
     print(campaign_table(result).to_text())
     print()
-    artifact_line = f"artifacts: {paths['results']}  {paths['csv']}"
+    artifact_line = f"artifacts: {results_path(out_dir)}  {os.path.join(out_dir, 'results.csv')}"
     if telemetry_path is not None:
         artifact_line += f"  {telemetry_path}"
     print(artifact_line)
@@ -869,71 +837,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Any failed cell makes the sweep exit nonzero so CI can gate on it; the
     # sweep itself still ran to completion and wrote every record.
     return 1 if result.error_records else 0
-
-
-def _journaled_records(directory: str, spec, completed):
-    """Ok records from crash-safe journals under ``directory`` that the
-    merged artifact does not already carry (resume after a hard crash)."""
-    import os
-
-    from repro.campaign.executor import RECORD_VERSION
-    from repro.campaign.queue import journal_dir, read_journal
-
-    journals = journal_dir(directory)
-    recovered = {}
-    if not os.path.isdir(journals):
-        return recovered
-    for name in sorted(os.listdir(journals)):
-        if not name.endswith(".jsonl"):
-            continue
-        records, _skipped = read_journal(os.path.join(journals, name))
-        for record in records:
-            cell_id = record.get("cell_id")
-            if (
-                record.get("status") == "ok"
-                and record.get("record_version") == RECORD_VERSION
-                and cell_id not in completed
-            ):
-                recovered[cell_id] = record
-    return recovered
-
-
-def _run_queue_mode(args: argparse.Namespace, spec, out_dir, completed, profile_dir) -> int:
-    from repro.campaign import SpecError, document_table, run_queue_sweep
-    from repro.campaign.executor import reusable_record
-    from repro.campaign.queue import DEFAULT_LEASE_TTL, QueueError
-
-    try:
-        merged = run_queue_sweep(
-            spec,
-            out_dir,
-            workers=args.workers,
-            completed=completed,
-            lease_ttl=args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL,
-            telemetry=args.telemetry is not None,
-            profile_dir=profile_dir,
-            cell_timeout=args.cell_timeout,
-        )
-    except (QueueError, SpecError) as error:
-        print(f"repro sweep: {error}", file=sys.stderr)
-        return 2
-    print(document_table(merged.document).to_text())
-    print()
-    resumed = sum(reusable_record(completed, cell) is not None for cell in spec.expand())
-    if resumed:
-        print(f"resumed: {resumed} cell(s) reused from {args.resume}")
-    print(
-        f"queue: {merged.from_journals} record(s) from {len(merged.workers)} worker(s)"
-    )
-    print(f"artifacts: {merged.paths['results']}  {merged.paths['csv']}")
-    if merged.pending:
-        print(
-            f"interrupted: {len(merged.pending)} cell(s) still queued; finish with "
-            f"repro sweep work {out_dir} + repro sweep merge {out_dir}",
-            file=sys.stderr,
-        )
-        return 130
-    return 1 if merged.document.get("errors", 0) else 0
 
 
 def _cmd_trace_analyze(args: argparse.Namespace) -> int:

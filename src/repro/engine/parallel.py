@@ -46,6 +46,12 @@ class SerialFallbackWarning(UserWarning):
     """A requested parallel replay fell back to serial (reason in the message)."""
 
 
+#: Marks a sweep's worker processes: like the daemonic pool workers, they
+#: replay serially (no nested pools).  They are not daemonic themselves, as
+#: a ``--cell-timeout`` watchdog child (which inherits the marker) needs.
+SWEEP_WORKER_ENV = "REPRO_SWEEP_WORKER"
+
+
 def unmergeable_observers(observers: Sequence[Observer]) -> List[str]:
     """Class names of the observers that force a serial replay."""
     return [
@@ -160,7 +166,7 @@ def analyze_trace_parallel(
     blocks) so the caller can run the ordinary serial path.
     """
     path = os.fspath(path)
-    if jobs <= 1 or multiprocessing.current_process().daemon:
+    if jobs <= 1 or multiprocessing.current_process().daemon or SWEEP_WORKER_ENV in os.environ:
         return None
     index = read_block_index(path)
     if index is None or len(index.blocks) < 2 or index.total_records == 0:
@@ -266,7 +272,7 @@ def replay_unshardable_reason(source, observers: Sequence[Observer]) -> Optional
     Checked before any worker is spawned so the caller can fall back to a
     serial replay with a clear message.
     """
-    if multiprocessing.current_process().daemon:
+    if multiprocessing.current_process().daemon or SWEEP_WORKER_ENV in os.environ:
         return "already inside a worker process (nested process pools are not allowed)"
     blocking = unmergeable_observers(observers)
     if blocking:

@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.campaign.artifacts import completed_records, load_results
-from repro.campaign.executor import run_campaign
 from repro.campaign.queue import (
     QueueError,
     enqueue_campaign,
     merge_queue,
     results_path,
+    run_campaign,
     work_queue,
 )
 from repro.campaign.spec import CampaignSpec
@@ -73,13 +73,8 @@ def comparable_records(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]
 def fault_free_baseline(
     spec: CampaignSpec, out_dir: Optional[Union[str, os.PathLike]] = None
 ) -> List[Dict[str, Any]]:
-    """Run ``spec`` serially with no faults; optionally write its artifact."""
-    result = run_campaign(spec)
-    if out_dir is not None:
-        from repro.campaign.artifacts import write_results
-
-        write_results(result, out_dir)
-    return comparable_records(result.records)
+    """Run ``spec`` serially with no faults; optionally into ``out_dir``."""
+    return comparable_records(run_campaign(spec, directory=out_dir).records)
 
 
 # ------------------------------------------------------------- plan builders

@@ -38,13 +38,14 @@ def small_spec(**overrides):
 
 
 def comparable(records):
-    """Strip timing/resource (non-deterministic) fields from cell records."""
+    """Strip timing/resource (non-deterministic) fields and the token of
+    the worker that ran the cell from cell records."""
     stripped = []
     for record in records:
         copy = {
             k: v
             for k, v in record.items()
-            if k not in ("elapsed_seconds", "resources", "telemetry", "profile")
+            if k not in ("elapsed_seconds", "resources", "telemetry", "profile", "worker")
         }
         stripped.append(copy)
     return stripped
@@ -304,15 +305,8 @@ def test_run_campaign_resumes_from_completed_records():
     resumed = [r for r in second.records if r.get("resumed")]
     assert {r["cell_id"] for r in resumed} == set(completed)
     # Re-run cells and reused cells together reproduce the full first run.
-    stripped = [
-        {
-            k: v
-            for k, v in record.items()
-            if k not in ("elapsed_seconds", "resources", "telemetry", "profile", "resumed")
-        }
-        for record in second.records
-    ]
-    assert stripped == comparable(first.records)
+    stripped = [{k: v for k, v in record.items() if k != "resumed"} for record in second.records]
+    assert comparable(stripped) == comparable(first.records)
 
 
 def test_resume_reruns_failed_cells():
@@ -552,7 +546,7 @@ def test_cli_interrupted_sweep_writes_artifact_and_resume_finishes(
 ):
     """Kill the sweep after cell 1 of 4: the artifact holds 1 record and is
     stamped interrupted (exit 130); --resume reruns exactly the missing 3."""
-    import repro.campaign.executor as executor_module
+    import repro.campaign.queue as queue_module
 
     spec_path = write_spec(
         tmp_path,
@@ -562,7 +556,7 @@ def test_cli_interrupted_sweep_writes_artifact_and_resume_finishes(
         ],
     )
     out = tmp_path / "out"
-    real_run_cell = executor_module.run_cell
+    real_run_cell = queue_module.run_cell
     ran = []
 
     def run_one_then_die(payload):
@@ -571,7 +565,7 @@ def test_cli_interrupted_sweep_writes_artifact_and_resume_finishes(
         ran.append(payload["cell_id"])
         return real_run_cell(payload)
 
-    monkeypatch.setattr(executor_module, "run_cell", run_one_then_die)
+    monkeypatch.setattr(queue_module, "run_cell", run_one_then_die)
     assert main(["sweep", str(spec_path), "--out", str(out), "--quiet"]) == 130
     captured = capsys.readouterr()
     assert "interrupted: 1 record(s) saved" in captured.err
@@ -580,7 +574,7 @@ def test_cli_interrupted_sweep_writes_artifact_and_resume_finishes(
     assert document["interrupted"] is True
     assert document["cells"] == 1 and document["ok"] == 1
 
-    monkeypatch.setattr(executor_module, "run_cell", real_run_cell)
+    monkeypatch.setattr(queue_module, "run_cell", real_run_cell)
     assert main(["sweep", str(spec_path), "--resume", str(out), "--quiet"]) == 0
     assert "resumed: 1 cell(s)" in capsys.readouterr().out
     document = load_results(out / "results.json")

@@ -339,7 +339,8 @@ def test_sweep_records_resources_per_cell(tmp_path, jobs):
         assert "profile" not in record
 
 
-def test_sweep_telemetry_writes_valid_jsonl_and_reports(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_telemetry_writes_valid_jsonl_and_reports(tmp_path, capsys, jobs):
     spec = _write_spec(tmp_path)
     out = tmp_path / "out"
     assert (
@@ -347,6 +348,8 @@ def test_sweep_telemetry_writes_valid_jsonl_and_reports(tmp_path, capsys):
             [
                 "sweep",
                 str(spec),
+                "--jobs",
+                jobs,
                 "--telemetry",
                 "--profile",
                 "--out",
@@ -356,7 +359,7 @@ def test_sweep_telemetry_writes_valid_jsonl_and_reports(tmp_path, capsys):
         )
         == 0
     )
-    capsys.readouterr()
+    assert str(out / "telemetry.jsonl") in capsys.readouterr().out
 
     events = load_events(out / "telemetry.jsonl")
     assert validate_events(events) == []
@@ -366,6 +369,9 @@ def test_sweep_telemetry_writes_valid_jsonl_and_reports(tmp_path, capsys):
     assert any(e["ev"] == "counter" and "cell" in e for e in events)
     assert any(e["ev"] == "resources" for e in events)
     assert any(e["ev"] == "span" and e["name"] == "sweep.run" for e in events)
+    # Each freshly run cell is re-emitted exactly once.
+    done = [e["attrs"]["cell"] for e in events if e["name"] == "cell.done"]
+    assert sorted(done) == sorted(cells)
 
     document = json.loads((out / "results.json").read_text())
     for record in document["records"]:

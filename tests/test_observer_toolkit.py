@@ -278,6 +278,11 @@ def test_campaign_rejects_a_recorder_path_shared_by_cells(tmp_path, capsys):
     spec_path.write_text(json.dumps(shared.to_dict()), encoding="utf-8")
     assert main(["sweep", str(spec_path), "--quiet"]) == 2
     assert "{cell}" in capsys.readouterr().err
+    # The distributed path refuses the spec too, before writing a payload.
+    queue_dir = tmp_path / "q"
+    assert main(["sweep", "enqueue", str(spec_path), str(queue_dir)]) == 2
+    assert "{cell}" in capsys.readouterr().err
+    assert not (queue_dir / "queue").exists()
     # A single-cell spec may record to a fixed path.
     single = CampaignSpec.from_dict(
         {

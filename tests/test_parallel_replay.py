@@ -359,10 +359,22 @@ def test_campaign_replay_jobs_requires_stream(v3_trace):
 
 def test_campaign_pool_workers_fall_back_without_deadlock(v3_trace):
     """Campaign jobs=2 x replay jobs=2 would nest process pools; the replay
-    layer detects the daemonic worker and silently replays serially."""
+    layer detects the sweep worker and silently replays serially."""
+    raw = replay_spec(v3_trace["path"], jobs=2).to_dict()
+    raw["allocators"] = ["first_fit", "best_fit"]  # two cells, two workers
+    spec = CampaignSpec.from_dict(raw)
+
+    def sharded(record):
+        spans = record["telemetry"]["spans"]
+        return any(span["name"].startswith("parallel.") for span in spans)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SerialFallbackWarning)
-        result = run_campaign(replay_spec(v3_trace["path"], jobs=2), jobs=2)
-    (record,) = result.records
-    assert record["status"] == "ok"
-    assert record["requests"] == 2000
+        in_process = run_campaign(spec, jobs=1, telemetry=True)
+        pooled = run_campaign(spec, jobs=2, telemetry=True)
+    assert pooled.jobs == 2
+    assert all(sharded(record) for record in in_process.records)
+    for record in pooled.records:
+        assert record["status"] == "ok"
+        assert record["requests"] == 2000
+        assert not sharded(record)

@@ -22,7 +22,6 @@ from repro.campaign import (
     merge_queue,
     read_journal,
     run_campaign,
-    run_queue_sweep,
     work_queue,
 )
 from repro.campaign.queue import (
@@ -227,13 +226,49 @@ def test_enqueue_refuses_a_live_queue_and_skips_completed_cells(tmp_path):
     assert enqueue_campaign(spec, directory, completed=completed) == 0
 
 
-def test_run_queue_sweep_equals_serial(tmp_path):
+def test_run_campaign_with_two_workers_equals_serial(tmp_path):
     spec = queue_spec()
-    merged = run_queue_sweep(spec, tmp_path / "q", workers=2)
-    assert merged.records == 4 and not merged.pending
-    assert len(merged.workers) == 2
-    serial = run_campaign(spec)
-    assert comparable(merged.document["records"]) == comparable(serial.records)
+    directory = tmp_path / "q"
+    result = run_campaign(spec, jobs=2, directory=directory)
+    assert result.jobs == 2 and len(result.records) == 4
+    assert not result.metadata["interrupted"]
+    assert comparable(result.records) == comparable(run_campaign(spec).records)
+    # The merged artifact is in the queue directory, and the sweep's own
+    # journals are gone: results.json holds their records.
+    assert comparable(load_results(results_path(directory))["records"]) == comparable(
+        result.records
+    )
+    assert os.listdir(journal_dir(directory)) == []
+
+
+def test_run_campaign_refuses_another_campaigns_queue_and_live_leases(tmp_path):
+    spec = queue_spec()
+    directory = tmp_path / "q"
+    other = CampaignSpec.from_dict(dict(spec.to_dict(), name="other"))
+    enqueue_campaign(other, directory)
+    with pytest.raises(QueueError, match="already holds 4 pending"):
+        run_campaign(spec, directory=directory)
+    # The same campaign takes its own pending cells back — unless a live
+    # lease shows a worker still draining them.
+    cell_name, _payload = claim_cell(directory, "live-worker")
+    with pytest.raises(QueueError, match="already holds 4 pending"):
+        run_campaign(other, directory=directory)
+    past = time.time() - 3600
+    os.utime(directory / "leases" / f"{cell_name}.lease", (past, past))
+    result = run_campaign(other, directory=directory, lease_ttl=1.0)
+    assert len(result.ok_records) == 4
+
+
+def test_merge_does_not_count_the_resume_journal_as_a_worker(tmp_path):
+    spec = queue_spec()
+    first = run_campaign(spec)
+    completed = {r["cell_id"]: r for r in first.records[1:]}
+    directory = tmp_path / "q"
+    assert enqueue_campaign(spec, directory, completed=completed) == 1
+    assert work_queue(directory, token="w1") == 1
+    merged = merge_queue(directory)
+    assert merged.workers == ["w1"]
+    assert merged.document["jobs"] == 1 and merged.document["resumed"] == 3
 
 
 def test_work_queue_rejects_a_non_queue_directory(tmp_path):
@@ -268,7 +303,7 @@ def write_spec(tmp_path, **overrides):
 def test_cli_enqueue_work_merge_round_trip(tmp_path, capsys):
     spec_path = write_spec(tmp_path)
     directory = tmp_path / "q"
-    assert main(["sweep", "enqueue", str(spec_path), str(directory)]) == 0
+    assert main(["sweep", "enqueue", str(spec_path), str(directory), "--profile"]) == 0
     assert "enqueued 4 cell(s)" in capsys.readouterr().out
     assert main(["sweep", "work", str(directory), "--quiet"]) == 0
     assert "executed 4 cell(s)" in capsys.readouterr().out
@@ -276,21 +311,28 @@ def test_cli_enqueue_work_merge_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "merged 4 record(s)" in out
     assert "pending" not in out
-    assert load_results(results_path(directory))["cells"] == 4
+    document = load_results(results_path(directory))
+    assert document["cells"] == 4
+    assert all(os.path.exists(record["profile"]) for record in document["records"])
 
 
-def test_cli_sweep_workers_matches_serial_artifact(tmp_path, capsys):
+def test_cli_sweep_jobs_1_and_2_and_the_queue_subcommands_agree(tmp_path, capsys):
     spec_path = write_spec(tmp_path)
-    serial_dir, queue_dir = tmp_path / "serial", tmp_path / "queued"
-    assert main(["sweep", str(spec_path), "--out", str(serial_dir), "--quiet"]) == 0
-    assert (
-        main(["sweep", str(spec_path), "--workers", "2", "--out", str(queue_dir), "--quiet"])
-        == 0
-    )
-    assert "queue: 4 record(s)" in capsys.readouterr().out
-    serial = load_results(serial_dir / "results.json")
-    queued = load_results(queue_dir / "results.json")
-    assert comparable(serial["records"]) == comparable(queued["records"])
+    records = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", str(spec_path), "--jobs", jobs, "--out", str(out), "--quiet"]) == 0
+        document = load_results(out / "results.json")
+        assert document["jobs"] == int(jobs)
+        records.append(comparable(document["records"]))
+    directory = tmp_path / "q"
+    assert main(["sweep", "enqueue", str(spec_path), str(directory)]) == 0
+    assert main(["sweep", "work", str(directory), "--quiet"]) == 0
+    assert main(["sweep", "merge", str(directory)]) == 0
+    capsys.readouterr()
+    records.append(comparable(load_results(directory / "results.json")["records"]))
+    assert records[0] == records[1] == records[2]
+    assert len(records[0]) == 4
 
 
 def test_cli_queue_subcommands_fail_cleanly(tmp_path, capsys):
@@ -328,38 +370,83 @@ def _resume_point(tmp_path, spec_path, errors=(0, 1), stale=()):
     return source
 
 
-def _resumed_artifact(tmp_path, spec_path, source, mode, capsys):
-    out = tmp_path / mode
-    flag = "--jobs" if mode == "jobs" else "--workers"
-    argv = ["sweep", str(spec_path), flag, "2", "--resume", str(source), "--out", str(out)]
+def _resumed_artifact(tmp_path, spec_path, source, jobs, capsys):
+    out = tmp_path / f"jobs{jobs}"
+    argv = ["sweep", str(spec_path), "--jobs", jobs, "--resume", str(source), "--out", str(out)]
     assert main(argv + ["--quiet"]) == 0
     capsys.readouterr()
     document = load_results(out / "results.json")
     assert "interrupted" not in document
     timing = ("elapsed_seconds", "resources", "telemetry", "profile", "worker")
     records = [{k: v for k, v in r.items() if k not in timing} for r in document["records"]]
-    return {k: document[k] for k in ("cells", "ok", "errors")}, records
+    return {k: document[k] for k in ("cells", "ok", "errors", "jobs")}, records
 
 
-def test_resume_into_a_fresh_out_keeps_reused_cells_on_both_paths(tmp_path, capsys):
+def test_resume_into_a_fresh_out_keeps_reused_cells(tmp_path, capsys):
     """A resumed sweep carries the reused records into a new ``--out`` the
-    same way whether it runs over a pool or a work queue."""
+    same way whether it drains in this process or over worker processes."""
     spec_path = write_spec(tmp_path)
     source = _resume_point(tmp_path, spec_path)
-    pooled = _resumed_artifact(tmp_path, spec_path, source, "jobs", capsys)
-    queued = _resumed_artifact(tmp_path, spec_path, source, "workers", capsys)
-    assert pooled[0] == {"cells": 4, "ok": 4, "errors": 0}
-    assert queued == pooled
-    assert [bool(r.get("resumed")) for r in queued[1]] == [False, False, True, True]
+    serial = _resumed_artifact(tmp_path, spec_path, source, "1", capsys)
+    parallel = _resumed_artifact(tmp_path, spec_path, source, "2", capsys)
+    assert serial[0] == {"cells": 4, "ok": 4, "errors": 0, "jobs": 1}
+    assert parallel[0] == dict(serial[0], jobs=2)
+    assert parallel[1] == serial[1]
+    assert [bool(r.get("resumed")) for r in parallel[1]] == [False, False, True, True]
 
 
-def test_resume_reruns_records_of_an_older_record_version_on_both_paths(tmp_path, capsys):
+def test_resume_reruns_records_of_an_older_record_version(tmp_path, capsys):
     from repro.campaign.executor import RECORD_VERSION
 
     spec_path = write_spec(tmp_path)
     source = _resume_point(tmp_path, spec_path, errors=(0,), stale=(2,))
-    pooled = _resumed_artifact(tmp_path, spec_path, source, "jobs", capsys)
-    queued = _resumed_artifact(tmp_path, spec_path, source, "workers", capsys)
-    assert queued == pooled
-    assert [bool(r.get("resumed")) for r in queued[1]] == [False, True, False, True]
-    assert {r["record_version"] for r in queued[1]} == {RECORD_VERSION}
+    serial = _resumed_artifact(tmp_path, spec_path, source, "1", capsys)
+    parallel = _resumed_artifact(tmp_path, spec_path, source, "2", capsys)
+    assert parallel[1] == serial[1]
+    assert [bool(r.get("resumed")) for r in parallel[1]] == [False, True, False, True]
+    assert {r["record_version"] for r in parallel[1]} == {RECORD_VERSION}
+
+
+def test_resume_with_one_cell_to_run_writes_jobs_1(tmp_path, capsys):
+    """``--jobs 2`` with a single cell left starts one worker, and the
+    merge does not count the resume journal as a second one."""
+    spec_path = write_spec(tmp_path)
+    source = _resume_point(tmp_path, spec_path, errors=(1,))
+    summary, records = _resumed_artifact(tmp_path, spec_path, source, "2", capsys)
+    assert summary == {"cells": 4, "ok": 4, "errors": 0, "jobs": 1}
+    assert [bool(r.get("resumed")) for r in records] == [True, False, True, True]
+
+
+def test_in_place_resume_reruns_a_stale_record(tmp_path, capsys):
+    from repro.campaign.executor import RECORD_VERSION
+
+    spec_path = write_spec(tmp_path)
+    source = _resume_point(tmp_path, spec_path, errors=(), stale=(2,))
+    argv = ["sweep", str(spec_path), "--jobs", "2", "--resume", str(source), "--quiet"]
+    assert main(argv) == 0
+    assert "resumed: 3 cell(s)" in capsys.readouterr().out
+    document = load_results(source / "results.json")
+    assert [r["record_version"] for r in document["records"]] == [RECORD_VERSION] * 4
+    assert [bool(r.get("resumed")) for r in document["records"]] == [True, True, False, True]
+
+
+def test_queued_in_place_resume_merges_the_rerun_not_the_stale_record(tmp_path, capsys):
+    """``sweep enqueue`` into a merged queue whose record 2 is stale re-runs
+    that cell; the merge must keep the re-run, not the stale record that
+    ``results.json`` (read before the journals) still holds."""
+    from repro.campaign.executor import RECORD_VERSION
+
+    spec_path = write_spec(tmp_path)
+    directory = tmp_path / "q"
+    assert main(["sweep", "enqueue", str(spec_path), str(directory)]) == 0
+    assert main(["sweep", "work", str(directory), "--quiet"]) == 0
+    assert main(["sweep", "merge", str(directory)]) == 0
+    document = json.loads((directory / "results.json").read_text(encoding="utf-8"))
+    document["records"][2]["record_version"] = RECORD_VERSION - 1
+    (directory / "results.json").write_text(json.dumps(document), encoding="utf-8")
+    assert main(["sweep", "enqueue", str(spec_path), str(directory)]) == 0
+    assert "enqueued 1 cell(s)" in capsys.readouterr().out
+    assert main(["sweep", "work", str(directory), "--quiet"]) == 0
+    assert main(["sweep", "merge", str(directory)]) == 0
+    merged = load_results(directory / "results.json")
+    assert [r["record_version"] for r in merged["records"]] == [RECORD_VERSION] * 4
