@@ -11,12 +11,10 @@ from repro.engine.session import EngineRun, EngineSession, Replayable, SessionSt
 from repro.engine.observers import (
     EVENT_HOOKS,
     OBSERVER_KINDS,
-    CostObserver,
     DeviceObserver,
     FootprintSeriesObserver,
     GapHistogramObserver,
     HistoryObserver,
-    MetricsObserver,
     Observer,
     PerClassOccupancyObserver,
     SampledSeriesObserver,
@@ -51,14 +49,12 @@ OBSERVER_KINDS["trace_analytics"] = TraceAnalyticsObserver
 __all__ = [
     "EVENT_HOOKS",
     "OBSERVER_KINDS",
-    "CostObserver",
     "DeviceObserver",
     "EngineRun",
     "EngineSession",
     "FootprintSeriesObserver",
     "GapHistogramObserver",
     "HistoryObserver",
-    "MetricsObserver",
     "Observer",
     "PerClassOccupancyObserver",
     "Replayable",

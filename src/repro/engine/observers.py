@@ -1,9 +1,10 @@
 """The observer protocol: pluggable instrumentation for trace replay.
 
-Every measurement in this repository — headline metrics, cost charging,
-footprint-over-time series, device timing — is an :class:`Observer` attached
-to a replay.  Allocators emit events through their observer list while a
-request is served:
+Every per-replay measurement beyond the allocator's own
+:class:`~repro.core.stats.AllocatorStats` — footprint-over-time series, gap
+histograms, device timing, trace recording — is an :class:`Observer`
+attached to a replay.  Allocators emit events through their observer list
+while a request is served:
 
 * ``on_request(record)`` — after every insert/delete, with the full
   :class:`~repro.core.events.RequestRecord`;
@@ -149,197 +150,6 @@ def needs_events(observer: Observer) -> bool:
         getattr(type(observer), hook, None) is not getattr(Observer, hook)
         for hook in EVENT_HOOKS
     )
-
-
-# --------------------------------------------------------------------- metrics
-class MetricsObserver(Observer):
-    """Headline scalar metrics, snapshotted from the allocator's stats.
-
-    Passive: all numbers are read from :class:`~repro.core.stats.AllocatorStats`
-    (which the allocator maintains even on the zero-instrumentation fast
-    path), so attaching this observer costs nothing per request.
-
-    Mergeable with sharded-reduction semantics (``merge_exact = False``):
-    counters (moves, moved volume, checkpoints, flushes) and the footprint
-    ratio samples are exact per-shard deltas — each worker subtracts the
-    stats accrued while seeding its allocator from the block-entry snapshot
-    — combined by sum; maxima by max; final volume/footprint come from the
-    last shard.  The values still describe per-shard allocators that each
-    started from a freshly seeded layout, so they approximate (rather than
-    reproduce) the serial allocator's numbers.
-    """
-
-    mergeable = True
-
-    #: snapshot keys combined by summation across shards
-    _SUM_KEYS = (
-        "total_moves",
-        "total_moved_volume",
-        "total_checkpoints",
-        "flushes",
-    )
-    #: snapshot keys combined by max across shards
-    _MAX_KEYS = (
-        "max_footprint",
-        "max_footprint_ratio",
-        "max_request_moved_volume",
-        "max_request_checkpoints",
-    )
-
-    def __init__(self) -> None:
-        self.snapshot: Dict[str, Any] = {}
-        self._shard: Optional[ShardContext] = None
-        self._baseline: Optional[Dict[str, Any]] = None
-        # Per-shard deltas retained for merging (shard mode only).
-        self._inserts = 0
-        self._ratio_sum = 0.0
-        self._ratio_samples = 0
-
-    def begin_shard(self, context: ShardContext) -> None:
-        self._shard = context
-
-    def on_attach(self, allocator) -> None:
-        if self._shard is None:
-            return
-        # The worker seeded the allocator from the block-entry snapshot
-        # before the engine run; capture the stats those inserts accrued so
-        # on_finish can report deltas for the shard's own requests only.
-        stats = allocator.stats
-        self._baseline = {
-            "inserts": stats.inserts,
-            "total_moves": stats.total_moves,
-            "total_moved_volume": stats.total_moved_volume,
-            "total_checkpoints": stats.checkpoints,
-            "flushes": stats.flushes,
-            "ratio_sum": stats.footprint_ratio_sum,
-            "ratio_samples": stats.footprint_ratio_samples,
-        }
-
-    def on_finish(self, allocator) -> None:
-        stats = allocator.stats
-        self.snapshot = {
-            "final_volume": allocator.volume,
-            "final_footprint": allocator.footprint,
-            "max_footprint": stats.max_footprint,
-            "max_footprint_ratio": stats.max_footprint_ratio,
-            "mean_footprint_ratio": stats.mean_footprint_ratio,
-            "total_moves": stats.total_moves,
-            "total_moved_volume": stats.total_moved_volume,
-            "moves_per_insert": stats.amortized_moves_per_insert,
-            "max_request_moved_volume": stats.max_request_moved_volume,
-            "max_request_checkpoints": stats.max_request_checkpoints,
-            "total_checkpoints": stats.checkpoints,
-            "flushes": stats.flushes,
-        }
-        base = self._baseline
-        if base is None:
-            return
-        # Shard mode: reduce every counter to the shard's own delta.
-        snap = self.snapshot
-        self._inserts = stats.inserts - base["inserts"]
-        self._ratio_sum = stats.footprint_ratio_sum - base["ratio_sum"]
-        self._ratio_samples = stats.footprint_ratio_samples - base["ratio_samples"]
-        snap["total_moves"] = stats.total_moves - base["total_moves"]
-        snap["total_moved_volume"] = stats.total_moved_volume - base["total_moved_volume"]
-        snap["total_checkpoints"] = stats.checkpoints - base["total_checkpoints"]
-        snap["flushes"] = stats.flushes - base["flushes"]
-        snap["mean_footprint_ratio"] = (
-            self._ratio_sum / self._ratio_samples if self._ratio_samples else 0.0
-        )
-        snap["moves_per_insert"] = (
-            snap["total_moves"] / self._inserts if self._inserts else 0.0
-        )
-
-    def merge(self, other: "MetricsObserver") -> None:
-        left, right = self.snapshot, other.snapshot
-        for key in self._SUM_KEYS:
-            left[key] += right[key]
-        for key in self._MAX_KEYS:
-            left[key] = max(left[key], right[key])
-        left["final_volume"] = right["final_volume"]
-        left["final_footprint"] = right["final_footprint"]
-        self._inserts += other._inserts
-        self._ratio_sum += other._ratio_sum
-        self._ratio_samples += other._ratio_samples
-        left["mean_footprint_ratio"] = (
-            self._ratio_sum / self._ratio_samples if self._ratio_samples else 0.0
-        )
-        left["moves_per_insert"] = (
-            left["total_moves"] / self._inserts if self._inserts else 0.0
-        )
-
-
-class CostObserver(Observer):
-    """Charge the execution under one or more cost functions after the fact.
-
-    Passive: cost ratios are derived from the size histograms in the
-    allocator's stats, which is exactly what cost obliviousness promises —
-    the replay never needs to know which cost function applies.
-
-    Mergeable with sharded-reduction semantics (``merge_exact = False``):
-    each shard keeps its delta size histograms (seeding inserts subtracted),
-    merge sums the histograms and recomputes the ratios.  The allocation
-    histogram is then exactly the serial one (allocations follow the request
-    stream); only the move histogram reflects per-shard allocator state.
-    """
-
-    mergeable = True
-
-    def __init__(self, cost_functions: Sequence = ()) -> None:
-        self.cost_functions = tuple(cost_functions)
-        self.cost_ratios: Dict[str, float] = {}
-        self._shard: Optional[ShardContext] = None
-        self._base_allocated: Optional[Dict[int, int]] = None
-        self._base_moved: Optional[Dict[int, int]] = None
-        # Delta histograms retained for merging (shard mode only).
-        self._allocated: Dict[int, int] = {}
-        self._moved: Dict[int, int] = {}
-
-    def begin_shard(self, context: ShardContext) -> None:
-        self._shard = context
-
-    def on_attach(self, allocator) -> None:
-        if self._shard is None:
-            return
-        stats = allocator.stats
-        self._base_allocated = dict(stats.allocated_sizes)
-        self._base_moved = dict(stats.moved_sizes)
-
-    @staticmethod
-    def _delta(current, baseline: Dict[int, int]) -> Dict[int, int]:
-        out = {}
-        for size, count in current.items():
-            count -= baseline.get(size, 0)
-            if count:
-                out[size] = count
-        return out
-
-    def _ratio(self, cost_function) -> float:
-        allocation = sum(
-            cost_function(size) * count for size, count in self._allocated.items()
-        )
-        if allocation == 0:
-            return 0.0
-        reallocation = sum(
-            cost_function(size) * count for size, count in self._moved.items()
-        )
-        return reallocation / allocation
-
-    def on_finish(self, allocator) -> None:
-        stats = allocator.stats
-        if self._base_allocated is None:
-            self.cost_ratios = {f.name: stats.cost_ratio(f) for f in self.cost_functions}
-            return
-        self._allocated = self._delta(stats.allocated_sizes, self._base_allocated)
-        self._moved = self._delta(stats.moved_sizes, self._base_moved)
-        self.cost_ratios = {f.name: self._ratio(f) for f in self.cost_functions}
-
-    def merge(self, other: "CostObserver") -> None:
-        for size, count in other._allocated.items():
-            self._allocated[size] = self._allocated.get(size, 0) + count
-        for size, count in other._moved.items():
-            self._moved[size] = self._moved.get(size, 0) + count
-        self.cost_ratios = {f.name: self._ratio(f) for f in self.cost_functions}
 
 
 # ---------------------------------------------------------------------- series

@@ -12,10 +12,11 @@ What sharding can and cannot promise is an observer property:
 * ``merge_exact`` observers (trace analytics, per-class occupancy) are
   derived purely from the request stream, so the merged result is
   byte-identical to a serial replay.
-* Mergeable-but-inexact observers (metrics, cost charging, gap histograms,
-  device models) reduce per-shard allocator measurements by sum/max/concat;
-  the numbers describe allocators that each started from a freshly seeded
-  layout.
+* Mergeable-but-inexact observers (gap histograms, device models) reduce
+  per-shard allocator measurements by sum/max/concat; the numbers describe
+  allocators that each started from a freshly seeded layout.  The
+  allocator's own stats are folded the same way (:func:`_fold_stats`), and
+  the caller's allocator ends in the last shard's final state.
 * Unmergeable observers (footprint series, history, trace recording) are
   order-dependent; a replay that includes one falls back to serial with a
   clear message.
@@ -233,11 +234,11 @@ def _stats_delta(allocator, base: Dict[str, Any]) -> Dict[str, Any]:
 def _fold_stats(allocator, deltas: Sequence[Dict[str, Any]]) -> None:
     """Fold per-shard stat deltas into the coordinating allocator's stats.
 
-    The coordinating allocator never served a request itself; after the fold
-    its counters read as totals over all shards (exact for stream-derived
-    counts like inserts/deletes/allocated volume, per-shard-reduction
-    semantics for move and footprint numbers), so downstream consumers like
-    the campaign executor keep working unchanged.
+    After the fold its counters read as totals over all shards: exact for
+    stream-derived counts like inserts/deletes/allocated volume, and
+    per-shard reductions (sum of deltas, max of maxima) for move and
+    footprint numbers, since each shard's allocator started from a freshly
+    seeded layout.  This is the one place sharded replay metrics are merged.
     """
     stats = allocator.stats
     for delta in deltas:
@@ -263,7 +264,10 @@ def _replay_shard(requests, context, allocator, observers, finish_pending):
         observer.begin_shard(context)
     baseline = _stats_baseline(allocator)
     EngineSession(allocator, observers, finish_pending=finish_pending).run(requests)
-    return observers, _stats_delta(allocator, baseline)
+    # Only the last shard's allocator ends where a serial replay would, so
+    # only it crosses back for the caller's allocator to adopt.
+    last = allocator if context.shard == context.shards - 1 else None
+    return observers, _stats_delta(allocator, baseline), last
 
 
 def replay_unshardable_reason(source, observers: Sequence[Observer]) -> Optional[str]:
@@ -311,10 +315,12 @@ def run_replay_sharded(
     Each worker receives a pickled copy of ``allocator`` and of the
     observers, seeds its copy from the shard's block-entry snapshot,
     replays its block range, and sends the observers (plus its stat
-    deltas) back.  The merged state is adopted into the observers passed
-    in, the coordinating allocator's stats are folded to read as totals
-    over all shards, and the returned :class:`EngineRun` is shaped like a
-    serial run's.
+    deltas) back; the last shard also sends its allocator.  The merged
+    state is adopted into the observers passed in, ``allocator`` adopts the
+    last shard's final state (objects, layout, pending work) while keeping
+    its own stats, into which every shard's deltas are folded to read as
+    totals over all shards.  Afterwards ``allocator`` and the returned
+    :class:`EngineRun` are shaped like a serial run's.
     """
     if jobs <= 1 or replay_unshardable_reason(source, observers) is not None:
         return None
@@ -330,11 +336,14 @@ def run_replay_sharded(
     started = time.perf_counter()
     results = _run_shards(path, index, jobs, "engine", _replay_shard, extra)
     with get_telemetry().span("parallel.merge", shards=len(results)):
-        merged, _ = results[0]
-        for others, _ in results[1:]:
+        merged = results[0][0]
+        for others, _, _ in results[1:]:
             for mine, theirs in zip(merged, others):
                 mine.merge(theirs)
-        _fold_stats(allocator, [delta for _, delta in results])
+        stats = allocator.stats
+        allocator.__dict__.update(results[-1][2].__dict__)
+        allocator.stats = stats
+        _fold_stats(allocator, [delta for _, delta, _ in results])
         # Callers hold references to the observer instances they passed in
         # (campaign cells export from them afterwards); adopt the merged
         # worker state into those originals so sharded and serial replays

@@ -1,13 +1,16 @@
 """Run a trace against an allocator and collect the paper's metrics.
 
-:func:`run_trace` is a thin composition over one observer-based
-:meth:`~repro.engine.EngineSession.run`: an :class:`ExecutionMetrics` is the
-product of a :class:`~repro.engine.MetricsObserver` (headline scalars), a
-:class:`~repro.engine.CostObserver` (after-the-fact cost charging), and —
-when sampling is requested — a
-:class:`~repro.engine.FootprintSeriesObserver` (footprint/volume over time).
-The first two are passive, so a plain ``run_trace(allocator, trace)`` keeps
-the allocator's zero-instrumentation fast path.
+:func:`run_trace` is a thin composition over one
+:meth:`~repro.engine.EngineSession.run` (or a sharded
+:func:`~repro.engine.run_replay_sharded`, which leaves the allocator as a
+serial run would): every headline number of an :class:`ExecutionMetrics`
+is read afterwards from the allocator's
+:class:`~repro.core.stats.AllocatorStats`, volume and footprint, and the
+cost ratios are charged after the fact from its size histograms.  Only a
+requested footprint series needs an observer
+(:class:`~repro.engine.FootprintSeriesObserver`), so a plain
+``run_trace(allocator, trace)`` keeps the allocator's zero-instrumentation
+fast path.
 """
 
 from __future__ import annotations
@@ -19,10 +22,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.base import Allocator
 from repro.costs.base import CostFunction
 from repro.engine import (
-    CostObserver,
     EngineSession,
     FootprintSeriesObserver,
-    MetricsObserver,
     Observer,
     Replayable,
     SerialFallbackWarning,
@@ -125,17 +126,16 @@ def run_trace(
         Note the footprint series is order-dependent, so requesting
         ``sample_every`` also forces serial.
     """
-    metrics_observer = MetricsObserver()
-    cost_observer = CostObserver(cost_functions)
     series_observer: Optional[FootprintSeriesObserver] = None
-    wired: List[Observer] = [metrics_observer, cost_observer]
+    wired: List[Observer] = []
     if sample_every:
         series_observer = FootprintSeriesObserver(every=sample_every)
         wired.append(series_observer)
     wired.extend(observers)
 
-    # A sharded replay adopts the merged state into ``wired``, so both
-    # paths leave the same observers finished for the metrics below.
+    # A sharded replay folds every shard's stats into ``allocator`` and
+    # leaves it in the last shard's final state, so both paths are read
+    # the same way below.
     run = None
     if jobs > 1:
         run = run_replay_sharded(allocator, trace, wired, jobs, finish_pending=finish_pending)
@@ -149,14 +149,26 @@ def run_trace(
     if run is None:
         run = EngineSession(allocator, wired, finish_pending=finish_pending).run(trace)
 
+    stats = allocator.stats
     return ExecutionMetrics(
         allocator=allocator.describe(),
         trace=run.label,
         requests=run.requests,
         elapsed_seconds=run.elapsed_seconds,
-        cost_ratios=cost_observer.cost_ratios,
+        final_volume=allocator.volume,
+        final_footprint=allocator.footprint,
+        max_footprint=stats.max_footprint,
+        max_footprint_ratio=stats.max_footprint_ratio,
+        mean_footprint_ratio=stats.mean_footprint_ratio,
+        total_moves=stats.total_moves,
+        total_moved_volume=stats.total_moved_volume,
+        moves_per_insert=stats.amortized_moves_per_insert,
+        max_request_moved_volume=stats.max_request_moved_volume,
+        max_request_checkpoints=stats.max_request_checkpoints,
+        total_checkpoints=stats.checkpoints,
+        flushes=stats.flushes,
+        cost_ratios={f.name: stats.cost_ratio(f) for f in cost_functions},
         footprint_series=series_observer.footprint if series_observer else [],
         volume_series=series_observer.volume if series_observer else [],
         series_indices=series_observer.indices if series_observer else [],
-        **metrics_observer.snapshot,
     )

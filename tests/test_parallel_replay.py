@@ -18,10 +18,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from benchmarks.legacy_codec import save_legacy_trace
 from repro.allocators import FirstFitAllocator
 from repro.campaign import CampaignSpec, SpecError, run_campaign
+from repro.core import CostObliviousReallocator, DeamortizedReallocator, check_invariants
 from repro.engine import (
     EngineSession,
     FootprintSeriesObserver,
-    MetricsObserver,
+    GapHistogramObserver,
     PerClassOccupancyObserver,
     SerialFallbackWarning,
     ShardContext,
@@ -246,6 +247,27 @@ def test_run_trace_sharded_folds_allocator_stats(v3_trace):
     assert sharded_allocator.stats.deletes == serial_allocator.stats.deletes
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: CostObliviousReallocator(0.25), lambda: DeamortizedReallocator(0.25)],
+    ids=["cost_oblivious", "deamortized"],
+)
+def test_run_trace_sharded_leaves_the_allocator_consistent(make, v3_trace):
+    """The caller's allocator ends in the last shard's final state: it holds
+    the live objects the metrics report and still satisfies the paper's
+    invariants, so it can keep serving requests like a serial run's."""
+    allocator = make()
+    metrics = run_trace(allocator, TraceFileSource(v3_trace["path"]), jobs=3)
+    assert metrics.final_volume > 0
+    assert allocator.volume == metrics.final_volume
+    assert allocator.footprint == metrics.final_footprint
+    assert allocator.stats.requests == metrics.requests == 2000
+    check_invariants(allocator)
+    allocator.insert("after-the-replay", 7)
+    assert allocator.volume == metrics.final_volume + 7
+    check_invariants(allocator)
+
+
 def test_run_trace_unmergeable_observer_warns_and_falls_back(v3_trace):
     with pytest.warns(SerialFallbackWarning, match="FootprintSeriesObserver"):
         metrics = run_trace(
@@ -274,7 +296,7 @@ def test_run_trace_v2_file_warns_with_convert_hint(tmp_path, v3_trace):
 # ------------------------------------------------------------------ fallbacks
 def test_replay_unshardable_reason_cases(tmp_path, v3_trace):
     source = TraceFileSource(v3_trace["path"])
-    mergeable = [MetricsObserver()]
+    mergeable = [GapHistogramObserver()]
     assert replay_unshardable_reason(source, mergeable) is None
 
     reason = replay_unshardable_reason(source, [FootprintSeriesObserver()])
@@ -290,15 +312,13 @@ def test_replay_unshardable_reason_cases(tmp_path, v3_trace):
 
 def test_unmergeable_observers_lists_the_blockers():
     names = unmergeable_observers(
-        [MetricsObserver(), FootprintSeriesObserver(), TraceAnalyticsObserver()]
+        [GapHistogramObserver(), FootprintSeriesObserver(), TraceAnalyticsObserver()]
     )
     assert names == ["FootprintSeriesObserver"]
 
 
 def test_run_replay_sharded_returns_none_on_unpicklable_payload(v3_trace):
-    class Unpicklable(MetricsObserver):
-        mergeable = True
-
+    class Unpicklable(GapHistogramObserver):
         def __init__(self):
             super().__init__()
             self._handle = open(v3_trace["path"], "rb")  # cannot pickle
