@@ -529,13 +529,17 @@ class _LeaseHeartbeat:
         self._thread.join(timeout=5.0)
 
 
-def _worker_error_record(payload: Dict[str, Any], kind: str, message: str) -> Dict[str, Any]:
+def _worker_error_record(
+    payload: Dict[str, Any], kind: str, message: str, elapsed_seconds: float
+) -> Dict[str, Any]:
     """A typed error record for infrastructure failures around a cell.
 
     Mirrors the shape :func:`~repro.campaign.executor.run_cell` gives error
     records so merge / tables / diff treat it like any other failed cell;
     ``error_kind`` distinguishes worker-level trouble (timeout, crash,
-    journal exhaustion) from the cell's own exception.
+    journal exhaustion) from the cell's own exception.  ``elapsed_seconds``
+    is the time the cell held its worker, so a timed-out cell still counts
+    toward the run's time.
     """
     return {
         "index": payload.get("index"),
@@ -550,16 +554,22 @@ def _worker_error_record(payload: Dict[str, Any], kind: str, message: str) -> Di
         "status": "error",
         "error_kind": kind,
         "error": message,
-        "elapsed_seconds": 0.0,
+        "elapsed_seconds": elapsed_seconds,
     }
 
 
 def _timeout_cell_entry(payload: Dict[str, Any], connection) -> None:
     """Child entry for per-cell timeouts: run the cell, pipe the record."""
+    started = time.perf_counter()
     try:
         record = run_cell(payload)
     except BaseException:  # run_cell never raises; belt and braces
-        record = _worker_error_record(payload, "worker_error", _traceback.format_exc(limit=20))
+        record = _worker_error_record(
+            payload,
+            "worker_error",
+            _traceback.format_exc(limit=20),
+            time.perf_counter() - started,
+        )
     try:
         connection.send(record)
     finally:
@@ -576,6 +586,7 @@ def _run_cell_with_timeout(payload: Dict[str, Any], timeout: float) -> Dict[str,
     """
     receiver, sender = multiprocessing.Pipe(duplex=False)
     process = multiprocessing.Process(target=_timeout_cell_entry, args=(payload, sender))
+    started = time.perf_counter()
     process.start()
     sender.close()
     record = None
@@ -590,13 +601,14 @@ def _run_cell_with_timeout(payload: Dict[str, Any], timeout: float) -> Dict[str,
         if timed_out:
             process.terminate()
         process.join()
+        elapsed = time.perf_counter() - started
         receiver.close()
         if timed_out:
             return _worker_error_record(
-                payload, "worker_timeout", f"cell exceeded the {timeout}s cell timeout"
+                payload, "worker_timeout", f"cell exceeded the {timeout}s cell timeout", elapsed
             )
         return _worker_error_record(
-            payload, "worker_crash", f"cell process died (exit code {process.exitcode})"
+            payload, "worker_crash", f"cell process died (exit code {process.exitcode})", elapsed
         )
     process.join()
     receiver.close()

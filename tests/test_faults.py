@@ -493,6 +493,27 @@ def test_cell_timeout_turns_overruns_into_typed_error_records(tmp_path):
     assert "timeout" in record["error"] or "died" in record["error"]
 
 
+def test_a_timed_out_cell_reports_the_time_it_held_its_worker(tmp_path):
+    directory = tmp_path / "q"
+    spec = CampaignSpec.from_dict(
+        {
+            "name": "slow",
+            "seed": 11,
+            "workloads": [{"kind": "churn", "requests": 200_000, "target_live": 400}],
+            "allocators": [{"kind": "cost_oblivious", "epsilon": 0.25}],
+            "costs": ["linear"],
+        }
+    )
+    enqueue_campaign(spec, directory)
+    # Seconds of work against a 0.3 s watchdog: the cell is always cut.
+    assert work_queue(directory, token="w1", cell_timeout=0.3) == 1
+    merged = merge_queue(directory)
+    record = merged.document["records"][0]
+    assert record["error_kind"] == "worker_timeout"
+    assert record["elapsed_seconds"] >= 0.3
+    assert merged.document["elapsed_seconds"] >= 0.3
+
+
 # ------------------------------------------------------- artifact write faults
 def test_atomic_write_faults_leave_no_tmp_and_keep_the_old_artifact(tmp_path):
     target = tmp_path / "results.json"
