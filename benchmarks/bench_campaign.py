@@ -11,7 +11,7 @@ import os
 import time
 
 from benchmarks.bench_artifact import record_metric
-from repro.campaign import CampaignSpec, campaign_table, run_campaign
+from repro.campaign import CampaignSpec, campaign_to_dict, document_table, run_campaign
 from repro.metrics.report import ascii_table
 
 
@@ -48,7 +48,7 @@ def test_campaign_parallel_speedup(benchmark, quick_mode):
     )
 
     print()
-    print(campaign_table(parallel).to_text())
+    print(document_table(campaign_to_dict(parallel)).to_text())
     print()
     print(
         ascii_table(

@@ -19,7 +19,6 @@ from repro.campaign.report import document_table, sweep_report
 from repro.campaign.artifacts import (
     ArtifactError,
     atomic_write,
-    campaign_table,
     campaign_to_dict,
     completed_records,
     load_results,
@@ -92,7 +91,6 @@ __all__ = [
     "build_device",
     "build_workload",
     "build_observer",
-    "campaign_table",
     "campaign_to_dict",
     "completed_records",
     "enqueue_campaign",

@@ -1,4 +1,4 @@
-"""Structured campaign artifacts: ``results.json``, ``results.csv``, tables.
+"""Structured campaign artifacts: ``results.json`` and ``results.csv``.
 
 A campaign directory is the durable output of one sweep::
 
@@ -9,9 +9,9 @@ A campaign directory is the durable output of one sweep::
 
 ``results.json`` is the machine-readable source of truth (benchmarks and
 follow-up analysis load it back with :func:`load_results`); the CSV carries
-the scalar columns only.  Terminal rendering reuses the repo-wide
-:class:`~repro.harness.results.ExperimentResult` / ``ascii_table`` path so a
-sweep prints exactly like the registered experiments do.
+the scalar columns only.  Terminal rendering lives in
+:mod:`repro.campaign.report`: a finished sweep and ``repro sweep report``
+print the same table from the same document.
 
 Every artifact is written atomically — serialized to a ``.tmp`` sibling and
 ``os.replace``d into place — so an interrupted sweep can never leave a
@@ -29,10 +29,7 @@ import os
 from typing import Any, Callable, Dict, List, TextIO, Union
 
 from repro.campaign.executor import CampaignResult
-from repro.campaign.spec import CampaignSpec, entry_tag
 from repro.faults.injector import fault_point
-from repro.harness.results import ExperimentResult
-from repro.obs.format import format_duration
 
 
 class ArtifactError(ValueError):
@@ -218,62 +215,3 @@ def completed_records(document: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
         for record in document.get("records", [])
         if record.get("status") == "ok"
     }
-
-
-def campaign_table(result: CampaignResult) -> ExperimentResult:
-    """One summary row per cell, rendered like a registered experiment."""
-    table = ExperimentResult(
-        experiment_id="SWEEP",
-        title=(
-            f"Campaign {result.spec.name!r}: {len(result.records)} cells, "
-            f"{len(result.error_records)} errors, jobs={result.jobs}, "
-            f"{format_duration(result.elapsed_seconds)}"
-        ),
-        headers=[
-            "workload",
-            "allocator",
-            "cost",
-            "device",
-            "status",
-            "max footprint/V",
-            "cost ratio",
-            "moved volume",
-            "device ms",
-        ],
-    )
-    for record in result.records:
-        if record["status"] == "ok":
-            table.rows.append(
-                [
-                    entry_tag(record["workload"]),
-                    entry_tag(record["allocator"]),
-                    entry_tag(record["cost"]),
-                    entry_tag(record["device"]),
-                    "ok",
-                    round(record["max_footprint_ratio"], 3),
-                    round(record["cost_ratio"], 2),
-                    record["total_moved_volume"],
-                    record.get("device_elapsed_ms", "-"),
-                ]
-            )
-        else:
-            error = record.get("error", "").strip().splitlines()
-            table.rows.append(
-                [
-                    entry_tag(record["workload"]),
-                    entry_tag(record["allocator"]),
-                    entry_tag(record["cost"]),
-                    entry_tag(record["device"]),
-                    "ERROR",
-                    "-",
-                    "-",
-                    "-",
-                    error[-1][:60] if error else "?",
-                ]
-            )
-    if result.error_records:
-        table.notes.append(
-            f"{len(result.error_records)} cell(s) failed; full tracebacks are in "
-            "results.json (status == 'error')."
-        )
-    return table

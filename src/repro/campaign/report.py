@@ -21,7 +21,11 @@ from repro.obs.format import format_bytes, format_duration
 
 
 def document_table(document: Dict[str, Any]) -> ExperimentResult:
-    """The per-cell summary table of a loaded ``results.json`` document."""
+    """The per-cell summary table of a ``results.json`` document.
+
+    ``repro sweep`` renders the run it just finished through this too, via
+    :func:`~repro.campaign.artifacts.campaign_to_dict`.
+    """
     records = document.get("records", [])
     errors = sum(1 for record in records if record.get("status") != "ok")
     table = ExperimentResult(
@@ -40,6 +44,7 @@ def document_table(document: Dict[str, Any]) -> ExperimentResult:
             "max footprint/V",
             "cost ratio",
             "moved volume",
+            "device ms",
         ],
     )
     for record in records:
@@ -57,11 +62,17 @@ def document_table(document: Dict[str, Any]) -> ExperimentResult:
                     round(record["max_footprint_ratio"], 3),
                     round(record["cost_ratio"], 2),
                     record["total_moved_volume"],
+                    record.get("device_elapsed_ms", "-"),
                 ]
             )
         else:
             error = record.get("error", "").strip().splitlines()
-            table.rows.append(axes + ["ERROR", "-", "-", error[-1][:60] if error else "?"])
+            table.rows.append(axes + ["ERROR", "-", "-", "-", error[-1][:60] if error else "?"])
+    if errors:
+        table.notes.append(
+            f"{errors} cell(s) failed; full tracebacks are in "
+            "results.json (status == 'error')."
+        )
     return table
 
 

@@ -731,8 +731,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         CampaignSpec,
         ProgressReporter,
         SpecError,
-        campaign_table,
+        campaign_to_dict,
         completed_records,
+        document_table,
         load_results,
         run_campaign,
     )
@@ -821,7 +822,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         reporter.summary(len(result.records), result.elapsed_seconds)
     if result.metadata.get("resumed"):
         print(f"resumed: {result.metadata['resumed']} cell(s) reused from {args.resume}")
-    print(campaign_table(result).to_text())
+    print(document_table(campaign_to_dict(result)).to_text())
     print()
     artifact_line = f"artifacts: {results_path(out_dir)}  {os.path.join(out_dir, 'results.csv')}"
     if telemetry_path is not None:

@@ -10,7 +10,8 @@ from repro.campaign import (
     CampaignSpec,
     SpecError,
     build_workload,
-    campaign_table,
+    campaign_to_dict,
+    document_table,
     load_results,
     run_campaign,
     write_results,
@@ -128,7 +129,7 @@ def test_crashing_cell_is_isolated():
         assert "kaboom" in record["error"]
         assert record["allocator"]["kind"] == "kaboom"
     # The table renders error rows instead of raising.
-    assert "ERROR" in campaign_table(result).to_text()
+    assert "ERROR" in document_table(campaign_to_dict(result)).to_text()
 
 
 def test_artifacts_round_trip(tmp_path):
