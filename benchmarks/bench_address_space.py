@@ -1,6 +1,7 @@
 """Guards for the indexed address space: audited replays must stay fast.
 
-Two enforced assertions on first-fit churn replays:
+One enforced assertion on first-fit churn replays, the guard on what the
+audit costs now that every address space is audited:
 
 * **Index vs pre-index audit.**  ``_LegacyScanSpace`` reinstates the seed's
   audit — a linear scan over every live extent per placement — on top of the
@@ -8,10 +9,9 @@ Two enforced assertions on first-fit churn replays:
   trace whose live set is large enough that the scan dominates (the captured
   pre-index baseline ratio; at the full 50k-live scale the gap is orders of
   magnitude, far too slow to time in CI).
-* **Audit overhead.**  With the index, ``validate=True`` must cost no more
-  than 2x the unaudited replay at scale (5k live by default, 50k with
-  ``REPRO_BENCH_FULL=1``) — which is what lets benchmarks and campaign cells
-  run audited by default.
+
+``test_first_fit_replay_throughput`` times the audited replay at scale (5k
+live by default, 50k with ``REPRO_BENCH_FULL=1``) for run-to-run comparison.
 
 Two more guard the free-gap index itself:
 
@@ -31,8 +31,6 @@ import os
 import random
 import time
 from bisect import bisect_left, insort
-
-import pytest
 
 from benchmarks.bench_artifact import record_metric
 from repro.allocators import FirstFitAllocator
@@ -57,7 +55,7 @@ FULL = os.environ.get("REPRO_BENCH_FULL", "") == "1"
 #: dominate, small enough that the legacy replay stays CI-friendly.
 LEGACY_TRACE = churn_trace(12_000, UniformSizes(1, 64), target_live=4_000, seed=31)
 
-#: Trace for the audited-vs-unaudited overhead guard.
+#: Trace for the at-scale throughput timing.
 SCALE_TRACE = (
     churn_trace(150_000, UniformSizes(1, 64), target_live=50_000, seed=32)
     if FULL
@@ -69,8 +67,8 @@ class _LegacyScanSpace(AddressSpace):
     """The pre-index audit: check a placement against every live extent,
     kept as ``Extent`` objects as the seed's space kept them."""
 
-    def __init__(self, validate=True):
-        super().__init__(validate)
+    def __init__(self):
+        super().__init__()
         self._extents = {}
 
     def place(self, name, start, length):
@@ -97,10 +95,10 @@ class _LegacyScanSpace(AddressSpace):
         return None
 
 
-def _timed_replay(trace, audit=True, space_class=None):
-    allocator = FirstFitAllocator(audit=audit)
+def _timed_replay(trace, space_class=None):
+    allocator = FirstFitAllocator()
     if space_class is not None:
-        allocator.space = space_class(validate=audit)
+        allocator.space = space_class()
     started = time.perf_counter()
     allocator.run(trace)
     elapsed = time.perf_counter() - started
@@ -136,28 +134,6 @@ def test_indexed_audit_and_legacy_scan_agree():
     assert indexed.footprint == legacy.footprint
     assert indexed.volume == legacy.volume
     indexed.space.verify_disjoint()
-
-
-def test_audited_replay_within_2x_of_unaudited_at_scale():
-    audited = unaudited = float("inf")
-    for _ in range(3):
-        audited = min(audited, _timed_replay(SCALE_TRACE, audit=True)[0])
-        unaudited = min(unaudited, _timed_replay(SCALE_TRACE, audit=False)[0])
-    live = "50k" if FULL else "5k"
-    print(
-        f"\nfirst-fit replay ({len(SCALE_TRACE)} requests, {live} live): "
-        f"audited={audited:.3f}s unaudited={unaudited:.3f}s "
-        f"({audited / unaudited:.2f}x)"
-    )
-    record_metric("address_space", "audited_replay_seconds", round(audited, 6), "seconds")
-    record_metric("address_space", "unaudited_replay_seconds", round(unaudited, 6), "seconds")
-    record_metric(
-        "address_space", "audit_overhead_ratio", round(audited / unaudited, 3), "ratio"
-    )
-    assert audited <= 2 * unaudited, (
-        f"audited replay ({audited:.3f}s) costs more than 2x the unaudited "
-        f"one ({unaudited:.3f}s); auditing is no longer affordable by default"
-    )
 
 
 class _LegacyBisectGapIndex(GapIndex):
@@ -247,12 +223,11 @@ def test_size_treap_beats_the_bisect_list_at_scale():
     )
 
 
-@pytest.mark.parametrize("mode", ["audited", "unaudited"])
-def test_first_fit_replay_throughput(benchmark, mode):
+def test_first_fit_replay_throughput(benchmark):
     """Statistical timing of the scale trace for run-to-run comparison."""
 
     def run_once():
-        _, allocator = _timed_replay(SCALE_TRACE, audit=mode == "audited")
+        _, allocator = _timed_replay(SCALE_TRACE)
         return allocator
 
     allocator = benchmark.pedantic(run_once, rounds=3, iterations=1)

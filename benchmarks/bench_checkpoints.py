@@ -91,7 +91,7 @@ def _timed_replay(allocator):
 
 def _deamortized(checkpoints=None):
     translation = BlockTranslationLayer(checkpoints) if checkpoints is not None else None
-    return DeamortizedReallocator(0.25, translation=translation, audit=True)
+    return DeamortizedReallocator(0.25, translation=translation)
 
 
 def _assert_same_replay(fast, slow):
@@ -125,16 +125,50 @@ def test_indexed_frozen_space_beats_linear_scan():
     )
 
 
+#: Below this many heap entries compaction is never worth the rebuild.
+_HEAP_COMPACT_MIN = 64
+
+
 class _HeapTrackingSpace(AddressSpace):
     """The audited space before it read its footprint from the index: a
     lazy end-heap and end counter kept on every place, move and remove, and
-    a move that removes and re-adds its index entry through two calls."""
+    a move that removes and re-adds its index entry through two calls.
+    ``_track_end``/``_untrack_end`` are the address space's own end-heap
+    methods from when it still had an unaudited mode, copied verbatim."""
 
     def __init__(self):
-        super().__init__(validate=True)
+        super().__init__()
         self._end_counts = Counter()
         self._end_heap = []
         self._tracked_ends = 0
+        self._c_compactions = None  # an audited space never counted them
+
+    def _track_end(self, end: int) -> None:
+        self._end_counts[end] += 1
+        self._tracked_ends += 1
+        heapq.heappush(self._end_heap, -end)
+
+    def _untrack_end(self, end: int) -> None:
+        remaining = self._end_counts[end] - 1
+        if remaining:
+            self._end_counts[end] = remaining
+        else:
+            del self._end_counts[end]
+        self._tracked_ends -= 1
+        heap = self._end_heap
+        if (
+            len(heap) > _HEAP_COMPACT_MIN
+            and len(heap) - self._tracked_ends > 2 * self._tracked_ends
+        ):
+            # Stale (lazily deleted) entries outnumber live ones 2:1 —
+            # rebuild from the distinct live end addresses.  One entry per
+            # distinct end suffices: footprint() only pops ends that are no
+            # longer in the counter.
+            compactions = self._c_compactions
+            if compactions is not None:
+                compactions.value += 1
+            self._end_heap = [-end for end in self._end_counts]
+            heapq.heapify(self._end_heap)
 
     def place(self, name, start, length):
         super().place(name, start, length)
@@ -194,7 +228,7 @@ class _PerMoveReference(_ParentRelocate, DeamortizedReallocator):
     ``_move_object`` call per planned move, over ``_HeapTrackingSpace``."""
 
     def __init__(self):
-        super().__init__(0.25, audit=True)
+        super().__init__(0.25)
         self.space = _HeapTrackingSpace()
 
     def _move_object(self, name, new_address, reason="move"):
@@ -315,7 +349,7 @@ class _ParentMovePath(_ParentRelocate, DeamortizedReallocator):
     phased executor that calls ``_relocate`` and ``record_move`` per move."""
 
     def __init__(self):
-        super().__init__(0.25, translation=_FullCopyTranslation(), audit=True)
+        super().__init__(0.25, translation=_FullCopyTranslation())
         self.space = _RemoveInsortSpace()
 
     def _run_items(self, items, index, budget):

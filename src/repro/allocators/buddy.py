@@ -30,10 +30,10 @@ class BuddyAllocator(Allocator):
     name = "buddy"
     supports_reallocation = False
 
-    def __init__(self, max_order: int = 12, trace: bool = False, audit: bool = True) -> None:
+    def __init__(self, max_order: int = 12, trace: bool = False) -> None:
         if max_order < 0:
             raise ValueError("max_order must be nonnegative")
-        super().__init__(trace=trace, audit=audit)
+        super().__init__(trace=trace)
         self.max_order = max_order
         #: free[k] = set of start addresses of free blocks of size 2**k.
         self._free: Dict[int, Set[int]] = {k: set() for k in range(max_order + 1)}

@@ -42,8 +42,8 @@ class FreeListAllocator(Allocator):
     #: policy that does not leaves it unbuilt, so gap updates skip it.
     uses_size_order = False
 
-    def __init__(self, trace: bool = False, audit: bool = True) -> None:
-        super().__init__(trace=trace, audit=audit)
+    def __init__(self, trace: bool = False) -> None:
+        super().__init__(trace=trace)
         self._gaps = GapIndex(size_order=self.uses_size_order)
         self._high_water = 0
 
@@ -140,8 +140,8 @@ class NextFitAllocator(FreeListAllocator):
 
     name = "next-fit"
 
-    def __init__(self, trace: bool = False, audit: bool = True) -> None:
-        super().__init__(trace=trace, audit=audit)
+    def __init__(self, trace: bool = False) -> None:
+        super().__init__(trace=trace)
         self._rover = 0
 
     def _take_gap(self, size: int) -> Optional[int]:

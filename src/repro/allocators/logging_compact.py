@@ -31,10 +31,10 @@ class LoggingCompactingReallocator(Allocator):
     name = "logging-compact"
     supports_reallocation = True
 
-    def __init__(self, threshold: float = 2.0, trace: bool = False, audit: bool = True) -> None:
+    def __init__(self, threshold: float = 2.0, trace: bool = False) -> None:
         if threshold <= 1.0:
             raise ValueError("threshold must exceed 1")
-        super().__init__(trace=trace, audit=audit)
+        super().__init__(trace=trace)
         self.threshold = threshold
         self._bump = 0
         #: Insertion order of live objects (dict preserves ordering).

@@ -22,8 +22,8 @@ class IdealPackingReallocator(Allocator):
     name = "ideal-packing"
     supports_reallocation = True
 
-    def __init__(self, trace: bool = False, audit: bool = True) -> None:
-        super().__init__(trace=trace, audit=audit)
+    def __init__(self, trace: bool = False) -> None:
+        super().__init__(trace=trace)
         self._order: Dict[Hashable, None] = {}
         self._end = 0
 

@@ -42,8 +42,8 @@ class SizeClassGapReallocator(Allocator):
     name = "size-class-gap"
     supports_reallocation = True
 
-    def __init__(self, trace: bool = False, audit: bool = True) -> None:
-        super().__init__(trace=trace, audit=audit)
+    def __init__(self, trace: bool = False) -> None:
+        super().__init__(trace=trace)
         #: class -> ordered list of object names occupying the zone's slots.
         self._zones: Dict[int, List[Hashable]] = {}
         #: class -> start address of the zone's first slot.

@@ -559,7 +559,8 @@ def _worker_error_record(
 
 
 def _timeout_cell_entry(payload: Dict[str, Any], connection) -> None:
-    """Child entry for per-cell timeouts: run the cell, pipe the record."""
+    """Child entry for per-cell timeouts: run the cell, pipe the record and
+    the ``time.monotonic()`` it finished at (system-wide on Linux)."""
     started = time.perf_counter()
     try:
         record = run_cell(payload)
@@ -571,7 +572,7 @@ def _timeout_cell_entry(payload: Dict[str, Any], connection) -> None:
             time.perf_counter() - started,
         )
     try:
-        connection.send(record)
+        connection.send((record, time.monotonic()))
     finally:
         connection.close()
 
@@ -586,32 +587,35 @@ def _run_cell_with_timeout(payload: Dict[str, Any], timeout: float) -> Dict[str,
     """
     receiver, sender = multiprocessing.Pipe(duplex=False)
     process = multiprocessing.Process(target=_timeout_cell_entry, args=(payload, sender))
-    started = time.perf_counter()
+    started = time.monotonic()
     process.start()
     sender.close()
     record = None
     try:
         # poll() also wakes on EOF when the child dies without sending.
         if receiver.poll(timeout):
-            record = receiver.recv()
+            record, finished = receiver.recv()
     except (EOFError, OSError):
         record = None
     if record is None:
-        timed_out = process.is_alive()
-        if timed_out:
+        overran = process.is_alive()
+        if overran:
             process.terminate()
-        process.join()
-        elapsed = time.perf_counter() - started
-        receiver.close()
-        if timed_out:
-            return _worker_error_record(
-                payload, "worker_timeout", f"cell exceeded the {timeout}s cell timeout", elapsed
-            )
+    else:
+        # Judged by the child's finish stamp, not by what the pipe holds:
+        # a parent descheduled past the deadline finds a late record there.
+        overran = finished - started > timeout
+    process.join()
+    receiver.close()
+    elapsed = (time.monotonic() if record is None else finished) - started
+    if overran:
+        return _worker_error_record(
+            payload, "worker_timeout", f"cell exceeded the {timeout}s cell timeout", elapsed
+        )
+    if record is None:
         return _worker_error_record(
             payload, "worker_crash", f"cell process died (exit code {process.exitcode})", elapsed
         )
-    process.join()
-    receiver.close()
     return record
 
 

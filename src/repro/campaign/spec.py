@@ -399,7 +399,7 @@ def _build_workload_trace(entry: AxisEntry, seed: int, dry_run: bool):
 
 
 #: Allocator registry: spec kind -> class.  The paper variants accept an
-#: ``epsilon`` parameter; every allocator accepts ``audit``.
+#: ``epsilon`` parameter.
 ALLOCATOR_KINDS = {
     "first_fit": FirstFitAllocator,
     "best_fit": BestFitAllocator,
@@ -419,15 +419,17 @@ ALLOCATOR_KINDS = {
 def build_allocator(entry: AxisEntry) -> Allocator:
     """Build an allocator from its spec entry.
 
-    Cells run audited by default: overlap auditing is an O(log n) indexed
-    neighbour probe per placement, cheap enough to leave on even for
-    100k+-object sweeps.  Set ``"audit": false`` per entry to shave the last
-    few percent off a huge throughput-only run."""
+    Every allocator audits its placements (an O(log n) indexed neighbour
+    probe each), so an entry carrying the removed ``audit`` key is refused."""
     params = normalise_entry(entry)
     kind = params.pop("kind")
     if kind not in ALLOCATOR_KINDS:
         raise SpecError(f"unknown allocator {kind!r}; known: {sorted(ALLOCATOR_KINDS)}")
-    params.setdefault("audit", True)
+    if "audit" in params:
+        raise SpecError(
+            f"allocator {kind!r}: the 'audit' parameter was removed; every "
+            "allocator is audited (drop the key)"
+        )
     try:
         return ALLOCATOR_KINDS[kind](**params)
     except (TypeError, ValueError) as error:

@@ -365,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KIND",
         help=(
             "allocator spec per arena: a kind name (first_fit, buddy, ...) or "
-            'a JSON object like \'{"kind": "buddy", "audit": false}\''
+            'a JSON object like \'{"kind": "cost_oblivious", "epsilon": 0.25}\''
         ),
     )
     arena = serve_parser.add_mutually_exclusive_group()

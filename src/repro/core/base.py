@@ -42,11 +42,6 @@ class Allocator(ABC):
         (including its individual moves) is retained in :attr:`history`.
         Leave False for large benchmark runs; the aggregate statistics in
         :attr:`stats` are always maintained.
-    audit:
-        When True (default) every placement is checked for overlaps via the
-        address space's sorted index — an O(log n) neighbour probe, cheap
-        enough that benchmarks and campaign cells leave it on.  Set False
-        only to shave the last few percent off a huge throughput-only run.
     observers:
         Observers (see :mod:`repro.engine.observers`) notified of every
         request record, move, flush, and checkpoint.  Usually attached per
@@ -66,8 +61,8 @@ class Allocator(ABC):
     #: Whether the algorithm ever moves previously allocated objects.
     supports_reallocation: bool = False
 
-    def __init__(self, trace: bool = False, audit: bool = True, observers=None) -> None:
-        self.space = AddressSpace(validate=audit)
+    def __init__(self, trace: bool = False, observers=None) -> None:
+        self.space = AddressSpace()
         self.stats = AllocatorStats()
         self.trace = trace
         self.history: List[RequestRecord] = []

@@ -59,10 +59,9 @@ class CheckpointedReallocator(CostObliviousReallocator):
         epsilon: float = 0.5,
         translation: Optional[BlockTranslationLayer] = None,
         trace: bool = False,
-        audit: bool = True,
         track_recovery: bool = False,
     ) -> None:
-        super().__init__(epsilon=epsilon, trace=trace, audit=audit)
+        super().__init__(epsilon=epsilon, trace=trace)
         self.translation = translation if translation is not None else BlockTranslationLayer()
         self.checkpoints = self.translation.checkpoints
         self.track_recovery = track_recovery

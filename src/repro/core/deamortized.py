@@ -70,6 +70,8 @@ class DeamortizedReallocator(CheckpointedReallocator):
         Volume of flush work performed per unit of update volume, the paper's
         ``4 / eps'``.  Exposed for the ablation benchmark; the default follows
         the paper.
+    audit:
+        Ignored: every allocator's address space is audited.
     """
 
     name = "deamortized"
@@ -83,11 +85,11 @@ class DeamortizedReallocator(CheckpointedReallocator):
         track_recovery: bool = False,
         work_factor: Optional[float] = None,
     ) -> None:
+        # `audit` stays only for perfbench's calls; both values build the same audited space.
         super().__init__(
             epsilon=epsilon,
             translation=translation,
             trace=trace,
-            audit=audit,
             track_recovery=track_recovery,
         )
         # The deamortized structure parks deleted-but-unprocessed volume in

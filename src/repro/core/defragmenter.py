@@ -120,7 +120,7 @@ class Defragmenter:
         volume = sum(sizes.values())
         delta = max(sizes.values())
 
-        space = AddressSpace(validate=True)
+        space = AddressSpace()
         for name, size in sizes.items():
             if name not in allocation:
                 raise ValueError(f"object {name!r} has no starting address")
@@ -165,7 +165,7 @@ class Defragmenter:
         # Phase 2: pull objects out of the suffix left to right, stage them in
         # the Delta working space at the very end, and insert them into a
         # cost-oblivious reallocator occupying the prefix.
-        realloc = CostObliviousReallocator(epsilon=self.epsilon, audit=True)
+        realloc = CostObliviousReallocator(epsilon=self.epsilon)
         min_gap = suffix_end
         for position, name in enumerate(suffix_names):
             size = sizes[name]

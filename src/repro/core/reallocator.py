@@ -120,7 +120,7 @@ class CostObliviousReallocator(Allocator):
     trace:
         Keep per-request :class:`~repro.core.events.RequestRecord` history.
     audit:
-        Check every placement for overlaps (disable for huge traces).
+        Ignored: every allocator's address space is audited.
     """
 
     name = "cost-oblivious"
@@ -129,9 +129,10 @@ class CostObliviousReallocator(Allocator):
     def __init__(
         self, epsilon: float = 0.5, trace: bool = False, audit: bool = True
     ) -> None:
+        # `audit` stays only for perfbench's calls; both values build the same audited space.
         if not 0 < epsilon <= 0.5:
             raise ValueError(f"epsilon must lie in (0, 1/2], got {epsilon}")
-        super().__init__(trace=trace, audit=audit)
+        super().__init__(trace=trace)
         self.epsilon = epsilon
         self.epsilon_prime = epsilon / 3.0
         self._regions: Dict[int, Region] = {}

@@ -68,9 +68,9 @@ class TabulatedCost(CostFunction):
     the largest measurement are charged ``max(f(largest), r * size)`` where
     ``r`` is the smallest measured per-unit rate — an extrapolation that
     provably preserves subadditivity given a subadditive table.
-    ``validate=True`` runs the empirical F_sa checker over the measured range
-    so that bad measurements are rejected loudly instead of silently breaking
-    the competitive analysis.
+    ``validate`` (on by default) runs the empirical F_sa checker over the
+    measured range so that bad measurements are rejected loudly instead of
+    silently breaking the competitive analysis.
     """
 
     def __init__(self, table: Dict[int, float], validate: bool = True) -> None:

@@ -360,6 +360,11 @@ class ServeServer:
         self.port = config.port
 
     async def start(self) -> None:
+        from repro.campaign.spec import build_allocator
+
+        # A bad allocator spec raises SpecError here, before the port is
+        # bound, instead of failing every tenant's first connection.
+        build_allocator(self.config.allocator)
         self._loop = asyncio.get_running_loop()
         os.makedirs(self.config.trace_dir, exist_ok=True)
         if self.config.snapshot_dir:

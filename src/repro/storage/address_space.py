@@ -15,32 +15,24 @@ uncomparable) names.  An :class:`~repro.storage.extent.Extent` is built only
 for a caller that asks for one: ``extent_of``, ``get``, ``items``,
 ``snapshot`` and ``free_gaps``.
 
-Volume is a running counter.  While validation is on, the live extents are
-pairwise disjoint and the address index (a bisect-maintained list of the
-same entries) is sorted by start, hence by end as well, so the footprint is
-the end of its last entry.  A placement can only clash with its nearest
-neighbours in address order: one bisect plus two neighbour probes.  Most
-flush moves stay clear of both neighbours, so the entry keeps its rank and
-is overwritten in place; other moves probe with their own entry skipped,
-then delete and re-insert it.  The index also makes :meth:`free_gaps` and
-:meth:`verify_disjoint` single ordered walks.  With ``validate=False``
-extents may overlap, so the index is not maintained: the footprint comes
-from a lazy max-heap of end addresses, compacted whenever lazily-deleted
-entries dominate, and the two queries sort on demand.
+Volume is a running counter.  Every placement is audited, so the live
+extents are pairwise disjoint and the address index (a bisect-maintained
+list of the same entries) is sorted by start, hence by end as well, so the
+footprint is the end of its last entry.  A placement can only clash with
+its nearest neighbours in address order: one bisect plus two neighbour
+probes.  Most flush moves stay clear of both neighbours, so the entry keeps
+its rank and is overwritten in place; other moves probe with their own
+entry skipped, then delete and re-insert it.  The index also makes
+:meth:`free_gaps` and :meth:`verify_disjoint` single ordered walks.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, insort
-from collections import Counter
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.obs.telemetry import get_telemetry
 from repro.storage.extent import Extent
-
-#: Below this many heap entries compaction is never worth the rebuild.
-_HEAP_COMPACT_MIN = 64
 
 #: An object's entry, in the name map and the address index alike.
 _Entry = Tuple[int, int, int, Hashable]
@@ -51,51 +43,34 @@ class OverlapError(RuntimeError):
 
 
 class AddressSpace:
-    """Tracks which extent every live object occupies.
+    """Tracks which extent every live object occupies, auditing every
+    placement and move against its neighbours in address order."""
 
-    Parameters
-    ----------
-    validate:
-        When True (default) every placement and move is checked against the
-        neighbouring live extents and :class:`OverlapError` is raised on a
-        clash.  When False the check is skipped and the address index is not
-        maintained (used for large unaudited benchmark runs).  The flag is
-        fixed at construction time.
-    """
-
-    def __init__(self, validate: bool = True) -> None:
-        self._validate = validate
+    def __init__(self) -> None:
         #: name -> (start, order, end, name), the entry the index holds.
         self._entries: Dict[Hashable, _Entry] = {}
         self._volume = 0
-        self._index: List[_Entry] = []  # address order; only while validating
+        self._index: List[_Entry] = []  # the same entries, in address order
         self._order_seq = 0
-        if not validate:
-            # Overlapping extents break the index's end order, so an
-            # unaudited space finds its footprint in a lazy end-heap.
-            self._end_counts: Counter = Counter()
-            self._end_heap: List[int] = []
-            self._tracked_ends = 0
         # Bound once at construction, only when telemetry is enabled; the
         # hot paths pay a single attribute-is-None check while it is off.
         telemetry = get_telemetry()
         self._c_probes = None
-        self._c_compactions = None
         if telemetry.enabled:
             self._c_probes = telemetry.counter("address_space.audit_probes")
-            if not validate:
-                self._c_compactions = telemetry.counter("address_space.heap_compactions")
 
     def __setstate__(self, state: Dict) -> None:
         """Unpickle, converting the layouts older snapshots carry.
 
-        Session and serve snapshots pickle whole allocators.  An audited
-        space that also kept the end-heap drops it.  A name map of extents
-        beside an ``_order`` serial map becomes a map of index entries.
+        Session and serve snapshots pickle whole allocators.  A name map of
+        extents beside an ``_order`` serial map becomes a map of index
+        entries.  A space pickled unaudited (``_validate`` False) kept an
+        end-heap and no index: it is indexed here and re-checked, so an
+        overlapping one raises :class:`OverlapError`.
         """
-        if state.get("_validate", True):
-            for stale in ("_end_heap", "_end_counts", "_tracked_ends"):
-                state.pop(stale, None)
+        audited = state.pop("_validate", True)
+        for stale in ("_end_heap", "_end_counts", "_tracked_ends", "_c_compactions"):
+            state.pop(stale, None)
         extents = state.pop("_extents", None)
         if extents is not None:
             # An unaudited space kept no serials: number its names in order.
@@ -103,13 +78,11 @@ class AddressSpace:
             state["_order_seq"] = max(state.get("_order_seq", 0), len(extents))
             entries = {name: (e.start, orders[name], e.end, name) for name, e in extents.items()}
             state["_entries"] = entries
-            state["_index"] = sorted(entries.values()) if state.get("_validate", True) else []
+        if extents is not None or not audited:
+            state["_index"] = sorted(state["_entries"].values())
         self.__dict__.update(state)
-
-    @property
-    def validate(self) -> bool:
-        """Whether placements are audited (fixed at construction time)."""
-        return self._validate
+        if not audited:
+            self.verify_disjoint()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -179,33 +152,6 @@ class AddressSpace:
             f"{self.extent_of(clash)}"
         )
 
-    def _track_end(self, end: int) -> None:
-        self._end_counts[end] += 1
-        self._tracked_ends += 1
-        heapq.heappush(self._end_heap, -end)
-
-    def _untrack_end(self, end: int) -> None:
-        remaining = self._end_counts[end] - 1
-        if remaining:
-            self._end_counts[end] = remaining
-        else:
-            del self._end_counts[end]
-        self._tracked_ends -= 1
-        heap = self._end_heap
-        if (
-            len(heap) > _HEAP_COMPACT_MIN
-            and len(heap) - self._tracked_ends > 2 * self._tracked_ends
-        ):
-            # Stale (lazily deleted) entries outnumber live ones 2:1 —
-            # rebuild from the distinct live end addresses.  One entry per
-            # distinct end suffices: footprint() only pops ends that are no
-            # longer in the counter.
-            compactions = self._c_compactions
-            if compactions is not None:
-                compactions.value += 1
-            self._end_heap = [-end for end in self._end_counts]
-            heapq.heapify(self._end_heap)
-
     # ------------------------------------------------------------ mutation
     def place(self, name: Hashable, start: int, length: int) -> None:
         """Place a new object at ``[start, start + length)``: the one place a
@@ -219,13 +165,10 @@ class AddressSpace:
             raise KeyError(f"object {name!r} is already placed")
         end = start + length
         entry = (start, self._order_seq, end, name)
-        if self._validate:
-            clash = self._find_overlap(start, end)
-            if clash is not None:
-                raise self._clash("placing", name, start, end, clash)
-            insort(self._index, entry)
-        else:
-            self._track_end(end)
+        clash = self._find_overlap(start, end)
+        if clash is not None:
+            raise self._clash("placing", name, start, end, clash)
+        insort(self._index, entry)
         self._order_seq += 1
         self._entries[name] = entry
         self._volume += length
@@ -244,36 +187,32 @@ class AddressSpace:
         # The object keeps its order serial: it is unique among the live
         # names, which is all the bisection needs.
         entry = (start, order, end, name)
-        if self._validate:
-            index = self._index
-            pos = bisect_left(index, old)
-            last = len(index) - 1
-            pred_clear = pos == 0 or index[pos - 1][2] <= start
-            succ_clear = pos == last or end <= index[pos + 1][0]
-            # Clear of both neighbours, the entry still sorts between them
-            # (disjoint spans sort alike by start and by end): overwrite it.
-            if pred_clear and succ_clear:
+        index = self._index
+        pos = bisect_left(index, old)
+        last = len(index) - 1
+        pred_clear = pos == 0 or index[pos - 1][2] <= start
+        succ_clear = pos == last or end <= index[pos + 1][0]
+        # Clear of both neighbours, the entry still sorts between them
+        # (disjoint spans sort alike by start and by end): overwrite it.
+        if pred_clear and succ_clear:
+            if self._c_probes is not None:
+                self._c_probes.value += 1
+            index[pos] = entry
+        else:
+            # In its slot, the two neighbours are the nearest
+            # predecessor and successor _find_overlap would probe.
+            if (pos == 0 or index[pos - 1][0] < start) and (
+                pos == last or entry < index[pos + 1]
+            ):
                 if self._c_probes is not None:
                     self._c_probes.value += 1
-                index[pos] = entry
+                clash = index[pos + 1 if pred_clear else pos - 1][3]
             else:
-                # In its slot, the two neighbours are the nearest
-                # predecessor and successor _find_overlap would probe.
-                if (pos == 0 or index[pos - 1][0] < start) and (
-                    pos == last or entry < index[pos + 1]
-                ):
-                    if self._c_probes is not None:
-                        self._c_probes.value += 1
-                    clash = index[pos + 1 if pred_clear else pos - 1][3]
-                else:
-                    clash = self._find_overlap(start, end, ignore=name)
-                if clash is not None:
-                    raise self._clash("moving", name, start, end, clash)
-                del index[pos]
-                insort(index, entry)
-        else:
-            self._untrack_end(old_end)
-            self._track_end(end)
+                clash = self._find_overlap(start, end, ignore=name)
+            if clash is not None:
+                raise self._clash("moving", name, start, end, clash)
+            del index[pos]
+            insort(index, entry)
         entries[name] = entry
         return old_start
 
@@ -281,26 +220,17 @@ class AddressSpace:
         """Remove an object and return the start it used to occupy."""
         entry = self._entries.pop(name)
         start, _, end, _ = entry
-        if self._validate:
-            index = self._index
-            del index[bisect_left(index, entry)]
-        else:
-            self._untrack_end(end)
+        index = self._index
+        del index[bisect_left(index, entry)]
         self._volume -= end - start
         return start
 
     # -------------------------------------------------------------- queries
     def footprint(self) -> int:
         """Largest allocated address (the paper's footprint objective)."""
-        if self._validate:
-            # Disjoint extents sorted by start are sorted by end too.
-            index = self._index
-            return index[-1][2] if index else 0
-        heap = self._end_heap
-        counts = self._end_counts
-        while heap and -heap[0] not in counts:
-            heapq.heappop(heap)
-        return -heap[0] if heap else 0
+        # Disjoint extents sorted by start are sorted by end too.
+        index = self._index
+        return index[-1][2] if index else 0
 
     def volume(self) -> int:
         """Total size of live objects (the paper's ``V``)."""
@@ -313,15 +243,11 @@ class AddressSpace:
             return 1.0
         return self._volume / footprint
 
-    def _ordered(self) -> List[_Entry]:
-        """The entries in address order; sorts only if unindexed."""
-        return self._index if self._validate else sorted(self._entries.values())
-
     def free_gaps(self) -> List[Extent]:
         """Return the maximal free extents below the footprint."""
         gaps: List[Extent] = []
         cursor = 0
-        for start, _, end, _ in self._ordered():
+        for start, _, end, _ in self._index:
             if start > cursor:
                 gaps.append(Extent(cursor, start - cursor))
             if end > cursor:
@@ -331,7 +257,7 @@ class AddressSpace:
     def verify_disjoint(self) -> None:
         """Exhaustively re-check that all live extents are pairwise disjoint."""
         previous: Optional[_Entry] = None
-        for entry in self._ordered():
+        for entry in self._index:
             if previous is not None and previous[2] > entry[0]:
                 name_a, name_b = previous[3], entry[3]
                 raise OverlapError(

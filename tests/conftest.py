@@ -53,8 +53,8 @@ class _OracleSpace(AddressSpace):
     checkpoint manager.
     """
 
-    def __init__(self, owner, validate):
-        super().__init__(validate=validate)
+    def __init__(self, owner):
+        super().__init__()
         self._owner = owner
 
     def _check(self, name, start, end):
@@ -93,7 +93,7 @@ def with_frozen_space_oracle(cls):
     class FrozenSpaceOracle(cls):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.space = _OracleSpace(self, validate=self.space.validate)
+            self.space = _OracleSpace(self)
             self.oracle_freed = []
             self.oracle_violations = []
             self.oracle_writes = 0

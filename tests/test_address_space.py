@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import CostObliviousReallocator, DeamortizedReallocator
 from repro.obs.telemetry import NullSink, Telemetry, use_telemetry
 from repro.storage.address_space import AddressSpace, OverlapError
 from repro.storage.extent import Extent
@@ -79,15 +80,6 @@ def test_footprint_shrinks_when_last_object_leaves():
     assert space.footprint() == 0
 
 
-def test_unvalidated_space_skips_overlap_checks_but_keeps_accounting():
-    space = AddressSpace(validate=False)
-    space.place("a", 0, 10)
-    space.place("b", 5, 10)  # no error in fast mode
-    assert space.volume() == 20
-    with pytest.raises(OverlapError):
-        space.verify_disjoint()
-
-
 def test_free_gaps_and_utilization():
     space = AddressSpace()
     space.place("a", 0, 5)
@@ -106,44 +98,6 @@ def test_snapshot_is_a_copy():
     assert space.extent_of("a") == Extent(0, 5)
 
 
-def test_end_heap_is_compacted_on_delete_heavy_churn():
-    """A long insert/delete churn trace must not grow the lazy footprint
-    heap without bound: stale entries are compacted away once they exceed
-    2x the live ones, so the heap stays proportional to the live set.
-    Only an unaudited space keeps the heap; an audited one reads its
-    footprint from the address index."""
-    space = AddressSpace(validate=False)
-    for round_number in range(5000):
-        # Two live objects at a time, with ever-changing end addresses so
-        # every round pushes fresh heap entries and strands the old ones.
-        space.place("a", round_number, 1)
-        space.place("b", round_number + 5, 1)
-        assert space.footprint() == round_number + 6
-        space.remove("a")
-        space.remove("b")
-    assert space.footprint() == 0
-    assert len(space._end_heap) <= 128  # bounded, not the 10k pushes made
-    # The compacted heap keeps answering correctly as objects come back.
-    space.place("c", 7, 3)
-    assert space.footprint() == 10
-
-
-def test_end_heap_compaction_preserves_duplicate_end_counts():
-    """Several live extents sharing one end address survive compaction:
-    the end stays in the heap until the last of them is removed."""
-    space = AddressSpace(validate=False)
-    for index in range(3):
-        space.place(("dup", index), 90, 10)  # all end at 100
-    # Churn enough distinct ends to trigger at least one compaction.
-    for round_number in range(200):
-        space.place("tmp", 200 + round_number, 5)
-        space.remove("tmp")
-    for index in range(3):
-        assert space.footprint() == 100
-        space.remove(("dup", index))
-    assert space.footprint() == 0
-
-
 # ------------------------------------------------------------ property tests
 def _naive_footprint(extents):
     return max((extent.end for extent in extents.values()), default=0)
@@ -151,54 +105,6 @@ def _naive_footprint(extents):
 
 def _naive_volume(extents):
     return sum(extent.length for extent in extents.values())
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_incremental_footprint_and_volume_match_naive_recomputation(seed):
-    """Random place/move/remove sequences: the lazy-heap footprint and the
-    running volume counter must always agree with a from-scratch recompute."""
-    import random
-
-    rng = random.Random(seed)
-    space = AddressSpace(validate=False)  # overlaps allowed: stresses the heap
-    mirror = {}
-    next_id = 0
-    for step in range(400):
-        ops = ["place"]
-        if mirror:
-            ops += ["move", "remove", "remove"]
-        op = rng.choice(ops)
-        if op == "place":
-            name = f"obj-{next_id}"
-            next_id += 1
-            extent = Extent(rng.randint(0, 500), rng.randint(1, 64))
-            space.place(name, extent.start, extent.length)
-            mirror[name] = extent
-        elif op == "move":
-            name = rng.choice(list(mirror))
-            extent = Extent(rng.randint(0, 500), mirror[name].length)
-            assert space.move(name, extent.start) == mirror[name].start
-            mirror[name] = extent
-        else:
-            name = rng.choice(list(mirror))
-            removed = space.remove(name)
-            assert removed == mirror.pop(name).start
-        assert space.footprint() == _naive_footprint(mirror), f"step {step}"
-        assert space.volume() == _naive_volume(mirror), f"step {step}"
-        assert len(space) == len(mirror)
-    # Drain everything: the footprint must collapse back to zero.
-    for name in list(mirror):
-        space.remove(name)
-        del mirror[name]
-        assert space.footprint() == _naive_footprint(mirror)
-    assert space.footprint() == 0 and space.volume() == 0
-
-
-def test_audited_space_keeps_no_end_heap():
-    space = AddressSpace()
-    space.place("a", 0, 4)
-    assert not hasattr(space, "_end_heap") and not hasattr(space, "_end_counts")
-    assert hasattr(AddressSpace(validate=False), "_end_heap")
 
 
 #: One step of the audited-footprint property test: an op, a name slot, an
@@ -422,33 +328,23 @@ def test_a_move_that_keeps_its_rank_skips_the_index_walk():
     assert [name for _, _, _, name in space._index] == ["a", "c", "b"]
 
 
-@pytest.mark.parametrize("validate", [True, False])
-def test_unpickles_the_layout_that_mapped_names_to_extents(validate):
+def test_unpickles_the_layout_that_mapped_names_to_extents():
     """A pickle of the older layout (a name -> ``Extent`` map beside an
-    ``_order`` serial map, which an unaudited space left empty) comes back
-    as a map of index entries, in the same name order, that keeps working."""
+    ``_order`` serial map) comes back as a map of index entries, in the
+    same name order, that keeps working."""
     extents = {"b": Extent(10, 5), "a": Extent(0, 4), "c": Extent(20, 2)}
+    order = {name: serial for serial, name in enumerate(extents)}
     legacy = AddressSpace.__new__(AddressSpace)
     legacy.__dict__.update(
-        _validate=validate,
+        _validate=True,
         _extents=extents,
         _volume=11,
-        _index=[],
-        _order={},
-        _order_seq=0,
+        _index=sorted((e.start, order[name], e.end, name) for name, e in extents.items()),
+        _order=order,
+        _order_seq=3,
         _c_probes=None,
         _c_compactions=None,
     )
-    if validate:
-        legacy._order = {name: order for order, name in enumerate(extents)}
-        legacy._order_seq = 3
-        legacy._index = sorted(
-            (e.start, legacy._order[name], e.end, name) for name, e in extents.items()
-        )
-    else:
-        legacy.__dict__.update(
-            _end_counts=Counter({15: 1, 4: 1, 22: 1}), _end_heap=[-22, -15, -4], _tracked_ends=3
-        )
     space = pickle.loads(pickle.dumps(legacy))
     assert "_extents" not in vars(space) and "_order" not in vars(space)
     assert list(space.items()) == list(extents.items())
@@ -457,3 +353,69 @@ def test_unpickles_the_layout_that_mapped_names_to_extents(validate):
     space.place("d", 0, 4)
     assert space.start_of("a") == 30 and space.footprint() == 34
     space.verify_disjoint()
+
+
+def _unaudited_snapshot(layout, extents):
+    """A space as an unaudited ``AddressSpace(validate=False)`` pickled it:
+    no address index, an end-heap instead, and its names either as index
+    entries (``entries``) or, before that, as extents (``extents``)."""
+    ends = Counter(extent.end for extent in extents.values())
+    legacy = AddressSpace.__new__(AddressSpace)
+    legacy.__dict__.update(
+        _validate=False,
+        _volume=sum(extent.length for extent in extents.values()),
+        _index=[],
+        _order_seq=len(extents),
+        _c_probes=None,
+        _c_compactions=None,
+        _end_counts=ends,
+        _end_heap=sorted(-end for end in ends),
+        _tracked_ends=len(extents),
+    )
+    if layout == "entries":
+        legacy._entries = {
+            name: (e.start, serial, e.end, name)
+            for serial, (name, e) in enumerate(extents.items())
+        }
+    else:
+        legacy.__dict__.update(_extents=extents, _order={})
+    return pickle.dumps(legacy)
+
+
+@pytest.mark.parametrize("layout", ["entries", "extents"])
+def test_an_unaudited_snapshot_restores_as_an_audited_space(layout):
+    """The unaudited mode is gone: its snapshot comes back indexed and
+    audited, without its end-heap, and answers from the index."""
+    extents = {"b": Extent(10, 5), "a": Extent(0, 4), "c": Extent(20, 2)}
+    space = pickle.loads(_unaudited_snapshot(layout, extents))
+    for stale in ("_validate", "_end_heap", "_end_counts", "_tracked_ends", "_c_compactions"):
+        assert stale not in vars(space)
+    assert list(space.items()) == list(extents.items())
+    assert [name for _, _, _, name in space._index] == ["a", "b", "c"]
+    assert space.footprint() == 22 and space.volume() == 11
+    assert space.free_gaps() == [Extent(4, 6), Extent(15, 5)]
+    with pytest.raises(OverlapError, match="overlaps 'b'"):
+        space.place("d", 12, 2)
+    space.place("d", 4, 6)
+    assert space.move("c", 30) == 20 and space.footprint() == 32
+    space.verify_disjoint()
+
+
+@pytest.mark.parametrize("layout", ["entries", "extents"])
+def test_an_overlapping_unaudited_snapshot_is_refused(layout):
+    overlapping = {"a": Extent(0, 10), "b": Extent(5, 10)}
+    with pytest.raises(OverlapError, match="'a' at .* overlaps 'b'"):
+        pickle.loads(_unaudited_snapshot(layout, overlapping))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CostObliviousReallocator(0.25, audit=False),
+    lambda: DeamortizedReallocator(0.25, audit=False),
+], ids=["cost_oblivious", "deamortized"])
+def test_the_ignored_audit_keyword_still_builds_an_audited_space(build):
+    """perfbench builds these two with ``audit=False``; the keyword is
+    accepted and ignored, so the space still refuses an overlap."""
+    allocator = build()
+    allocator.space.place("x", 0, 8)
+    with pytest.raises(OverlapError):
+        allocator.space.place("y", 4, 8)

@@ -92,7 +92,6 @@ def test_untraced_audited_replays_build_no_extent(kind, monkeypatch):
 
     monkeypatch.setattr(Extent, "__post_init__", counting)
     allocator = build_allocator(kind)
-    assert allocator.space.validate  # audited
     trace = churn_trace(3000, UniformSizes(1, 64), target_live=400, seed=9)
     allocator.run(trace)
     stats = allocator.stats

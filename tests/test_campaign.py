@@ -85,6 +85,16 @@ def test_validate_flags_unknown_kinds_eagerly():
     small_spec().validate()
 
 
+@pytest.mark.parametrize("kind", ["first_fit", "cost_oblivious", "deamortized"])
+@pytest.mark.parametrize("audit", [True, False])
+def test_an_allocator_entry_with_audit_is_refused(kind, audit):
+    """Every allocator is audited; the removed ``audit`` key is refused by
+    name, also for the two classes that still accept the keyword."""
+    spec = small_spec(allocators=[{"kind": kind, "audit": audit}])
+    with pytest.raises(SpecError, match="'audit' parameter was removed"):
+        spec.validate()
+
+
 def test_build_workload_is_deterministic_for_a_seed():
     entry = {"kind": "churn", "requests": 120, "target_live": 20}
     first = build_workload(entry, seed=9)

@@ -238,7 +238,7 @@ def test_series_observer_every_mode_matches_legacy_sampling():
 
 def test_series_observer_adaptive_mode_stays_bounded():
     observer = FootprintSeriesObserver(max_points=64)
-    allocator = CostObliviousReallocator(epsilon=0.5, audit=False)
+    allocator = CostObliviousReallocator(epsilon=0.5)
     EngineSession(allocator, [observer]).run(churn_trace(5000, seed=10, target_live=60))
     assert 2 <= len(observer.footprint) <= 64
     assert observer.indices == sorted(observer.indices)

@@ -493,6 +493,27 @@ def test_cell_timeout_turns_overruns_into_typed_error_records(tmp_path):
     assert "timeout" in record["error"] or "died" in record["error"]
 
 
+def test_a_late_record_already_in_the_pipe_is_still_an_overrun(tmp_path, monkeypatch):
+    """The watchdog judges a cell by when its child finished, not by what
+    the pipe holds once the parent looks.  Here the parent reaches its
+    ``poll`` only after the child has finished, as a parent descheduled
+    right after ``start()`` would: the record is waiting, yet it is late."""
+    directory = tmp_path / "q"
+    enqueue_campaign(small_spec(1), directory)
+    start = multiprocessing.Process.start
+
+    def start_and_wait_for_the_child(self):
+        start(self)
+        self.join(timeout=60)  # the small record fits the pipe: the child exits
+
+    monkeypatch.setattr(multiprocessing.Process, "start", start_and_wait_for_the_child)
+    assert work_queue(directory, token="w1", cell_timeout=0.0001) == 1
+    record = merge_queue(directory).document["records"][0]
+    assert record["error_kind"] == "worker_timeout"
+    assert "0.0001s cell timeout" in record["error"]
+    assert record["elapsed_seconds"] > 0.0001
+
+
 def test_a_timed_out_cell_reports_the_time_it_held_its_worker(tmp_path):
     directory = tmp_path / "q"
     spec = CampaignSpec.from_dict(

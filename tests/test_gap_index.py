@@ -179,7 +179,7 @@ audit_scripts = st.lists(
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(script=audit_scripts)
 def test_indexed_overlap_detection_agrees_with_all_pairs_scan(script):
-    space = AddressSpace(validate=True)
+    space = AddressSpace()
     mirror = {}
     next_id = 0
     for op, address, length in script:

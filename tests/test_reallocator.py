@@ -151,7 +151,7 @@ def test_cost_ratio_is_bounded_and_cost_oblivious():
 
 
 def test_objects_never_overlap_even_during_flushes():
-    realloc = CostObliviousReallocator(epsilon=0.5, audit=True)
+    realloc = CostObliviousReallocator(epsilon=0.5)
     random_churn(realloc, steps=800, seed=13, max_size=200)
     realloc.space.verify_disjoint()
 

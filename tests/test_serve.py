@@ -32,6 +32,7 @@ from repro.serve import (
     ServeClient,
     ServeClientError,
     ServeConfig,
+    ServeError,
     decode_requests,
     encode_frame,
     encode_requests,
@@ -596,3 +597,33 @@ def test_cli_serve_rejects_bad_allocator_json(capsys):
     assert "not valid JSON" in capsys.readouterr().err
     assert main(["serve", "--max-batch", "0"]) == 2
     capsys.readouterr()
+
+
+_BAD_ALLOCATORS = [
+    ('{"kind": "nope"}', "unknown allocator 'nope'"),
+    ('{"kind": "buddy", "audit": false}', "'audit' parameter was removed"),
+]
+
+
+@pytest.mark.parametrize("entry, message", _BAD_ALLOCATORS)
+def test_cli_serve_refuses_a_bad_allocator_before_binding(entry, message, capsys, monkeypatch):
+    """The allocator spec is built before the port is bound: a bad one exits
+    2 at startup instead of serving and failing every tenant's connection."""
+    bound = []
+
+    async def start_server(*args, **kwargs):
+        bound.append(args)
+        raise OSError("the port was bound")
+
+    monkeypatch.setattr(asyncio, "start_server", start_server)
+    assert main(["serve", "--allocator", entry]) == 2
+    captured = capsys.readouterr()
+    assert not bound and "serving on" not in captured.out
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("entry, message", _BAD_ALLOCATORS)
+def test_a_background_server_refuses_a_bad_allocator(entry, message, tmp_path):
+    config = ServeConfig(allocator=json.loads(entry), trace_dir=str(tmp_path))
+    with pytest.raises(ServeError, match=message):
+        start_background(config)

@@ -388,7 +388,7 @@ def test_pre_index_deamortized_session_snapshot_restores_and_continues():
     # The fixture's audited space also carried an end-heap; it is dropped
     # on restore and the footprint is read from the address index.
     space = allocator.space
-    assert space.validate and not hasattr(space, "_end_heap")
+    assert not hasattr(space, "_validate") and not hasattr(space, "_end_heap")
     assert space.footprint() == max(extent.end for _, extent in space.items())
     restored.apply(trace[270:])
     restored.close()
