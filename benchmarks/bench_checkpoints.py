@@ -45,6 +45,7 @@ from repro.storage import BlockTranslationLayer, CheckpointManager
 from repro.storage.address_space import AddressSpace, OverlapError
 from repro.storage.extent import Extent, coalesce
 from repro.workloads import UniformSizes, churn_trace
+from tests.per_move_reference import per_move_reference
 
 #: The replay workload's churn shape: sizes 1-64, about 2,000 live objects.
 CHURN = churn_trace(5000, UniformSizes(1, 64), target_live=2000, seed=41)
@@ -403,4 +404,31 @@ def test_in_slot_move_path_beats_parent_move_path():
         f"the in-slot move path ({lean:.3f}s) is less than 1.25x faster than "
         f"the remove-and-insort path ({parent:.3f}s); the checkpointed move path "
         f"has regressed"
+    )
+
+
+def test_span_executor_beats_per_move_bookkeeping():
+    """The executor that records each span of moves at once (translation
+    writes and source freezes deferred to the span's end, or dropped at its
+    checkpoint) over the hinted ``move`` must beat the verbatim per-move
+    executor over the bisecting ``move`` by 1.15x on the same replay."""
+    span = per_move = float("inf")
+    for _ in range(3):
+        elapsed, fast = _timed_replay(_deamortized())
+        span = min(span, elapsed)
+        elapsed, slow = _timed_replay(per_move_reference(DeamortizedReallocator)(0.25))
+        per_move = min(per_move, elapsed)
+    _assert_same_replay(fast, slow)
+    print(
+        f"\naudited deamortized replay ({len(CHURN)} requests, 2k live): "
+        f"span={span:.3f}s per-move={per_move:.3f}s ({per_move / span:.2f}x)"
+    )
+    record_metric("checkpoints", "span_executor_seconds", round(span, 6), "seconds")
+    record_metric("checkpoints", "per_move_bookkeeping_seconds", round(per_move, 6), "seconds")
+    record_metric(
+        "checkpoints", "per_move_bookkeeping_over_span_ratio", round(per_move / span, 2), "ratio"
+    )
+    assert per_move >= 1.15 * span, (
+        f"the span executor ({span:.3f}s) is less than 1.15x faster than the "
+        f"per-move bookkeeping ({per_move:.3f}s); the checkpointed move path has regressed"
     )

@@ -25,6 +25,7 @@ only move to a disjoint location), giving the Lemma 3.1 footprint bound
 
 from __future__ import annotations
 
+from sys import maxsize
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.events import MoveEvent
@@ -256,27 +257,44 @@ class CheckpointedReallocator(CostObliviousReallocator):
         is already at its target or no longer occupies space is skipped and
         costs nothing.  The stats take the whole run at once, also when a
         move raises.
+
+        The translation map takes the moves a span (up to the next
+        checkpoint item) at a time.  Their sources freeze only when a
+        destination may hit them, a move raises or the call ends: between
+        calls the map and the frozen space read as if each move had been
+        recorded at once.  A checkpoint item, which thaws them anyway,
+        writes the span unfrozen.
         Returns ``(next_index, moved_volume, move_count)``.
         """
         start_of = self.space.start_of
         move = self.space.move
         is_writable = self.checkpoints.is_writable
-        record_free = self.checkpoints.record_free
-        # The translation map is updated inline, as record_move would; a
-        # checkpoint clears the dirty set in place, so these stay bound.
-        volatile = self.translation._volatile  # noqa: SLF001
-        dirty = self.translation._dirty  # noqa: SLF001
+        record_moves = self.translation.record_moves
+        span_of = self.translation.spans().get
         collect = self._collect_events
         track_recovery = self.track_recovery
         end = len(items)
         sizes: List[int] = []
         moved_volume = 0
+        span: List[Tuple] = []  # (name, target, target_end, old span), not yet recorded
+        low, high = maxsize, 0  # the envelope of the span's old spans
+        frozen = True  # False only while a checkpoint item has thawed all
         try:
             while index < end and moved_volume <= budget:
                 item = items[index]
                 index += 1
                 if item[0] == "checkpoint":
-                    self.checkpoint()
+                    # The checkpoint thaws the span's sources: write it unfrozen.
+                    record_moves(span, freeze=False)
+                    written, span = span, []
+                    try:
+                        self.checkpoint()
+                    except BaseException:  # nothing thawed: freeze the sources
+                        for _name, _start, _end, old in written:
+                            if old is not None:
+                                self.checkpoints.record_free(*old)
+                        raise
+                    low, high, frozen = maxsize, 0, False
                     continue
                 _tag, name, size, target, reason = item
                 start = start_of(name)
@@ -288,8 +306,23 @@ class CheckpointedReallocator(CostObliviousReallocator):
                         f"non-overlapping constraint violated: moving {name!r} from "
                         f"{Extent(start, size)} to {Extent(target, size)}"
                     )
-                if not is_writable(target, target_end):
+                old = span_of(name)
+                # Record the span, then check exactly, if the destination
+                # may hit its sources or other frozen space, or if the map's
+                # span for this name is not where the object is (it moved
+                # earlier in the span, or a crash restored the map).
+                if (
+                    (target < high and low < target_end)
+                    or (frozen and not is_writable(target, target_end))
+                    or old is None
+                    or old[0] != start
+                ):
+                    record_moves(span)
+                    span.clear()
+                    low, high = maxsize, 0
                     self._ensure_writable(target, target_end)
+                    frozen = True
+                    old = span_of(name)
                 move(name, target)
                 sizes.append(size)
                 moved_volume += size
@@ -297,14 +330,16 @@ class CheckpointedReallocator(CostObliviousReallocator):
                     self._note_move(
                         MoveEvent(name, size, Extent(start, size), Extent(target, size), reason)
                     )
-                mapped = volatile.get(name)
-                if mapped is not None:
-                    record_free(mapped[0], mapped[1])
-                volatile[name] = (target, target_end)
-                dirty.add(name)
+                if old is not None:
+                    if old[0] < low:
+                        low = old[0]
+                    if old[1] > high:
+                        high = old[1]
+                span.append((name, target, target_end, old))
                 if track_recovery:
                     self._record_write(name, target, size)
         finally:
+            record_moves(span)
             if sizes:
                 self.stats.record_moves(sizes, moved_volume)
                 self._current_moved_volume += moved_volume

@@ -22,8 +22,11 @@ footprint is the end of its last entry.  A placement can only clash with
 its nearest neighbours in address order: one bisect plus two neighbour
 probes.  Most flush moves stay clear of both neighbours, so the entry keeps
 its rank and is overwritten in place; other moves probe with their own
-entry skipped, then delete and re-insert it.  The index also makes
-:meth:`free_gaps` and :meth:`verify_disjoint` single ordered walks.
+entry skipped, then delete and re-insert it.  A flush step sweeps index
+neighbours one after another, so a move first tries the slot next to the
+last in-slot move, in that sweep's direction, and bisects only on a miss.
+The index also makes :meth:`free_gaps` and :meth:`verify_disjoint` single
+ordered walks.
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ class OverlapError(RuntimeError):
 class AddressSpace:
     """Tracks which extent every live object occupies, auditing every
     placement and move against its neighbours in address order."""
+
+    #: Where the last in-slot move sat in the index, and its sweep's
+    #: direction: ``move`` tries the next slot along before it bisects.
+    #: Class defaults, so a snapshot pickled before the hint restores.
+    _hint_pos = -2
+    _hint_step = 1
 
     def __init__(self) -> None:
         #: name -> (start, order, end, name), the entry the index holds.
@@ -188,8 +197,11 @@ class AddressSpace:
         # names, which is all the bisection needs.
         entry = (start, order, end, name)
         index = self._index
-        pos = bisect_left(index, old)
         last = len(index) - 1
+        # The index holds ``old`` itself, so a stale hint can only miss.
+        pos = self._hint_pos + self._hint_step
+        if not (0 <= pos <= last and index[pos] is old):
+            pos = bisect_left(index, old)
         pred_clear = pos == 0 or index[pos - 1][2] <= start
         succ_clear = pos == last or end <= index[pos + 1][0]
         # Clear of both neighbours, the entry still sorts between them
@@ -198,6 +210,8 @@ class AddressSpace:
             if self._c_probes is not None:
                 self._c_probes.value += 1
             index[pos] = entry
+            self._hint_step = -1 if pos < self._hint_pos else 1
+            self._hint_pos = pos
         else:
             # In its slot, the two neighbours are the nearest
             # predecessor and successor _find_overlap would probe.
@@ -213,6 +227,7 @@ class AddressSpace:
                 raise self._clash("moving", name, start, end, clash)
             del index[pos]
             insort(index, entry)
+            self._hint_pos = -2
         entries[name] = entry
         return old_start
 

@@ -40,7 +40,9 @@ class CheckpointManager:
     both lists are strictly increasing and one bisect finds the only run a
     query can hit.  :meth:`record_free` and :meth:`is_writable` are
     therefore O(log m) probes (plus the list insert or splice) in the
-    number ``m`` of frozen runs.
+    number ``m`` of frozen runs.  The checkpointed reallocator makes far
+    fewer than one of each per move: it freezes a span's sources only
+    when a destination may hit them or the span ends without a checkpoint.
 
     Spans are plain half-open ``(start, end)`` integers, taken from
     placements the address space validated; only :meth:`frozen_extents`

@@ -13,7 +13,7 @@ last checkpoint, the durable map always points at intact data, and
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterator, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
 from repro.storage.checkpoint import CheckpointManager
 from repro.storage.extent import Extent
@@ -30,6 +30,8 @@ class BlockTranslationLayer:
     integers; only :meth:`lookup` and :meth:`durable_lookup` build extents.
     A checkpoint writes only the names changed since the previous one (the
     ``_dirty`` set) into the durable map, not a copy of the whole map.
+    The checkpointed reallocator writes its moves a span at a time through
+    :meth:`record_moves`; :meth:`record_move` is its one-move case.
     """
 
     def __init__(self, checkpoints: Optional[CheckpointManager] = None) -> None:
@@ -61,11 +63,23 @@ class BlockTranslationLayer:
 
     def record_move(self, name: Hashable, start: int, end: int) -> None:
         """Record that ``name`` moved to ``[start, end)``; its old span freezes."""
-        old = self._volatile.get(name)
-        if old is not None:
-            self.checkpoints.record_free(*old)
-        self._volatile[name] = (start, end)
-        self._dirty.add(name)
+        self.record_moves(((name, start, end, self._volatile.get(name)),))
+
+    def record_moves(self, moves: Iterable[Tuple], freeze: bool = True) -> None:
+        """Record moves ``(name, start, end, old)`` in order, ``old`` being
+        the span the map held for ``name`` just before (None if none); the
+        old spans freeze unless a checkpoint about to thaw them follows."""
+        volatile, dirty = self._volatile, self._dirty
+        record_free = self.checkpoints.record_free
+        for name, start, end, old in moves:
+            volatile[name] = (start, end)
+            dirty.add(name)
+            if freeze and old is not None:
+                record_free(*old)
+
+    def spans(self) -> Mapping[Hashable, Tuple[int, int]]:
+        """The volatile map itself, name -> ``(start, end)``; read-only."""
+        return self._volatile
 
     def record_free(self, name: Hashable) -> None:
         """Record that ``name`` was deleted; its space is frozen until checkpoint."""

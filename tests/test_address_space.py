@@ -1,6 +1,7 @@
 """Unit tests for the auditing address space."""
 
 import pickle
+from bisect import bisect_left
 import re
 from collections import Counter
 
@@ -419,3 +420,136 @@ def test_the_ignored_audit_keyword_still_builds_an_audited_space(build):
     allocator.space.place("x", 0, 8)
     with pytest.raises(OverlapError):
         allocator.space.place("y", 4, 8)
+
+
+# ------------------------------------------------------- index-position hint
+#: Sweep steps: ``("sweep", rank, direction, count, shift)`` moves ``count``
+#: index neighbours from ``rank`` on, in ``direction``, each by ``shift``
+#: (small shifts keep the rank, larger ones clash or jump a neighbour);
+#: ``place``/``remove`` shift the positions under the hint; ``pickle``
+#: round-trips the space mid-sweep.
+_HINT_STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("sweep"),
+            st.integers(0, 30),
+            st.sampled_from([1, -1]),
+            st.integers(1, 12),
+            st.integers(-14, 14),
+        ),
+        st.tuples(st.just("place"), st.integers(0, 400), st.integers(1, 6)),
+        st.tuples(st.just("remove"), st.integers(0, 30)),
+        st.tuples(st.just("pickle")),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gaps=st.lists(st.integers(0, 8), min_size=3, max_size=30), steps=_HINT_STEPS)
+def test_sweeps_through_the_position_hint_match_the_naive_model(gaps, steps):
+    """Ascending and descending sweeps, rank-changing and refused moves,
+    and placements and removals that shift the index under the hint: the
+    index always equals the sorted entries, ``OverlapError`` is raised
+    exactly when the naive model overlaps, and every move counts one
+    audit probe."""
+    telemetry = Telemetry(enabled=True, sink=NullSink())
+    with use_telemetry(telemetry):
+        space = AddressSpace()
+    mirror = {}
+    cursor = 0
+    for serial, gap in enumerate(gaps):
+        cursor += gap
+        space.place(serial, cursor, 4)
+        mirror[serial] = Extent(cursor, 4)
+        cursor += 4
+    moves = 0
+    serial = len(gaps)
+    for step in steps:
+        if step[0] == "sweep":
+            _, rank, direction, count, shift = step
+            for _ in range(count):
+                if not mirror or not 0 <= rank < len(mirror):
+                    break
+                name = sorted(mirror, key=lambda n: mirror[n].start)[rank]
+                extent = Extent(max(0, mirror[name].start + shift), mirror[name].length)
+                naive = any(
+                    extent.overlaps(other) for other_name, other in mirror.items()
+                    if other_name != name
+                )
+                moves += 1
+                if naive:
+                    with pytest.raises(OverlapError):
+                        space.move(name, extent.start)
+                else:
+                    assert space.move(name, extent.start) == mirror[name].start
+                    mirror[name] = extent
+                rank += direction
+        elif step[0] == "place":
+            extent = Extent(step[1], step[2])
+            if not any(extent.overlaps(other) for other in mirror.values()):
+                space.place(serial, extent.start, extent.length)
+                mirror[serial] = extent
+                serial += 1
+        elif step[0] == "remove" and mirror:
+            name = sorted(mirror)[step[1] % len(mirror)]
+            assert space.remove(name) == mirror.pop(name).start
+        elif step[0] == "pickle":
+            probes = space._c_probes
+            space = pickle.loads(pickle.dumps(space))
+            space._c_probes = probes  # the counter is the test's, not the snapshot's
+        assert space._index == sorted(space._entries.values())
+        assert space.snapshot() == mirror
+    assert telemetry.counter("address_space.audit_probes").value == moves + len(gaps) + (
+        serial - len(gaps)
+    )
+    space.verify_disjoint()
+
+
+def test_a_sweep_of_in_slot_moves_bisects_once(monkeypatch):
+    """Each move of a sweep finds its entry through the hint; only the
+    first moves of a sweep, and a move after the index shifted under the
+    hint, bisect."""
+    from repro.storage import address_space
+
+    calls = []
+
+    def counting_bisect(index, entry, *args):
+        calls.append(entry[-1])
+        return bisect_left(index, entry, *args)
+
+    monkeypatch.setattr(address_space, "bisect_left", counting_bisect)
+    space = AddressSpace()
+    for serial in range(10):
+        space.place(serial, 10 * serial, 4)
+    calls.clear()
+    for serial in range(10):  # ascending, each keeps its rank
+        space.move(serial, 10 * serial + 3)
+    assert calls == [0]
+    for serial in reversed(range(10)):  # descending
+        space.move(serial, 10 * serial + 1)
+    assert calls == [0, 9, 8]  # the reversal costs two bisects
+    space.remove(0)  # every position shifts down by one under the hint
+    calls.clear()
+    space.move(1, 10)
+    space.move(2, 22)
+    assert calls == [1]  # the stale hint misses once, then the sweep goes on
+
+
+def test_a_space_pickled_before_the_hint_restores():
+    """A snapshot from before the hint carries no hint fields: the class
+    defaults stand in, and the first move bisects."""
+    space = AddressSpace()
+    space.place("a", 0, 4)
+    space.place("b", 10, 4)
+    state = dict(vars(space))
+    assert "_hint_pos" not in state  # set only by a move
+    legacy = AddressSpace.__new__(AddressSpace)
+    legacy.__dict__.update(state)
+    restored = pickle.loads(pickle.dumps(legacy))
+    assert restored.move("a", 5) == 0 and restored.move("b", 12) == 10
+    assert restored._index == sorted(restored._entries.values())
+    moved = pickle.loads(pickle.dumps(restored))  # mid-sweep, hint included
+    assert moved._hint_pos == 1 and moved.move("a", 6) == 5
+    assert moved.snapshot() == {"a": Extent(6, 4), "b": Extent(12, 4)}

@@ -174,12 +174,21 @@ def test_verify_recoverable_detects_clobbered_data():
     layer.verify_recoverable({"a": Extent(0, 10)})
 
 
-#: One translation-layer operation: an op, a name slot and an address.
+#: One translation-layer operation: an op, a name slot and an address, or
+#: a span of 1-30 moves ``(slot, address)`` recorded at once, frozen or
+#: (as before a checkpoint) not.
 _TRANSLATION_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(["allocate", "move", "free", "checkpoint", "crash"]),
-        st.integers(0, 7),
-        st.integers(0, 200),
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["allocate", "move", "free", "checkpoint", "crash"]),
+            st.integers(0, 7),
+            st.integers(0, 200),
+        ),
+        st.tuples(
+            st.sampled_from(["span", "span+checkpoint"]),
+            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 200)), min_size=1, max_size=30),
+            st.just(None),
+        ),
     ),
     max_size=60,
 )
@@ -190,9 +199,12 @@ _TRANSLATION_OPS = st.lists(
 def test_dirty_set_checkpoints_match_a_full_copy(ops):
     """A checkpoint writes only the names changed since the previous one;
     the durable map must still equal a full copy of the volatile map taken
-    at that checkpoint, and a crash must restore exactly that copy."""
+    at that checkpoint, and a crash must restore exactly that copy.  A span
+    through ``record_moves`` reads as that many ``record_move`` calls (or,
+    written unfrozen just before a checkpoint, as them plus the
+    checkpoint), frozen space included."""
     layer = BlockTranslationLayer()
-    volatile, durable = {}, {}
+    volatile, durable, frozen = {}, {}, []
     for op, slot, address in ops:
         name = f"block-{slot}"
         if op == "allocate":
@@ -200,20 +212,37 @@ def test_dirty_set_checkpoints_match_a_full_copy(ops):
             volatile[name] = Extent(address, 4)
         elif op == "move":
             layer.record_move(name, address, address + 4)
+            if name in volatile:
+                frozen.append(volatile[name])
             volatile[name] = Extent(address, 4)
+        elif op.startswith("span"):
+            moves = []
+            for move_slot, move_address in slot:  # a span carries its moves in the slot field
+                move_name = f"block-{move_slot}"
+                old = volatile.get(move_name)
+                moves.append((move_name, move_address, move_address + 4, old and (old.start, old.end)))
+                if old is not None:
+                    frozen.append(old)
+                volatile[move_name] = Extent(move_address, 4)
+            layer.record_moves(moves, freeze=op == "span")
+            if op == "span+checkpoint":
+                layer.checkpoint()
+                durable, frozen = dict(volatile), []
         elif op == "free":
             layer.record_free(name)
-            volatile.pop(name, None)
+            if name in volatile:
+                frozen.append(volatile.pop(name))
         elif op == "checkpoint":
             layer.checkpoint()
-            durable = dict(volatile)
+            durable, frozen = dict(volatile), []
             for live in layer:
                 assert layer.durable_lookup(live) == layer.lookup(live)
         else:
             layer.crash()
-            volatile = dict(durable)
+            volatile, frozen = dict(durable), []
             assert {live: layer.lookup(live) for live in layer} == durable
         assert {live: layer.lookup(live) for live in layer} == volatile
+        assert layer.checkpoints.frozen_extents() == coalesce(frozen)
         for slot_name in (f"block-{index}" for index in range(8)):
             if slot_name in durable:
                 assert layer.durable_lookup(slot_name) == durable[slot_name]
