@@ -9,8 +9,8 @@ class that runs on them, for differential tests and speed guards against
 today's path.
 """
 
-from typing import Hashable, List, Sequence, Tuple
 from bisect import bisect_left, insort
+from typing import Hashable, List, Sequence, Tuple
 
 from repro.core.events import MoveEvent
 from repro.storage.address_space import AddressSpace

@@ -1,8 +1,8 @@
 """Unit tests for the auditing address space."""
 
 import pickle
-from bisect import bisect_left
 import re
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
