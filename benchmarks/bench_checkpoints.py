@@ -6,6 +6,9 @@ of the current one: freed extents appended to a plain list (coalesced only
 past 64 entries) and every write checked by a linear scan over that list.
 An audited ``DeamortizedReallocator(0.25)`` churn replay with the indexed
 runs must beat the same replay with the legacy scan by at least 1.25x.
+Both sides run the per-move executor of ``tests/per_move_reference.py``,
+which checks and freezes the frozen space on every move, so the guard
+times the frozen space and not how often today's executor calls it.
 
 ``_PerMoveReference`` reinstates the move path that came before the phased
 executor: a per-item ``_advance`` loop that calls ``_move_object`` for every
@@ -90,9 +93,13 @@ def _timed_replay(allocator):
     return elapsed, allocator
 
 
-def _deamortized(checkpoints=None):
-    translation = BlockTranslationLayer(checkpoints) if checkpoints is not None else None
-    return DeamortizedReallocator(0.25, translation=translation)
+def _deamortized():
+    return DeamortizedReallocator(0.25)
+
+
+def _per_move_deamortized(checkpoints):
+    reference = per_move_reference(DeamortizedReallocator)
+    return reference(0.25, translation=BlockTranslationLayer(checkpoints))
 
 
 def _assert_same_replay(fast, slow):
@@ -106,13 +113,13 @@ def _assert_same_replay(fast, slow):
 def test_indexed_frozen_space_beats_linear_scan():
     indexed = legacy = float("inf")
     for _ in range(3):
-        elapsed, fast = _timed_replay(_deamortized())
+        elapsed, fast = _timed_replay(_per_move_deamortized(CheckpointManager()))
         indexed = min(indexed, elapsed)
-        elapsed, slow = _timed_replay(_deamortized(_LegacyScanCheckpoints()))
+        elapsed, slow = _timed_replay(_per_move_deamortized(_LegacyScanCheckpoints()))
         legacy = min(legacy, elapsed)
     _assert_same_replay(fast, slow)
     print(
-        f"\naudited deamortized replay ({len(CHURN)} requests, 2k live): "
+        f"\naudited per-move deamortized replay ({len(CHURN)} requests, 2k live): "
         f"indexed={indexed:.3f}s legacy-scan={legacy:.3f}s ({legacy / indexed:.2f}x)"
     )
     record_metric("checkpoints", "indexed_frozen_space_seconds", round(indexed, 6), "seconds")
@@ -209,6 +216,20 @@ class _HeapTrackingSpace(AddressSpace):
         return -heap[0] if heap else 0
 
 
+class _ParentRecordMoveTranslation(BlockTranslationLayer):
+    """The translation layer with ``record_move`` as the frozen move paths
+    called it, before it became the one-move case of ``record_moves``;
+    copied verbatim."""
+
+    def record_move(self, name, start, end):
+        """Record that ``name`` moved to ``[start, end)``; its old span freezes."""
+        old = self._volatile.get(name)
+        if old is not None:
+            self.checkpoints.record_free(*old)
+        self._volatile[name] = (start, end)
+        self._dirty.add(name)
+
+
 class _ParentRelocate:
     """The per-move bookkeeping of the frozen move paths: space, stats and
     event, for a move whose size and both extents are already known."""
@@ -229,7 +250,7 @@ class _PerMoveReference(_ParentRelocate, DeamortizedReallocator):
     ``_move_object`` call per planned move, over ``_HeapTrackingSpace``."""
 
     def __init__(self):
-        super().__init__(0.25)
+        super().__init__(0.25, translation=_ParentRecordMoveTranslation())
         self.space = _HeapTrackingSpace()
 
     def _move_object(self, name, new_address, reason="move"):
@@ -334,7 +355,7 @@ class _RemoveInsortSpace(AddressSpace):
         return old_start
 
 
-class _FullCopyTranslation(BlockTranslationLayer):
+class _FullCopyTranslation(_ParentRecordMoveTranslation):
     """The translation layer before the dirty set: a checkpoint copies the
     whole volatile map."""
 
